@@ -15,8 +15,8 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .cone import ConeSpace, ConeVector, NormKind, diamond_norm, psi_hull
+from .cone import ConeSpace, ConeVector, diamond_norm, psi_hull
 from .errors import ConeRadError, ConfigError
 from .eigenproblem import estimate_eigenfunctional, solve_eigenvector_perturbation
 from .homog_map import HomogeneousMap, from_matrix, verify_properties
@@ -108,6 +108,15 @@ def parse_config(path) -> RunConfig:
     )
 
 
+@contextmanager
+def _input_field(name: str):
+    """Report a bad value of one input field as a config error naming it."""
+    try:
+        yield
+    except (ConeRadError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"input field '{name}' is invalid: {exc}") from exc
+
+
 def _load_input(path: Path):
     """Returns ("linear", map, u) or ("twosex", model, u)."""
     try:
@@ -123,18 +132,22 @@ def _load_input(path: Path):
         unknown = set(raw) - {"matrix", "norm", "u"}
         if unknown:
             raise ConfigError(f"unknown input key(s): {sorted(unknown)}")
-        matrix = np.asarray(raw["matrix"], dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ConfigError("matrix must be square")
+        with _input_field("matrix"):
+            matrix = np.asarray(raw["matrix"], dtype=float)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValueError("matrix must be square")
+        n = matrix.shape[0]
         norm = raw.get("norm", "l1")
-        if isinstance(norm, dict):
-            space = ConeSpace(matrix.shape[0], NormKind.WEIGHTED,
-                              np.asarray(norm["weighted"], dtype=float))
-        else:
-            space = ConeSpace(matrix.shape[0], NormKind(norm))
-        mp = from_matrix(matrix, space=space)
-        u = ConeVector(np.asarray(raw["u"], dtype=float)) if "u" in raw \
-            else ConeVector(np.ones(matrix.shape[0]))
+        with _input_field("norm"):
+            if isinstance(norm, dict) and set(norm) != {"weighted"}:
+                raise ValueError('a weighted norm is {"weighted": [...]}')
+            space = ConeSpace.from_json({"dim": n, "norm": norm})
+        with _input_field("matrix"):
+            mp = from_matrix(matrix, space=space)
+        with _input_field("u"):
+            u = ConeVector(np.asarray(raw.get("u", np.ones(n)), dtype=float))
+            if u.dim != n:
+                raise ValueError(f"u has {u.dim} entries, the matrix has {n} rows")
         return "linear", mp, u
     if "grid" in raw:
         model = build_model(raw)
@@ -269,13 +282,14 @@ def _run_validate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
         x = rng.standard_normal(space.dim)
         y = rng.standard_normal(space.dim)
         alpha = float(rng.uniform(0, 10))
+        px, py, nx = psi_hull(space, x), psi_hull(space, y), space.norm(x)
         checks = (
-            abs(psi_hull(space, alpha * x) - alpha * psi_hull(space, x)),
-            max(0.0, abs(psi_hull(space, x) - psi_hull(space, y)) - space.norm(x - y)),
-            max(0.0, psi_hull(space, x + y) - psi_hull(space, x) - psi_hull(space, y)),
-            max(0.0, diamond_norm(space, x) - space.norm(x)),
+            abs(psi_hull(space, alpha * x) - alpha * px),
+            max(0.0, abs(px - py) - space.norm(x - y)),
+            max(0.0, psi_hull(space, x + y) - px - py),
+            max(0.0, diamond_norm(space, x) - nx),
         )
-        scale = max(1.0, space.norm(x) + space.norm(y))
+        scale = max(1.0, nx + space.norm(y))
         defect = max(checks) / scale
         worst = max(worst, defect)
         if defect > 1e-12:
@@ -319,7 +333,6 @@ def run(cfg: RunConfig) -> int:
             "seed": cfg.seed,
             "config_sha256": _sha256(cfg.config_path) if cfg.config_path else None,
             "input_sha256": _sha256(cfg.input_path),
-            "threads": os.environ.get("CONERAD_THREADS"),
             "versions": {
                 "conerad": __version__,
                 "numpy": np.__version__,

@@ -28,7 +28,7 @@ from .errors import (
     SpectralDomainError,
     ZeroLimitError,
 )
-from .homog_map import HomogeneousMap, perturb
+from .homog_map import HomogeneousMap, perturb, unit_cone_probes
 from .spectral import radius_bracket, resolvent_series
 
 _MONOTONE_SLACK = 1e-12  # relative slack absorbing evaluator roundoff
@@ -282,18 +282,9 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     def psi_n(x: ConeVector) -> float:
         return float(xs @ resolvent_series(mp, lam, x, trunc_tol).vector.entries)
 
-    rng = np.random.default_rng(seed)
-    probes = []
-    for j in range(space.dim):
-        e = np.zeros(space.dim)
-        e[j] = 1.0
-        probes.append(e / space.norm(e))
-    for _ in range(normalizer_samples):
-        v = np.abs(rng.standard_normal(space.dim))
-        nv = space.norm(v)
-        if nv > 0:
-            probes.append(v / nv)
-    normalizer = max(psi_n(ConeVector(p)) for p in probes)
+    probes = unit_cone_probes(space, normalizer_samples, np.random.default_rng(seed))
+    values = [psi_n(ConeVector(p)) for p in probes]
+    normalizer = max(values)
     if normalizer <= 0:
         raise DegenerateBoundError("sampled normalizer is zero; xstar annihilates the orbit")
 
@@ -302,11 +293,9 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
 
     r = est.value
     defect = 0.0
-    for p in probes[: space.dim + 8]:
-        pv = ConeVector(p)
-        fx = evaluator(pv)
+    for p, value in zip(probes[: space.dim + 8], values):
         fbx = evaluator(ConeVector(mp.raw(p)))
-        defect = max(defect, abs(fbx - r * fx))
+        defect = max(defect, abs(fbx - r * (value / normalizer)))
     return EigenfunctionalEstimate(probe_vector=xstar, lambda_used=lam,
                                    normalizer=normalizer, evaluator=evaluator,
                                    defect_max=defect, radius_used=r)

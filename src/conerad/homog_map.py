@@ -175,9 +175,14 @@ class OperatorNormEstimate:
     sample_count: int
 
 
-def _unit_cone_samples(space: ConeSpace, count: int, rng: np.random.Generator):
-    """Entrywise |N(0,1)| draws scaled to the unit sphere of the active norm."""
+def unit_cone_probes(space: ConeSpace, count: int, rng: np.random.Generator):
+    """The scaled basis vectors e_j / ||e_j||, then `count` entrywise |N(0,1)|
+    draws, all on the unit sphere of the active norm."""
     out = []
+    for j in range(space.dim):
+        e = np.zeros(space.dim)
+        e[j] = 1.0
+        out.append(e / space.norm(e))
     for _ in range(count):
         v = np.abs(rng.standard_normal(space.dim))
         nv = space.norm(v)
@@ -197,15 +202,9 @@ def op_norm_plus(mp: HomogeneousMap, samples: int = 128, seed: int = 0) -> Opera
 
     if samples < 1:
         raise ValueError("samples must be >= 1 for sampled estimates")
-    rng = np.random.default_rng(seed)
-    probes = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        probes.append(e / mp.space.norm(e))
+    probes = unit_cone_probes(mp.space, samples, np.random.default_rng(seed))
     ones = np.ones(n)
     probes.append(ones / mp.space.norm(ones))
-    probes.extend(_unit_cone_samples(mp.space, samples, rng))
     best = 0.0
     for p in probes:
         best = max(best, mp.space.norm(mp.raw(p)))
@@ -282,7 +281,7 @@ def verify_properties(mp: HomogeneousMap, trials: int = 200, tol: float = 1e-9,
             rep.monotonicity_violations.append({"trial": t, "defect": slack})
 
         if mp.flags & MapFlag.SUPERADDITIVE:
-            gap = float(np.max(bx + mp.raw(d) - mp.raw(x + d))) / scale
+            gap = float(np.max(bx + mp.raw(d) - by)) / scale
             rep.max_superadditivity_defect = max(rep.max_superadditivity_defect, gap)
             if gap > tol:
                 rep.superadditivity_violations.append({"trial": t, "defect": gap})

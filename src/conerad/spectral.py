@@ -13,6 +13,11 @@ reference vector so they stay strictly positive.  Every individual bound is
 certified on its own, so the running max of lowers and min of uppers is a
 certified bracket; reported endpoints are rounded outward by a rigorous
 floating-point margin.
+
+Each probe vector is evaluated once.  The untruncated lower probe is the
+iterate y itself, so its image B(y) is kept and becomes the next power step:
+on strictly positive problems an iteration costs two evaluations, B(y) and
+the regularized upper probe.
 """
 
 from __future__ import annotations
@@ -103,6 +108,7 @@ class _BracketEngine:
         self.u_hat = u.entries / nu
         self.u_strict = bool(np.all(u.entries > 0))
         self.y = self.u_hat.copy()
+        self.z: np.ndarray | None = None    # B(y), once the probes have computed it
         self.cumlog = 0.0
         self.hist: list[tuple[np.ndarray, float]] = [(self.y, 0.0)]
         self.logs: list[float] = []
@@ -112,12 +118,13 @@ class _BracketEngine:
         self.dead = False
         self.iterations = 0
 
-    def _probe_lower(self, x: np.ndarray) -> None:
+    def _probe_lower(self, x: np.ndarray) -> np.ndarray:
         z = self.mp.raw(x)
         sup = x > 0
         zs = z[sup]
         if np.all(zs > 0):
             self.best_lower = max(self.best_lower, float(np.min(zs / x[sup])))
+        return z
 
     def _probe_upper(self, x: np.ndarray) -> None:
         # x must be strictly positive for the max ratio to bound the radius.
@@ -145,7 +152,7 @@ class _BracketEngine:
     def step(self) -> None:
         self.iterations += 1
         k = self.iterations
-        z = self.mp.raw(self.y)
+        z = self.mp.raw(self.y) if self.z is None else self.z
         nz = self.space.norm(z)
         if nz == 0.0:
             # The orbit of u dies: B^k u = 0 certifies a zero radius under
@@ -166,7 +173,7 @@ class _BracketEngine:
         mx = float(np.max(self.y))
         seen = set()
         for theta in _TRUNCATION_LEVELS:
-            mask = self.y >= theta * mx if theta > 0 else self.y >= 0
+            mask = self.y >= theta * mx
             key = mask.tobytes()
             if key in seen:
                 continue
@@ -174,7 +181,9 @@ class _BracketEngine:
             x = np.where(mask, self.y, 0.0)
             if not x.any():
                 continue
-            self._probe_lower(x)
+            z = self._probe_lower(x)
+            if theta == 0.0:
+                self.z = z  # x equals y here, so this is the next step's B(y)
             if self.u_strict and sigma > 0:
                 self._probe_upper(x + sigma * self.u_hat)
         self.bounds.append((self.best_lower, self.best_upper))
@@ -260,19 +269,6 @@ def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
     return est
 
 
-def quick_radius_gate(mp: HomogeneousMap, steps: int = 50) -> SpectralEstimate:
-    """Cheap bracket used for admissibility checks of resolvent parameters."""
-    ones = ConeVector(np.ones(mp.space.dim))
-    eng = _BracketEngine(mp, ones)
-    for _ in range(steps):
-        eng.step()
-        if eng.dead or eng.bracket_closed(1e-12):
-            break
-    est = eng.estimate(value=0.0, converged=eng.bracket_closed(1e-12))
-    est.value = est.cw_lower
-    return est
-
-
 @dataclass
 class ResolventResult:
     """Truncated left-resolvent sum with its truncation diagnostics."""
@@ -301,10 +297,10 @@ def resolvent_series(mp: HomogeneousMap, lam: float, x: ConeVector,
     threshold = 0.05 * trunc_tol / max(1.0, lam)
     term = x.entries / lam          # lam^{-1} B^0 x
     acc = term.copy()
-    prev_norm = mp.space.norm(term)
+    prev_norm = mp.space.norm(term)  # norm of the latest term
     ratio = 0.0
     terms = 1
-    while mp.space.norm(term) >= threshold:
+    while prev_norm >= threshold:
         if terms >= max_terms:
             raise TruncationError(
                 f"resolvent series not below {trunc_tol} after {max_terms} terms "
@@ -328,11 +324,11 @@ def resolvent_apply(mp: HomogeneousMap, lam: float, x: ConeVector,
                     trunc_tol: float = 1e-10, max_terms: int = 100000) -> ResolventResult:
     """Partial sums of sum_n lam^(-n-1) B^n x, truncated at term norm < trunc_tol.
 
-    The parameter must exceed the certified lower radius bound from a quick
-    bracket run; the series acts as a left resolvent,
+    The parameter must exceed the certified lower radius bound from a short
+    bracket run (at most 50 steps); the series acts as a left resolvent,
     R(Bx) = lam * R(x) - x, up to the reported tail bound.
     """
-    gate = quick_radius_gate(mp)
+    gate = radius_bracket(mp, ConeVector(np.ones(mp.space.dim)), tol=1e-12, max_iter=50)
     if lam <= gate.cw_lower:
         raise SpectralDomainError(
             f"lambda = {lam} is at or below the certified radius lower bound {gate.cw_lower}")

@@ -350,8 +350,6 @@ def build_model(config: dict) -> TwoSexModel:
 
     k_female = MigrationKernel(base * (s_f * q), KernelRole.FEMALE)
     k_male = MigrationKernel(base * (s_m * (1.0 - q)), KernelRole.MALE)
-    for kern in (k_female, k_male):
-        kern.validate_mass(grid)
 
     psi = mating.psi_field
     if not np.all(np.isfinite(psi)):

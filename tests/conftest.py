@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conerad import ConeVector, build_model, from_matrix
+from conerad import ConeSpace, ConeVector, MapFlag, build_model, from_callable, from_matrix
 
 
 def single_cell_config(beta: float = 2.0, s_f: float = 0.5, s_m: float = 0.5,
@@ -65,6 +65,17 @@ def random_cone_vector(rng: np.random.Generator, n: int) -> ConeVector:
 
 def random_positive_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(0.05, 1.0, size=(n, n))
+
+
+def counting_map(mat: np.ndarray, flags: MapFlag = MapFlag.NONE):
+    """x -> mat @ x as a callable map, plus the list of its evaluations."""
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return mat @ x
+
+    return from_callable(ConeSpace(mat.shape[0]), fn, flags=flags), calls
 
 
 @pytest.fixture

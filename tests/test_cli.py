@@ -160,6 +160,19 @@ class TestOtherCommands:
         assert main(["--config", str(tmp_path / "nope.json")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, bad", [
+        ("norm", {"norm": "l2"}),
+        ("norm", {"norm": {"weightd": [1.0, 1.0]}}),
+        ("u", {"u": [1.0, -1.0]}),
+        ("u", {"u": [1.0, 1.0, 1.0]}),
+        ("matrix", {"matrix": [[1.0, -0.5], [0.4, 1.0]]}),
+        ("matrix", {"matrix": [[1.0, "x"], [0.4, 1.0]]}),
+    ])
+    def test_malformed_linear_input_names_field(self, tmp_path, capsys, name, bad):
+        path = make_run(tmp_path, "radius", {"matrix": [[1.0, 0.5], [0.4, 1.0]], **bad})
+        assert main(["--config", str(path), "--quiet"]) == 1
+        assert f"config error: input field '{name}' is invalid" in capsys.readouterr().err
+
     def test_malformed_input_is_validation_error(self, tmp_path, capsys):
         path = make_run(tmp_path, "radius", {"surprise": True})
         assert main(["--config", str(path), "--quiet"]) == 1

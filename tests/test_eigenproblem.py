@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conerad import eigenproblem
 from conerad import (
     ConeSpace,
     ConeVector,
@@ -216,6 +217,24 @@ class TestEigenfunctional:
             fx = phi(ConeVector(x))
             assert abs(phi(ConeVector(alpha * x)) - alpha * fx) <= 1e-9 * max(1.0, alpha * fx)
             assert fx <= phi(ConeVector(x + d)) + 1e-9
+
+    def test_one_resolvent_series_per_probe(self, rng, monkeypatch):
+        # n basis probes and the sampled ones set the normalizer; the first
+        # n + 8 of them reuse those values in the defect pass, which adds
+        # only the series at B(p).
+        runs = []
+        series = eigenproblem.resolvent_series
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(eigenproblem, "resolvent_series", counted)
+        n, samples = 3, 16
+        u = ConeVector(np.ones(n))
+        estimate_eigenfunctional(from_matrix(rng.uniform(0.1, 1.0, size=(n, n))), u, u,
+                                 normalizer_samples=samples)
+        assert len(runs) == n + samples + (n + 8)
 
     def test_schedule_below_radius_rejected(self, diag21):
         with pytest.raises(SpectralDomainError):

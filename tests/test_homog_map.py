@@ -22,6 +22,8 @@ from conerad import (
 )
 from conerad.errors import DegenerateBoundError, MapContractError
 
+from conftest import counting_map
+
 
 def vec(*vals):
     return ConeVector(np.array(vals, dtype=float))
@@ -177,6 +179,13 @@ class TestVerifyProperties:
 
         rep = verify_properties(from_callable(space, dip), trials=200, tol=1e-9)
         assert rep.monotonicity_violations
+
+    def test_four_evaluations_per_superadditive_trial(self, rng):
+        # B(x), B(alpha x), B(x + d) and B(d); the superadditivity check
+        # reuses the B(x + d) of the monotonicity check.
+        mp, calls = counting_map(rng.uniform(0.0, 1.0, size=(3, 3)), MapFlag.SUPERADDITIVE)
+        assert verify_properties(mp, trials=25).ok
+        assert len(calls) == 4 * 25
 
     def test_two_sex_operator_clean(self, gaussian_model):
         rep = verify_properties(gaussian_model.as_map(), trials=100, tol=1e-9)

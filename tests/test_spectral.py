@@ -19,7 +19,7 @@ from conerad import (
 )
 from conerad.errors import DegenerateBoundError, SpectralDomainError, TruncationError
 
-from conftest import scale_beta, two_patch_config
+from conftest import counting_map, scale_beta, two_patch_config
 
 
 def vec(*vals):
@@ -113,6 +113,15 @@ class TestRadiusBracket:
         est = radius_bracket(two_patch_model.as_map(), ONES2, tol=1e-10)
         assert est.converged
         assert est.value == pytest.approx(0.25, abs=1e-10)
+
+    def test_two_evaluations_per_iteration_on_positive_matrix(self, rng):
+        # B(y) is evaluated once, as the untruncated lower probe, and the
+        # next power step reuses it; the regularized upper probe is the
+        # other evaluation.  The 1 is B(u) for the first step.
+        mp, calls = counting_map(rng.uniform(0.5, 1.0, size=(6, 6)))
+        est = radius_bracket(mp, ConeVector(np.ones(6)), tol=1e-14, max_iter=6)
+        assert est.iterations == 6
+        assert len(calls) == 1 + 2 * est.iterations
 
     def test_requires_strictly_positive_start(self, diag21):
         with pytest.raises(DegenerateBoundError):
