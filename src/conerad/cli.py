@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__
 from .cone import ConeSpace, ConeVector, diamond_norm, psi_hull
-from .errors import ConeRadError, ConfigError
+from .errors import ConeRadError, ConfigError, InnerIterationError
 from .eigenproblem import estimate_eigenfunctional, solve_eigenvector_perturbation
 from .homog_map import HomogeneousMap, from_matrix, verify_properties
 from .spectral import SpectralEstimate, radius_bracket
@@ -203,17 +203,31 @@ def _run_radius(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
     return 0 if est.converged else 2
 
 
+def _write_eigen_trace(emit: _Emitter, trace, residual: str) -> None:
+    rows = [[i, repr(eps), repr(lam), ""] for i, (eps, lam) in enumerate(trace)]
+    if rows:
+        rows[-1][3] = residual  # residual is measured at the final stage
+    emit.write_csv("trace.csv", ["step", "eps_or_k", "lambda", "residual"], rows)
+
+
 def _run_eigen(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
     mp = _wrap_map(kind, problem)
-    res = solve_eigenvector_perturbation(mp, u, inner_tol=cfg.tolerances["inner_tol"],
-                                         max_inner=cfg.max_iter)
+    try:
+        res = solve_eigenvector_perturbation(mp, u, inner_tol=cfg.tolerances["inner_tol"],
+                                             max_inner=cfg.max_iter)
+    except InnerIterationError as exc:
+        # partial outputs: the stages completed before the inner iteration stalled
+        emit.write_json("result.json", {
+            "error": str(exc),
+            "trace": [[float(a), float(b)] for a, b in exc.trace],
+            "seed": cfg.seed,
+        })
+        _write_eigen_trace(emit, exc.trace, "")
+        return 2
     payload = res.to_json()
     payload["seed"] = cfg.seed
     emit.write_json("result.json", payload)
-    rows = [[i, repr(eps), repr(lam), ""] for i, (eps, lam) in enumerate(res.trace)]
-    if rows:
-        rows[-1][3] = repr(res.residual)  # residual is measured at the final stage
-    emit.write_csv("trace.csv", ["step", "eps_or_k", "lambda", "residual"], rows)
+    _write_eigen_trace(emit, res.trace, repr(res.residual))
     return 0
 
 
@@ -261,12 +275,9 @@ def _run_simulate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
     if cfg.emit_densities:
         header += [f"cell_{i}" for i in range(n)]
     rows = []
-    for year, logm in enumerate(traj.log_mass):
-        gamma = traj.gamma_estimates[year - 1] if year >= 1 else ""
-        row = [year, repr(logm), repr(gamma) if gamma != "" else ""]
-        if cfg.emit_densities:
-            row += [repr(v) for v in traj.shapes[year]]
-        rows.append(row)
+    for year, (logm, gamma) in enumerate(zip(traj.log_mass, [""] + traj.gamma_estimates)):
+        densities = traj.shapes[year].tolist() if cfg.emit_densities else []
+        rows.append([year, logm, gamma] + densities)
     emit.write_csv("trajectory.csv", header, rows)
     return 0
 

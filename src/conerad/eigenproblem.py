@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConeSpace, ConeVector, meet, psi_hull, u_norm
+from .cone import ConeSpace, ConeVector, psi_hull, u_norm
 from .errors import (
     DegenerateBoundError,
     InnerIterationError,

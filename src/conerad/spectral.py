@@ -184,8 +184,10 @@ class _BracketEngine:
             z = self._probe_lower(x)
             if theta == 0.0:
                 self.z = z  # x equals y here, so this is the next step's B(y)
-            if self.u_strict and sigma > 0:
-                self._probe_upper(x + sigma * self.u_hat)
+            if self.u_strict:
+                xr = x + sigma * self.u_hat
+                if np.all(xr > 0):  # sigma * u_hat underflows after ~1070 iterations
+                    self._probe_upper(xr)
         self.bounds.append((self.best_lower, self.best_upper))
 
     def bracket_closed(self, tol: float) -> bool:

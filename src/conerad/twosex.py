@@ -7,7 +7,8 @@ sex) with a cellwise homogeneous mating and birth function:
 
 on a quadrature grid, with the weighted L1 norm playing the role of the
 continuous total-population norm.  Kernel matrices store raw kernel values
-k(x_i, x_j); application multiplies by the source-cell quadrature weights.
+k(x_i, x_j) and are applied by quadrature, K @ (w * f) with w the cell
+weights; no weighted copy of a kernel is kept.
 The model carries an order-bound certificate vector u with
 next_year(f) <= ||f||_1 * u for every f, which both feeds the spectral
 routines and is checked at every evaluation.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,12 +96,11 @@ class MigrationKernel:
     role: KernelRole
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError("kernel matrix must be square")
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise FieldError("kernel values must be finite and nonnegative")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         if isinstance(self.role, str):
@@ -113,9 +114,15 @@ class MigrationKernel:
                 f"{self.role.value} kernel column {worst} carries mass "
                 f"{mass[worst]:.6g} > 1", cell=worst)
 
-    def operator(self, grid: SpatialGrid) -> np.ndarray:
-        """Dense matrix applying the integral operator to per-cell densities."""
-        return self.matrix * grid.cell_weights[None, :]
+    def apply(self, grid: SpatialGrid, f: np.ndarray) -> np.ndarray:
+        """The integral operator at per-cell densities f, by quadrature."""
+        return self.matrix @ (grid.cell_weights * f)
+
+
+def _tight_order_bound(psi: np.ndarray, k_female: MigrationKernel,
+                       k_male: MigrationKernel) -> np.ndarray:
+    """psi * rowmax(K_f + K_m): the least u with psi_i (K_f + K_m)_ij <= u_i."""
+    return psi * np.max(k_female.matrix + k_male.matrix, axis=1)
 
 
 class MatingKind(enum.Enum):
@@ -172,15 +179,8 @@ def mating_value(mating: MatingFunction, cell: int, x1: float, x2: float) -> flo
     """Offspring produced at one cell from x1 females and x2 males."""
     if x1 < 0 or x2 < 0:
         raise ValueError("sex densities must be nonnegative")
-    f = np.array([x1])
-    m = np.array([x2])
-    sub = MatingFunction(
-        mating.kind,
-        beta=None if mating.beta is None else mating.beta[cell:cell + 1],
-        beta1=None if mating.beta1 is None else mating.beta1[cell:cell + 1],
-        beta2=None if mating.beta2 is None else mating.beta2[cell:cell + 1],
-    )
-    return float(sub.apply(f, m)[0])
+    n = mating.n_cells
+    return float(mating.apply(np.full(n, float(x1)), np.full(n, float(x2)))[cell])
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,9 @@ class TwoSexModel:
             kern.validate_mass(self.grid)
         if self.mating.n_cells != n or self.order_bound.dim != n:
             raise DimensionError("field sizes do not match grid")
-        psi = self.mating.psi_field
-        needed = psi[:, None] * (self.k_female.matrix + self.k_male.matrix)
-        if float(np.max(needed - self.order_bound.entries[:, None])) > 1e-12 * max(
-                1.0, float(np.max(needed))):
+        bound = _tight_order_bound(self.mating.psi_field, self.k_female, self.k_male)
+        if float(np.max(bound - self.order_bound.entries)) > 1e-12 * max(
+                1.0, float(np.max(bound))):
             raise FieldError("order bound does not dominate psi * (k1 + k2)")
 
     @property
@@ -215,29 +214,26 @@ class TwoSexModel:
         return float(self.grid.cell_weights @ f.entries)
 
     def as_map(self) -> HomogeneousMap:
-        kf = self.k_female.operator(self.grid)
-        km = self.k_male.operator(self.grid)
-
-        def evaluator(x, _model=self, _kf=kf, _km=km):
-            return _step_raw(_model, _kf, _km, np.asarray(x, dtype=float))
+        def evaluator(x, _model=self):
+            return _step_raw(_model, np.asarray(x, dtype=float))
 
         return HomogeneousMap(space=self.space, evaluator=evaluator,
                               flags=MapFlag.NONE, name="two_sex")
 
 
-def _step_raw(model: TwoSexModel, kf: np.ndarray, km: np.ndarray,
-              f: np.ndarray) -> np.ndarray:
-    females = kf @ f
-    males = km @ f
+def _step_raw(model: TwoSexModel, f: np.ndarray) -> np.ndarray:
+    females = model.k_female.apply(model.grid, f)
+    males = model.k_male.apply(model.grid, f)
     out = model.mating.apply(females, males)
     psi = model.mating.psi_field
     cap = psi * (females + males)
-    scale = max(1.0, float(np.max(cap)))
-    if float(np.max(out - cap)) > _CHAIN_SLACK * scale:
+    # ndarray.max, not np.max: this runs once per evaluation, often at small n
+    scale = max(1.0, float(cap.max()))
+    if float((out - cap).max()) > _CHAIN_SLACK * scale:
         raise ModelContractError("offspring exceeded psi * (K1 f + K2 f)")
     mass = float(model.grid.cell_weights @ f)
     u = model.order_bound.entries
-    if float(np.max(out - mass * u)) > _CHAIN_SLACK * max(1.0, mass * float(np.max(u)), scale):
+    if float((out - mass * u).max()) > _CHAIN_SLACK * max(1.0, mass * float(u.max()), scale):
         raise ModelContractError("offspring exceeded ||f||_1 * order bound")
     return out
 
@@ -246,9 +242,7 @@ def step_next_year(model: TwoSexModel, f: ConeVector) -> ConeVector:
     """One yearly update: migrate and survive both sexes, then mate cellwise."""
     if f.dim != model.grid.n_cells:
         raise DimensionError("population vector does not match grid")
-    kf = model.k_female.operator(model.grid)
-    km = model.k_male.operator(model.grid)
-    return ConeVector(_step_raw(model, kf, km, f.entries))
+    return ConeVector(_step_raw(model, f.entries))
 
 
 def _gaussian_kernel(grid: SpatialGrid, sigma: float) -> np.ndarray:
@@ -256,9 +250,11 @@ def _gaussian_kernel(grid: SpatialGrid, sigma: float) -> np.ndarray:
     so mass dispersing outside the habitat is lost)."""
     if sigma <= 0:
         raise ConfigError("dispersal sigma must be positive")
-    diff = grid.cell_centers[:, None, :] - grid.cell_centers[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
-    dim = grid.cell_centers.shape[1]
+    n, dim = grid.cell_centers.shape
+    d2 = np.zeros((n, n))
+    for coord in grid.cell_centers.T:
+        diff = coord[:, None] - coord[None, :]
+        d2 += diff * diff
     norm = (2.0 * math.pi * sigma * sigma) ** (dim / 2.0)
     return np.exp(-d2 / (2.0 * sigma * sigma)) / norm
 
@@ -268,11 +264,23 @@ def _local_kernel(grid: SpatialGrid) -> np.ndarray:
     return np.diag(1.0 / grid.cell_weights)
 
 
+@contextmanager
+def _config_field(name: str):
+    """Report a malformed model-config value as a ConfigError naming its field."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"model config field '{name}' is invalid: {exc}") from exc
+
+
+def _number(value, name: str, kind=float):
+    with _config_field(name):
+        return kind(value)
+
+
 def _parse_field(value, n: int, name: str) -> np.ndarray:
-    if np.isscalar(value):
-        arr = np.full(n, float(value))
-    else:
-        arr = np.asarray(value, dtype=float)
+    with _config_field(name):
+        arr = np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=float)
     if arr.shape != (n,):
         raise ConfigError(f"field {name} must be a scalar or a length-{n} array")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
@@ -280,12 +288,20 @@ def _parse_field(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _require_keys(obj, allowed: set, where: str) -> None:
+def _mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a mapping")
-    unknown = set(obj) - allowed
+    return obj
+
+
+def _require_keys(obj, keys: set, where: str) -> None:
+    """Check that `obj` is a mapping with exactly the given keys."""
+    unknown = set(_mapping(obj, where)) - keys
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = keys - set(obj)
+    if missing:
+        raise ConfigError(f"{where} is missing required key(s) {sorted(missing)}")
 
 
 def build_model(config: dict) -> TwoSexModel:
@@ -300,28 +316,38 @@ def build_model(config: dict) -> TwoSexModel:
          "sex_ratio": 0.5,
          "mating": {"kind": "harmonic_mean", "beta": 2.0}
                   | {"kind": "min_rate", "beta1": ..., "beta2": ...}}
+
+    A malformed value raises ConfigError naming its field.
     """
-    _require_keys(config, {"grid", "dispersal", "survival", "sex_ratio", "mating"}, "model config")
-    for key in ("grid", "dispersal", "survival", "sex_ratio", "mating"):
-        if key not in config:
-            raise ConfigError(f"model config is missing required key '{key}'")
+    _require_keys(config, {"grid", "dispersal", "survival", "sex_ratio", "mating"},
+                  "model config")
 
     g = config["grid"]
-    if g.get("kind") == "interval1d":
+    kind = _mapping(g, "grid").get("kind")
+    if kind == "interval1d":
         _require_keys(g, {"kind", "a", "b", "n_cells"}, "grid")
-        grid = SpatialGrid.interval(float(g["a"]), float(g["b"]), int(g["n_cells"]))
-    elif g.get("kind") == "rectangle2d":
+        a, b = _number(g["a"], "grid.a"), _number(g["b"], "grid.b")
+        n_cells = _number(g["n_cells"], "grid.n_cells", int)
+        with _config_field("grid"):
+            grid = SpatialGrid.interval(a, b, n_cells)
+    elif kind == "rectangle2d":
         _require_keys(g, {"kind", "bounds", "nx", "ny"}, "grid")
-        grid = SpatialGrid.rectangle(g["bounds"], int(g["nx"]), int(g["ny"]))
+        with _config_field("grid.bounds"):
+            (ax, bx), (ay, by) = g["bounds"]
+            bounds = ((float(ax), float(bx)), (float(ay), float(by)))
+        nx, ny = _number(g["nx"], "grid.nx", int), _number(g["ny"], "grid.ny", int)
+        with _config_field("grid"):
+            grid = SpatialGrid.rectangle(bounds, nx, ny)
     else:
         raise ConfigError("grid.kind must be 'interval1d' or 'rectangle2d'")
     n = grid.n_cells
 
     disp = config["dispersal"]
-    if disp.get("kind") == "gaussian":
+    kind = _mapping(disp, "dispersal").get("kind")
+    if kind == "gaussian":
         _require_keys(disp, {"kind", "sigma"}, "dispersal")
-        base = _gaussian_kernel(grid, float(disp["sigma"]))
-    elif disp.get("kind") == "local":
+        base = _gaussian_kernel(grid, _number(disp["sigma"], "dispersal.sigma"))
+    elif kind == "local":
         _require_keys(disp, {"kind"}, "dispersal")
         base = _local_kernel(grid)
     else:
@@ -329,32 +355,30 @@ def build_model(config: dict) -> TwoSexModel:
 
     surv = config["survival"]
     _require_keys(surv, {"female", "male"}, "survival")
-    s_f, s_m = float(surv["female"]), float(surv["male"])
-    q = float(config["sex_ratio"])
+    s_f = _number(surv["female"], "survival.female")
+    s_m = _number(surv["male"], "survival.male")
+    q = _number(config["sex_ratio"], "sex_ratio")
     for name, val in (("survival.female", s_f), ("survival.male", s_m), ("sex_ratio", q)):
         if not (0.0 <= val <= 1.0):
             raise ConfigError(f"{name} must lie in [0, 1], got {val}")
 
     mat = config["mating"]
-    if mat.get("kind") == "harmonic_mean":
+    kind = _mapping(mat, "mating").get("kind")
+    if kind == "harmonic_mean":
         _require_keys(mat, {"kind", "beta"}, "mating")
         mating = MatingFunction(MatingKind.HARMONIC_MEAN,
-                                beta=_parse_field(mat["beta"], n, "beta"))
-    elif mat.get("kind") == "min_rate":
+                                beta=_parse_field(mat["beta"], n, "mating.beta"))
+    elif kind == "min_rate":
         _require_keys(mat, {"kind", "beta1", "beta2"}, "mating")
         mating = MatingFunction(MatingKind.MIN_RATE,
-                                beta1=_parse_field(mat["beta1"], n, "beta1"),
-                                beta2=_parse_field(mat["beta2"], n, "beta2"))
+                                beta1=_parse_field(mat["beta1"], n, "mating.beta1"),
+                                beta2=_parse_field(mat["beta2"], n, "mating.beta2"))
     else:
         raise ConfigError("mating.kind must be 'harmonic_mean' or 'min_rate'")
 
     k_female = MigrationKernel(base * (s_f * q), KernelRole.FEMALE)
     k_male = MigrationKernel(base * (s_m * (1.0 - q)), KernelRole.MALE)
-
-    psi = mating.psi_field
-    if not np.all(np.isfinite(psi)):
-        raise FieldError("psi field is not finite")
-    u = psi * np.max(k_female.matrix + k_male.matrix, axis=1)
+    u = _tight_order_bound(mating.psi_field, k_female, k_male)
     return TwoSexModel(grid=grid, k_female=k_female, k_male=k_male,
                        mating=mating, order_bound=ConeVector(u))
 
@@ -376,7 +400,7 @@ class Trajectory:
     """Yearly log masses with renormalized shapes and a running growth factor."""
 
     log_mass: list          # log total (weighted) mass per year, year 0 first
-    shapes: list            # psi-normalized density per year (lists)
+    shapes: np.ndarray      # (years + 1, n) mass-normalized density per year
     gamma_estimates: list   # per-year growth factor (mass_n / mass_0)^(1/n)
     died_at: int | None
 
@@ -416,37 +440,36 @@ def simulate(model: TwoSexModel, f0: ConeVector, years: int) -> Trajectory:
 
     mass0 = model.population_mass(f0)
     log_mass = [math.log(mass0) if mass0 > 0 else -math.inf]
-    shapes = [list(f0.entries / mass0 if mass0 > 0 else f0.entries)]
+    # renormalized storage: each row carries unit mass, log_mass the scale;
+    # rows after a die-out stay zero
+    shapes = np.zeros((years + 1, space.dim))
     gammas = []
-    died_at = 0 if mass0 == 0 else None
-    # renormalized storage: cur always carries unit mass, cum the log scale
-    cur = f0.entries / mass0 if mass0 > 0 else f0.entries.copy()
+    died_at = None if mass0 > 0 else 0
+    if mass0 > 0:
+        shapes[0] = f0.entries / mass0
+    norm_u = space.norm(u.entries)
     cum = log_mass[0]
-    for year in range(1, years + 1):
-        if died_at is not None:
-            log_mass.append(-math.inf)
-            shapes.append([0.0] * space.dim)
-            gammas.append(0.0)
-            continue
-        cur = mp.raw(cur)
-        mass = float(model.grid.cell_weights @ cur)
+    year = 0
+    while died_at is None and year < years:
+        year += 1
+        nxt = mp.raw(shapes[year - 1])
+        mass = float(model.grid.cell_weights @ nxt)
         if mass == 0.0:
             died_at = year
-            log_mass.append(-math.inf)
-            shapes.append([0.0] * space.dim)
-            gammas.append(0.0)
-            continue
-        cur = cur / mass  # renormalized storage; scale lives in cum
+            break
+        shapes[year] = nxt / mass
         cum += math.log(mass)
         log_mass.append(cum)
-        shapes.append(list(cur))
         gamma = math.exp((cum - log_mass[0]) / year)
         gammas.append(gamma)
         if alpha is not None and alpha > 0 and math.isfinite(alpha):
-            bound = alpha * (space.norm(u.entries) / alpha) ** (1.0 / year)
+            bound = alpha * (norm_u / alpha) ** (1.0 / year)
             if gamma > bound * (1.0 + 1e-9):
                 raise ModelContractError(
                     f"growth factor {gamma} exceeded the certified chain bound {bound}")
+    dead_years = years + 1 - len(log_mass)
+    log_mass += [-math.inf] * dead_years
+    gammas += [0.0] * dead_years
     return Trajectory(log_mass=log_mass, shapes=shapes,
                       gamma_estimates=gammas, died_at=died_at)
 

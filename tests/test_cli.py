@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from conerad import ConeVector, build_model, simulate
 from conerad.cli import main, parse_config
 from conerad.errors import ConfigError
 
 from conftest import gaussian_config, single_cell_config, scale_beta
+
+MISSING = object()
 
 
 def write_json(path, obj):
@@ -127,6 +131,42 @@ class TestTwoSexCommands:
         final_gamma = float(rows[-1].split(",")[2])
         assert final_gamma == pytest.approx(0.25, rel=1e-9)
 
+    def test_simulate_density_cells_are_numbers(self, tmp_path):
+        cfg = gaussian_config(n_cells=6)
+        path = make_run(tmp_path, "twosex-simulate", cfg, years=4, emit_densities=True)
+        assert main(["--config", str(path), "--quiet"]) == 0
+        with open(tmp_path / "out" / "trajectory.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][3:] == [f"cell_{i}" for i in range(6)]
+        cells = np.array([[float(v) for v in row[3:]] for row in rows[1:]])
+        traj = simulate(build_model(cfg), ConeVector(np.ones(6)), years=4)
+        assert np.array_equal(cells, traj.shapes)
+
+    @pytest.mark.parametrize("name, path, bad", [
+        ("dispersal.sigma", ("dispersal", "sigma"), "wide"),
+        ("grid.n_cells", ("grid", "n_cells"), "many"),
+        ("grid", ("grid", "a"), MISSING),
+        ("survival.female", ("survival", "female"), "x"),
+        ("mating.beta", ("mating", "beta"), "abc"),
+        ("sex_ratio", ("sex_ratio",), None),
+        ("grid", ("grid",), [0.0, 1.0, 5]),
+        ("grid.bounds", ("grid",), {"kind": "rectangle2d", "bounds": [[0, 1]],
+                                    "nx": 2, "ny": 2}),
+        ("grid", ("grid", "n_cells"), 0),
+        ("grid", ("grid", "b"), -1.0),
+    ])
+    def test_malformed_twosex_input_names_field(self, tmp_path, capsys, name, path, bad):
+        cfg = gaussian_config(n_cells=5)
+        section = cfg[path[0]] if len(path) == 2 else cfg
+        if bad is MISSING:
+            del section[path[-1]]
+        else:
+            section[path[-1]] = bad
+        run = make_run(tmp_path, "twosex-assess", cfg)
+        assert main(["--config", str(run), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("conerad: config error:") and name in err
+
     def test_overfull_kernel_surfaced(self, tmp_path, capsys):
         bad = gaussian_config(n_cells=10, sigma=1e-3, s_f=1.0, s_m=0.0, q=1.0)
         path = make_run(tmp_path, "twosex-assess", bad)
@@ -141,6 +181,23 @@ class TestOtherCommands:
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["lambda"] == pytest.approx(2.0, abs=1e-7)
         assert (tmp_path / "out" / "trace.csv").exists()
+
+    def test_eigen_stall_writes_partial_result(self, tmp_path):
+        # A period-2 matrix: the inner iteration settles at eps = 0.1, then
+        # oscillates at eps = 0.01 for longer than max_iter steps.
+        matrix = [[0, 0, 1, 2], [0, 0, 3, 1], [1, 1, 0, 0], [2, 1, 0, 0]]
+        path = make_run(tmp_path, "eigen", {"matrix": matrix}, max_iter=1000, seed=4)
+        assert main(["--config", str(path), "--quiet"]) == 2
+        out = tmp_path / "out"
+        result = json.loads((out / "result.json").read_text())
+        assert "did not settle" in result["error"] and "eps=0.01" in result["error"]
+        assert result["seed"] == 4
+        assert [eps for eps, _ in result["trace"]] == [0.1]
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "step,eps_or_k,lambda,residual"
+        assert trace[1].startswith("0,0.1,") and trace[1].endswith(",")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {"result.json", "trace.csv"} <= set(manifest["files"])
 
     def test_functional_on_matrix(self, tmp_path):
         path = make_run(tmp_path, "functional",

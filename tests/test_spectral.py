@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,25 @@ class TestRadiusBracket:
         assert not est.converged
         r = linear_radius_exact(mat).value
         assert est.cw_lower <= r <= est.cw_upper
+
+    def test_underflowed_upper_probes_are_skipped(self):
+        # After about 1070 iterations sigma * u_hat underflows to 0, and the
+        # regularized probes of this reducible matrix get zero entries.  Such
+        # a probe certifies nothing, so it is skipped: no division by zero,
+        # and the bracket is the one the run had before the underflow.
+        mat = np.array([
+            [1, .344, 0, .572, 0, 0, 0, .457], [0, 0, .844, .555, 0, 0, .889, 0],
+            [0, 0, 0, 0, 0, 0, .967, 0], [0, 0, 0, .284, 0, 0, 0, .075],
+            [0, 0, 0, 0, .7, .04, .343, 0], [0] * 8, [0, 0, 0, 0, 0, 0, .224, 0], [0] * 8])
+        u = ConeVector(np.ones(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            long = radius_bracket(from_matrix(mat), u, max_iter=1080)
+        short = radius_bracket(from_matrix(mat), u, max_iter=1040)
+        assert long.iterations == 1080
+        assert long.bound_trace[:1040] == short.bound_trace
+        assert long.bound_trace[-1] == short.bound_trace[-1]
+        assert (long.cw_lower, long.cw_upper) == (short.cw_lower, short.cw_upper)
 
     def test_scaling_law(self, rng):
         mat = rng.uniform(0.1, 1.0, size=(6, 6))

@@ -123,8 +123,8 @@ class TestStepContracts:
 
     def test_bound_chain(self, gaussian_model, rng):
         m = gaussian_model
-        kf = m.k_female.operator(m.grid)
-        km = m.k_male.operator(m.grid)
+        kf = m.k_female.matrix * m.grid.cell_weights
+        km = m.k_male.matrix * m.grid.cell_weights
         psi = m.mating.psi_field
         for _ in range(20):
             f = rng.random(m.grid.n_cells)
