@@ -1,23 +1,36 @@
-"""Digest every CLI output of the benchmark batches, for byte-identity checks.
+"""Digest and compare every CLI output of the benchmark batches.
 
-    python3 scripts/output_digests.py --src src --seed 1 > digests.json
+    python3 scripts/output_digests.py --src src --seed 1 [--keep DIR] > digests.json
+    python3 scripts/output_digests.py --compare DIR_A DIR_B --rtol 1e-12
 
-Runs every batch operation and every known-defect probe of the four
-``perfbench`` workloads once through ``conerad.cli.main``, importing the
-program from ``--src``, and prints one JSON object: per operation the exit
-code and the SHA-256 of each output file, plus the map columns of each
-workload's batch (the benchmark's ``map_columns``).  ``manifest.json`` is
-digested without its ``threads`` field, which older trees still write.
-Two trees produce the same outputs when their digest files are equal,
-apart from ``map_columns``.
+The first form runs every batch operation and every known-defect probe of
+the four ``perfbench`` workloads once through ``conerad.cli.main``,
+importing the program from ``--src``, and prints one JSON object: per
+operation the exit code and the SHA-256 of each output file, plus the map
+columns of each workload's batch (the benchmark's ``map_columns``).
+``manifest.json`` is digested without its ``threads`` and ``versions.blas``
+fields, which only some trees write.  Two trees produce the same outputs
+when their digest files are equal, apart from ``map_columns``.  With
+``--keep DIR`` the output files and the digest object are also written to
+``DIR`` (``DIR/digests.json``, ``DIR/out/<workload>-<op>/``).
+
+The second form compares two kept directories.  For each operation it
+reports whether the exit codes match and, for each output file, whether it
+is byte-identical (manifests without the fields above) or else the largest
+relative difference over its JSON numbers or CSV cells.  It exits 1 on an
+exit-code mismatch, a missing file, a difference in anything but numbers,
+or a relative difference above ``--rtol``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -25,25 +38,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _manifest(data: bytes) -> bytes:
+    manifest = json.loads(data)
+    manifest.pop("threads", None)
+    manifest.get("versions", {}).pop("blas", None)
+    return json.dumps(manifest, sort_keys=True).encode()
+
+
 def _digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "manifest.json":
-        manifest = json.loads(data)
-        manifest.pop("threads", None)
-        data = json.dumps(manifest, sort_keys=True).encode()
+        data = _manifest(data)
     return hashlib.sha256(data).hexdigest()
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", required=True, help="directory holding the conerad package")
-    ap.add_argument("--seed", type=int, required=True)
-    args = ap.parse_args(argv)
+def _op_dir(key: str) -> str:
+    return key.replace("/", "-")
 
+
+def digest(src: str, seed: int, keep: Path | None) -> dict:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     os.environ["OMP_NUM_THREADS"] = "1"
     sys.path.insert(0, str(ROOT / "perfbench"))
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(0, str(Path(src).resolve()))
     import workloads
     from conerad import cli
     from conerad.homog_map import HomogeneousMap
@@ -57,12 +74,12 @@ def main(argv=None) -> int:
         return orig_raw(mp, x)
 
     HomogeneousMap.raw = counting_raw
-    report: dict = {"seed": args.seed, "map_columns": {}, "ops": {}}
+    report: dict = {"seed": seed, "map_columns": {}, "ops": {}}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in workloads.WORKLOADS:
-            batches = (("op", workloads.GENERATORS[name](args.seed)),
-                       ("defect", workloads.known_defects(name, args.seed)))
+            batches = (("op", workloads.GENERATORS[name](seed)),
+                       ("defect", workloads.known_defects(name, seed)))
             for tag, ops in batches:
                 start = columns
                 for i, op in enumerate(ops):
@@ -71,15 +88,138 @@ def main(argv=None) -> int:
                     inp.write_text(json.dumps(op["input"]))
                     cfg = work / f"{name}-{tag}{i}.config.json"
                     cfg.write_text(json.dumps({"command": op["command"], "input": inp.name,
-                                               "seed": args.seed, **op["extra"]}))
-                    out = work / "out" / f"{name}-{tag}{i}"
+                                               "seed": seed, **op["extra"]}))
+                    out = work / "out" / _op_dir(key)
                     code = cli.main(["--config", str(cfg), "--out", str(out), "--quiet"])
                     files = sorted(out.iterdir()) if out.is_dir() else []
                     report["ops"][key] = {"code": code,
                                           "files": {p.name: _digest(p) for p in files}}
                 if tag == "op":
                     report["map_columns"][name] = columns - start
-    print(json.dumps(report, indent=1, sort_keys=True))
+        if keep is not None:
+            keep.mkdir(parents=True, exist_ok=True)
+            shutil.copytree(work / "out", keep / "out", dirs_exist_ok=True)
+            (keep / "digests.json").write_text(json.dumps(report, indent=1, sort_keys=True))
+    return report
+
+
+class _Mismatch(Exception):
+    """The two files differ in something other than a number."""
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _json_diff(a, b, where: str = "") -> float:
+    """Largest relative difference over the numbers of two JSON values."""
+    if isinstance(a, bool) or isinstance(b, bool) or isinstance(a, str) or a is None:
+        if a != b or type(a) is not type(b):
+            raise _Mismatch(f"{where or 'value'}: {a!r} != {b!r}")
+        return 0.0
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return _rel(float(a), float(b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        if set(a) != set(b):
+            raise _Mismatch(f"{where or 'object'}: keys {sorted(set(a) ^ set(b))} differ")
+        return max((_json_diff(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise _Mismatch(f"{where or 'list'}: lengths {len(a)} != {len(b)}")
+        return max((_json_diff(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))),
+                   default=0.0)
+    raise _Mismatch(f"{where or 'value'}: {type(a).__name__} != {type(b).__name__}")
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _csv_diff(a: Path, b: Path) -> float:
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    return _json_diff([[_cell(c) for c in r] for r in rows_a],
+                      [[_cell(c) for c in r] for r in rows_b], "csv")
+
+
+def _file_diff(a: Path, b: Path) -> str | float:
+    """"identical", or the largest relative difference over the numbers."""
+    da, db = a.read_bytes(), b.read_bytes()
+    if a.name == "manifest.json":
+        da, db = _manifest(da), _manifest(db)
+    if da == db:
+        return "identical"
+    if a.suffix == ".json":
+        return _json_diff(json.loads(da), json.loads(db))
+    if a.suffix == ".csv":
+        return _csv_diff(a, b)
+    raise _Mismatch("bytes differ")
+
+
+def compare(dir_a: Path, dir_b: Path, rtol: float) -> int:
+    rep_a = json.loads((dir_a / "digests.json").read_text())
+    rep_b = json.loads((dir_b / "digests.json").read_text())
+    bad = 0
+    for name in sorted(set(rep_a["map_columns"]) | set(rep_b["map_columns"])):
+        ca, cb = rep_a["map_columns"].get(name), rep_b["map_columns"].get(name)
+        print(f"map_columns {name}: {ca} -> {cb}" + ("" if ca == cb else "  (differs)"))
+    for key in sorted(set(rep_a["ops"]) | set(rep_b["ops"])):
+        op_a, op_b = rep_a["ops"].get(key), rep_b["ops"].get(key)
+        if op_a is None or op_b is None:
+            print(f"{key}: only in {dir_a if op_b is None else dir_b}  MISMATCH")
+            bad += 1
+            continue
+        codes = f"exit {op_a['code']} / {op_b['code']}"
+        if op_a["code"] != op_b["code"]:
+            codes += " MISMATCH"
+            bad += 1
+        parts = [codes]
+        for fname in sorted(set(op_a["files"]) | set(op_b["files"])):
+            fa = dir_a / "out" / _op_dir(key) / fname
+            fb = dir_b / "out" / _op_dir(key) / fname
+            if not (fa.is_file() and fb.is_file()):
+                parts.append(f"{fname} missing on one side MISMATCH")
+                bad += 1
+                continue
+            try:
+                diff = _file_diff(fa, fb)
+            except _Mismatch as exc:
+                parts.append(f"{fname} differs beyond numbers ({exc}) MISMATCH")
+                bad += 1
+                continue
+            if diff == "identical":
+                parts.append(f"{fname} identical")
+            else:
+                flag = " MISMATCH" if diff > rtol else ""
+                bad += diff > rtol
+                parts.append(f"{fname} max rel diff {diff:.3g}{flag}")
+        print(f"{key}: " + "; ".join(parts))
+    print(f"compare: {bad} mismatch(es) at rtol {rtol:g}")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", help="directory holding the conerad package")
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--keep", type=Path, help="also write outputs and digests to this directory")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"),
+                    help="compare two --keep directories instead of running")
+    ap.add_argument("--rtol", type=float, default=0.0,
+                    help="largest relative difference --compare accepts")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.rtol)
+    if args.src is None or args.seed is None:
+        ap.error("--src and --seed are required unless --compare is given")
+    print(json.dumps(digest(args.src, args.seed, args.keep), indent=1, sort_keys=True))
     return 0
 
 

@@ -28,6 +28,7 @@ from .homog_map import (
     verify_properties,
 )
 from .spectral import (
+    ResolventBlock,
     ResolventResult,
     SpectralEstimate,
     cw_lower,
@@ -68,7 +69,7 @@ __all__ = [
     "HomogeneousMap", "MapFlag", "OperatorNormEstimate", "evaluate",
     "from_callable", "from_matrix", "op_norm_plus", "perturb",
     "power_apply", "verify_properties",
-    "ResolventResult", "SpectralEstimate", "cw_lower", "cw_upper",
+    "ResolventBlock", "ResolventResult", "SpectralEstimate", "cw_lower", "cw_upper",
     "radius_bracket", "radius_power_quotient", "resolvent_apply",
     "resolvent_series",
     "EigenMode", "EigenResult", "EigenfunctionalEstimate",

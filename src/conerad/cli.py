@@ -54,6 +54,24 @@ class RunConfig:
     config_path: Path | None = None
 
 
+@contextmanager
+def _field(name: str, where: str = "input"):
+    """Report a bad value of one input or config field as a config error naming it."""
+    try:
+        yield
+    except (ConeRadError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} field '{name}' is invalid: {exc}") from exc
+
+
+def _density(value, n: int) -> ConeVector:
+    """An initial density from the run config; raises ValueError if it is not
+    a nonnegative vector with one entry per grid cell."""
+    f = ConeVector(np.asarray(value, dtype=float))
+    if f.dim != n:
+        raise ValueError(f"a density has {f.dim} entries, the grid has {n} cells")
+    return f
+
+
 def parse_config(path) -> RunConfig:
     path = Path(path)
     try:
@@ -76,45 +94,50 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("config is missing required key 'input'")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
-    for name, val in (raw.get("tolerances") or {}).items():
+    given = raw.get("tolerances") or {}
+    if not isinstance(given, dict):
+        raise ConfigError("config field 'tolerances' must be a mapping")
+    for name, val in given.items():
         if name not in _DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance '{name}'")
-        val = float(val)
-        if val <= 0:
+        with _field(f"tolerances.{name}", "config"):
+            val = float(val)
+        if not val > 0:
             raise ConfigError(f"tolerance '{name}' must be positive, got {val}")
         tolerances[name] = val
 
-    max_iter = int(raw.get("max_iter", 10000))
+    with _field("max_iter", "config"):
+        max_iter = int(raw.get("max_iter", 10000))
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
-    years = int(raw.get("years", 20))
+    with _field("years", "config"):
+        years = int(raw.get("years", 20))
     if years < 1:
         raise ConfigError("years must be >= 1")
+    with _field("seed", "config"):
+        seed = int(raw.get("seed", 0))
 
-    input_path = Path(raw["input"])
+    with _field("input", "config"):
+        input_path = Path(raw["input"])
     if not input_path.is_absolute():
         input_path = path.parent / input_path
+    with _field("output_dir", "config"):
+        output_dir = Path(raw.get("output_dir", "out"))
+    emit_densities = raw.get("emit_densities", False)
+    if not isinstance(emit_densities, bool):
+        raise ConfigError("config field 'emit_densities' must be true or false")
     return RunConfig(
         command=command,
         input_path=input_path,
-        output_dir=Path(raw.get("output_dir", "out")),
+        output_dir=output_dir,
         tolerances=tolerances,
         max_iter=max_iter,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         years=years,
         f0=raw.get("f0"),
-        emit_densities=bool(raw.get("emit_densities", False)),
+        emit_densities=emit_densities,
         config_path=path,
     )
-
-
-@contextmanager
-def _input_field(name: str):
-    """Report a bad value of one input field as a config error naming it."""
-    try:
-        yield
-    except (ConeRadError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"input field '{name}' is invalid: {exc}") from exc
 
 
 def _load_input(path: Path):
@@ -132,19 +155,19 @@ def _load_input(path: Path):
         unknown = set(raw) - {"matrix", "norm", "u"}
         if unknown:
             raise ConfigError(f"unknown input key(s): {sorted(unknown)}")
-        with _input_field("matrix"):
+        with _field("matrix"):
             matrix = np.asarray(raw["matrix"], dtype=float)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValueError("matrix must be square")
         n = matrix.shape[0]
         norm = raw.get("norm", "l1")
-        with _input_field("norm"):
+        with _field("norm"):
             if isinstance(norm, dict) and set(norm) != {"weighted"}:
                 raise ValueError('a weighted norm is {"weighted": [...]}')
             space = ConeSpace.from_json({"dim": n, "norm": norm})
-        with _input_field("matrix"):
+        with _field("matrix"):
             mp = from_matrix(matrix, space=space)
-        with _input_field("u"):
+        with _field("u"):
             u = ConeVector(np.asarray(raw.get("u", np.ones(n)), dtype=float))
             if u.dim != n:
                 raise ValueError(f"u has {u.dim} entries, the matrix has {n} rows")
@@ -247,7 +270,10 @@ def _run_assess(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
         raise ConfigError("twosex-assess requires a two-sex model input")
     probes = None
     if cfg.f0 is not None:
-        probes = [ConeVector(np.asarray(v, dtype=float)) for v in cfg.f0]
+        with _field("f0", "config"):
+            if not isinstance(cfg.f0, list):
+                raise ValueError("twosex-assess takes a list of initial densities")
+            probes = [_density(v, problem.grid.n_cells) for v in cfg.f0]
     report = assess_persistence(problem, tol=cfg.tolerances["tol"],
                                 f0_probes=probes, max_iter=cfg.max_iter)
     payload = report.to_json()
@@ -266,7 +292,8 @@ def _run_simulate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
     elif cfg.f0 == "order_bound":
         f0 = model.order_bound
     else:
-        f0 = ConeVector(np.asarray(cfg.f0, dtype=float))
+        with _field("f0", "config"):
+            f0 = _density(cfg.f0, n)
     traj = simulate(model, f0, years=cfg.years)
     payload = traj.to_json()
     payload["seed"] = cfg.seed
@@ -325,6 +352,13 @@ _RUNNERS = {
 }
 
 
+def _blas() -> dict:
+    """Name and version of the BLAS numpy was built against; no thread count,
+    which numpy does not report."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def run(cfg: RunConfig) -> int:
     try:
         kind, problem, u = _load_input(cfg.input_path)
@@ -348,6 +382,7 @@ def run(cfg: RunConfig) -> int:
                 "conerad": __version__,
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
+                "blas": _blas(),
             },
             "files": sorted(set(emit.files)) + ["manifest.json"],
         }

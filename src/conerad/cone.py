@@ -59,16 +59,24 @@ class ConeSpace:
         elif self.weights is not None:
             raise ValueError("weights are only meaningful for the weighted norm")
 
-    def norm(self, x) -> float:
-        """Norm of a raw real vector (may have negative entries)."""
+    def norm(self, x):
+        """Norm of a raw real vector (may have negative entries), or the
+        array of column norms of a (dim, k) block."""
         arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.dim,):
-            raise DimensionError(f"expected shape ({self.dim},), got {arr.shape}")
-        if self.norm_kind is NormKind.L1:
-            return float(np.sum(np.abs(arr)))
+        if arr.shape == (self.dim,):
+            if self.norm_kind is NormKind.L1:
+                return float(np.sum(np.abs(arr)))
+            if self.norm_kind is NormKind.LINF:
+                return float(np.max(np.abs(arr)))
+            return float(np.sum(self.weights * np.abs(arr)))
+        if arr.ndim != 2 or arr.shape[0] != self.dim:
+            raise DimensionError(f"expected shape ({self.dim},) or ({self.dim}, k), got {arr.shape}")
+        a = np.abs(arr)
         if self.norm_kind is NormKind.LINF:
-            return float(np.max(np.abs(arr)))
-        return float(np.sum(self.weights * np.abs(arr)))
+            return a.max(axis=0)
+        if self.norm_kind is NormKind.WEIGHTED:
+            a = self.weights[:, None] * a
+        return a.sum(axis=0)
 
     def to_json(self) -> dict:
         if self.norm_kind is NormKind.WEIGHTED:

@@ -278,24 +278,23 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     lam = lambda_schedule[-1]
     xs = xstar.entries
 
-    # lam > cw_upper >= radius was certified above, so the bare series is safe.
-    def psi_n(x: ConeVector) -> float:
-        return float(xs @ resolvent_series(mp, lam, x, trunc_tol).vector.entries)
-
+    # lam > cw_upper >= radius was certified above, so the bare series is safe;
+    # it runs on all probes as one block.
     probes = unit_cone_probes(space, normalizer_samples, np.random.default_rng(seed))
-    values = [psi_n(ConeVector(p)) for p in probes]
-    normalizer = max(values)
+    values = xs @ resolvent_series(mp, lam, probes, trunc_tol).vectors
+    normalizer = float(np.max(values))
     if normalizer <= 0:
         raise DegenerateBoundError("sampled normalizer is zero; xstar annihilates the orbit")
 
     def evaluator(x: ConeVector, _n=normalizer) -> float:
-        return psi_n(x) / _n
+        return float(xs @ resolvent_series(mp, lam, x, trunc_tol).vector.entries) / _n
 
+    # The first n + 8 probes reuse their normalizer values; only the series
+    # at their images B(p) is new.
+    head = probes[:, : space.dim + 8]
+    fbx = (xs @ resolvent_series(mp, lam, mp.raw(head), trunc_tol).vectors) / normalizer
     r = est.value
-    defect = 0.0
-    for p, value in zip(probes[: space.dim + 8], values):
-        fbx = evaluator(ConeVector(mp.raw(p)))
-        defect = max(defect, abs(fbx - r * (value / normalizer)))
+    defect = float(np.max(np.abs(fbx - r * (values[: head.shape[1]] / normalizer))))
     return EigenfunctionalEstimate(probe_vector=xstar, lambda_used=lam,
                                    normalizer=normalizer, evaluator=evaluator,
                                    defect_max=defect, radius_used=r)

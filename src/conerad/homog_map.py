@@ -3,6 +3,12 @@
 A map is stored as a raw evaluator on ndarrays together with structure
 flags.  Linear maps additionally carry their matrix, which lets several
 downstream operations stay exact (operator norms, rank-one perturbations).
+
+Evaluator contract: an evaluator takes a vector of shape (n,) or a column
+block of shape (n, k) and returns an array of the same shape; for a block,
+each column is the independent evaluation of that column.  Matrix maps,
+perturbed maps and the two-sex map evaluate a block at once; a map made by
+``from_callable`` hands its function one column at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConeSpace, ConeVector, NormKind, psi_hull
+from .cone import ConeSpace, ConeVector, NormKind
 from .errors import DegenerateBoundError, DimensionError, MapContractError
 
 
@@ -28,7 +34,7 @@ class HomogeneousMap:
     """Evaluatable map of the cone into itself, homogeneous of degree one."""
 
     space: ConeSpace
-    evaluator: object  # Callable[[np.ndarray], np.ndarray]
+    evaluator: object  # Callable[[np.ndarray], np.ndarray], on (n,) or (n, k)
     flags: MapFlag = MapFlag.NONE
     matrix: np.ndarray | None = None
     name: str = "map"
@@ -51,7 +57,8 @@ class HomogeneousMap:
             raise ValueError("matrix is only meaningful with the LINEAR flag")
 
     def raw(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate on a raw array with the cone contract enforced."""
+        """Evaluate on a raw vector (n,) or column block (n, k) with the cone
+        contract enforced entry by entry."""
         out = np.asarray(self.evaluator(x), dtype=float)
         if out.shape != x.shape:
             raise MapContractError(
@@ -97,7 +104,14 @@ def from_matrix(matrix, space: ConeSpace | None = None, name: str = "linear") ->
 
 def from_callable(space: ConeSpace, fn, flags: MapFlag = MapFlag.NONE,
                   name: str = "map") -> HomogeneousMap:
-    return HomogeneousMap(space=space, evaluator=fn, flags=flags, name=name)
+    """Wrap a function of one (n,) vector; a block is fed to it column by column."""
+
+    def evaluator(x, _fn=fn):
+        if np.ndim(x) == 2:
+            return np.column_stack([np.asarray(_fn(np.array(c)), dtype=float) for c in x.T])
+        return _fn(x)
+
+    return HomogeneousMap(space=space, evaluator=evaluator, flags=flags, name=name)
 
 
 def evaluate(mp: HomogeneousMap, x: ConeVector) -> ConeVector:
@@ -159,7 +173,9 @@ def perturb(mp: HomogeneousMap, eps: float, u: ConeVector,
     ue = u.entries.copy()
 
     def shifted(x, _mp=mp, _eps=eps, _u=ue, _sp=sp):
-        return _mp.raw(np.asarray(x, dtype=float)) + _eps * psi_hull(_sp, x) * _u
+        x = np.asarray(x, dtype=float)
+        # psi(x) = ||x+||, a float for a vector and one per column for a block
+        return _mp.raw(x) + np.multiply.outer(_u, _eps * _sp.norm(np.maximum(x, 0.0)))
 
     return HomogeneousMap(space=sp, evaluator=shifted, flags=flags,
                           name=f"{mp.name}+{eps:g}*psi*u")
@@ -175,20 +191,15 @@ class OperatorNormEstimate:
     sample_count: int
 
 
-def unit_cone_probes(space: ConeSpace, count: int, rng: np.random.Generator):
-    """The scaled basis vectors e_j / ||e_j||, then `count` entrywise |N(0,1)|
-    draws, all on the unit sphere of the active norm."""
-    out = []
-    for j in range(space.dim):
-        e = np.zeros(space.dim)
-        e[j] = 1.0
-        out.append(e / space.norm(e))
-    for _ in range(count):
-        v = np.abs(rng.standard_normal(space.dim))
-        nv = space.norm(v)
-        if nv > 0:
-            out.append(v / nv)
-    return out
+def unit_cone_probes(space: ConeSpace, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Probe block on the unit sphere of the active norm: its columns are the
+    scaled basis vectors e_j / ||e_j||, then `count` entrywise |N(0,1)| draws
+    (a draw of norm zero is dropped)."""
+    basis = np.eye(space.dim)
+    draws = np.abs(rng.standard_normal((count, space.dim))).T
+    norms = space.norm(draws)
+    keep = norms > 0
+    return np.hstack([basis / space.norm(basis), draws[:, keep] / norms[keep]])
 
 
 def op_norm_plus(mp: HomogeneousMap, samples: int = 128, seed: int = 0) -> OperatorNormEstimate:
@@ -203,12 +214,10 @@ def op_norm_plus(mp: HomogeneousMap, samples: int = 128, seed: int = 0) -> Opera
     if samples < 1:
         raise ValueError("samples must be >= 1 for sampled estimates")
     probes = unit_cone_probes(mp.space, samples, np.random.default_rng(seed))
-    ones = np.ones(n)
-    probes.append(ones / mp.space.norm(ones))
-    best = 0.0
-    for p in probes:
-        best = max(best, mp.space.norm(mp.raw(p)))
-    return OperatorNormEstimate(value=best, exact=False, sample_count=len(probes))
+    ones = np.ones((n, 1))
+    probes = np.hstack([probes, ones / mp.space.norm(ones)])
+    best = float(np.max(mp.space.norm(mp.raw(probes))))
+    return OperatorNormEstimate(value=best, exact=False, sample_count=probes.shape[1])
 
 
 @dataclass

@@ -124,18 +124,17 @@ def linear_radius_exact(matrix) -> OracleReport:
     return _long_power_radius(m)
 
 
-def _simplex_lattice(dim: int, resolution: int):
-    """All nonnegative rational points with coordinates summing to one."""
+def _simplex_lattice(dim: int, resolution: int) -> np.ndarray:
+    """All nonnegative rational points with coordinates summing to one, as
+    the columns of a (dim, points) block."""
+    r = resolution
     if dim == 1:
-        yield np.array([1.0])
-        return
-    if dim == 2:
-        for i in range(resolution + 1):
-            yield np.array([i, resolution - i], dtype=float) / resolution
-        return
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            yield np.array([i, j, resolution - i - j], dtype=float) / resolution
+        rows = [(r,)]
+    elif dim == 2:
+        rows = [(i, r - i) for i in range(r + 1)]
+    else:
+        rows = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
+    return np.array(rows, dtype=float).T / r
 
 
 def brute_force_bracket(mp: HomogeneousMap, grid_points_per_axis: int = 50,
@@ -145,31 +144,40 @@ def brute_force_bracket(mp: HomogeneousMap, grid_points_per_axis: int = 50,
     Lower bounds use every lattice point, upper bounds only the strictly
     positive ones; both scan powers 1..max_power, so the returned interval
     contains the cone spectral radius of any order-preserving homogeneous map.
+    Each power is evaluated on the whole lattice as one block; a witness is
+    the first (point, m), points outer and powers inner, that reaches the
+    best bound.
     """
     dim = mp.space.dim
     if dim > 3:
         raise DimensionError("brute-force search is limited to dimension <= 3")
     margin = (dim + 8) * np.finfo(float).eps  # covers ratio-evaluation rounding
-    best_lower = 0.0
-    best_upper = math.inf
+    points = _simplex_lattice(dim, grid_points_per_axis)
+    sup = points > 0
+    interior = sup.all(axis=0).tolist()
+    safe = np.where(sup, points, 1.0)
+    # lower[p, m-1], upper[p, m-1]: the m-step bounds at point p, or -inf/+inf
+    lower = np.full((points.shape[1], max_power), -math.inf)
+    upper = np.full((points.shape[1], max_power), math.inf)
+    cur = points
+    for m in range(1, max_power + 1):
+        cur = mp.raw(cur)
+        ratio = cur / safe
+        low = np.where(sup, ratio, math.inf).min(axis=0).tolist()
+        positive = np.where(sup, cur > 0, True).all(axis=0).tolist()
+        high = ratio.max(axis=0).tolist()
+        e = 1.0 / m
+        lower[:, m - 1] = [lo ** e if ok else -math.inf for lo, ok in zip(low, positive)]
+        upper[:, m - 1] = [hi ** e if ok else math.inf for hi, ok in zip(high, interior)]
     lower_witness = upper_witness = None
-    for point in _simplex_lattice(dim, grid_points_per_axis):
-        if not point.any():
-            continue
-        sup = point > 0
-        interior = bool(np.all(sup))
-        cur = point
-        for m in range(1, max_power + 1):
-            cur = mp.raw(cur)
-            vals = cur[sup]
-            if np.all(vals > 0):
-                lo = float(np.min(vals / point[sup])) ** (1.0 / m)
-                if lo > best_lower:
-                    best_lower, lower_witness = lo, (list(point), m)
-            if interior:
-                hi = float(np.max(cur / point)) ** (1.0 / m)
-                if hi < best_upper:
-                    best_upper, upper_witness = hi, (list(point), m)
+    k = int(np.argmax(lower))
+    best_lower = max(0.0, float(lower.flat[k]))
+    if best_lower > 0.0:
+        lower_witness = (list(points[:, k // max_power]), k % max_power + 1)
+    k = int(np.argmin(upper))
+    best_upper = float(upper.flat[k])
+    if math.isfinite(best_upper):
+        upper_witness = (list(points[:, k // max_power]), k % max_power + 1)
     best_lower = max(0.0, best_lower * (1.0 - margin))
     if math.isfinite(best_upper):
         best_upper *= 1.0 + margin

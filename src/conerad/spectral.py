@@ -18,6 +18,11 @@ Each probe vector is evaluated once.  The untruncated lower probe is the
 iterate y itself, so its image B(y) is kept and becomes the next power step:
 on strictly positive problems an iteration costs two evaluations, B(y) and
 the regularized upper probe.
+
+Maps follow the evaluator contract of ``homog_map``: a vector (n,) or a
+column block (n, k) whose columns are evaluated independently.  The
+truncated resolvent series runs on a whole block at once, one series per
+column, so many probes cost one map call per term.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import ConeVector, lower_ratio, u_norm
-from .errors import DegenerateBoundError, SpectralDomainError, TruncationError
+from .errors import DegenerateBoundError, DimensionError, SpectralDomainError, TruncationError
 from .homog_map import HomogeneousMap, power_apply
 
 _ORBIT_MEMORY = 8           # on-orbit ratio bounds use powers m = 1.._ORBIT_MEMORY
@@ -282,9 +287,38 @@ class ResolventResult:
     trunc_tol: float
 
 
-def resolvent_series(mp: HomogeneousMap, lam: float, x: ConeVector,
-                     trunc_tol: float = 1e-10, max_terms: int = 100000) -> ResolventResult:
+@dataclass
+class ResolventBlock:
+    """Truncated left-resolvent sums of the columns of a block, one series each."""
+
+    vectors: np.ndarray         # (n, k): column j is the sum for the block's column j
+    column_terms: np.ndarray    # (k,) series terms of each column
+    tail_bounds: np.ndarray     # (k,) tail bound of each column; inf where cut off
+    lambda_used: float
+    trunc_tol: float
+
+    @property
+    def terms(self) -> int:
+        """Series terms over all columns."""
+        return int(self.column_terms.sum())
+
+    def column(self, j: int) -> ResolventResult:
+        return ResolventResult(vector=ConeVector(self.vectors[:, j]),
+                               terms=int(self.column_terms[j]),
+                               tail_bound=float(self.tail_bounds[j]),
+                               lambda_used=self.lambda_used, trunc_tol=self.trunc_tol)
+
+
+def resolvent_series(mp: HomogeneousMap, lam: float, x,
+                     trunc_tol: float = 1e-10, max_terms: int = 100000):
     """The truncated series itself, with no admissibility gate.
+
+    `x` is a ConeVector, giving a ResolventResult, or a nonnegative (n, k)
+    block, giving a ResolventBlock.  The columns of a block are independent
+    series run side by side: each keeps its own stop rule, ratio and tail
+    bound, and leaves the evaluated block once it has converged, so it takes
+    exactly the terms it would take alone.  A ConeVector is the one-column
+    case.
 
     Callers must have certified lam > radius on their own (resolvent_apply
     does it with a quick bracket run).
@@ -293,33 +327,50 @@ def resolvent_series(mp: HomogeneousMap, lam: float, x: ConeVector,
         raise ValueError("trunc_tol must be positive")
     if lam <= 0:
         raise SpectralDomainError(f"resolvent parameter must be positive, got {lam}")
+    one = isinstance(x, ConeVector)
+    block = x.entries[:, None] if one else np.asarray(x, dtype=float)
+    if block.ndim != 2 or block.shape[0] != mp.space.dim:
+        raise DimensionError(f"expected a ({mp.space.dim}, k) block, got shape {block.shape}")
+    if not np.all(np.isfinite(block)) or np.any(block < 0):
+        raise ValueError("block columns must be finite and nonnegative")
     # Cutting at trunc_tol alone lets the identity R(Bx) = lam R(x) - x drift
     # by O(lam * tail); the lam-aware safety factor keeps the residual of that
     # identity within a small multiple of trunc_tol for lam >= 1.1 * radius.
     threshold = 0.05 * trunc_tol / max(1.0, lam)
-    term = x.entries / lam          # lam^{-1} B^0 x
+    term = block / lam              # lam^{-1} B^0 x
     acc = term.copy()
-    prev_norm = mp.space.norm(term)  # norm of the latest term
-    ratio = 0.0
-    terms = 1
-    while prev_norm >= threshold:
-        if terms >= max_terms:
+    prev = mp.space.norm(term)      # norm of each column's latest term
+    ratio = np.zeros(block.shape[1])
+    terms = np.ones(block.shape[1], dtype=np.int64)
+    active = np.flatnonzero(prev >= threshold)
+    term = term[:, active]
+    count = 1                       # terms taken by every active column
+
+    def result():
+        tail = prev.copy()
+        geometric = (ratio > 0.0) & (ratio < 1.0)
+        tail[geometric] = prev[geometric] * ratio[geometric] / (1.0 - ratio[geometric])
+        tail[active] = math.inf     # columns cut off at max_terms
+        out = ResolventBlock(vectors=acc, column_terms=terms, tail_bounds=tail,
+                             lambda_used=lam, trunc_tol=trunc_tol)
+        return out.column(0) if one else out
+
+    while active.size:
+        if count >= max_terms:
             raise TruncationError(
                 f"resolvent series not below {trunc_tol} after {max_terms} terms "
-                f"(lambda may be too close to the radius)",
-                partial=ResolventResult(
-                    vector=ConeVector(acc), terms=terms,
-                    tail_bound=math.inf, lambda_used=lam, trunc_tol=trunc_tol))
+                f"(lambda may be too close to the radius)", partial=result())
         term = mp.raw(term) / lam
-        acc += term
-        terms += 1
+        acc[:, active] += term
+        count += 1
         cur = mp.space.norm(term)
-        if prev_norm > 0:
-            ratio = max(ratio if terms > 8 else 0.0, cur / prev_norm)
-        prev_norm = cur
-    tail = prev_norm * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else prev_norm
-    return ResolventResult(vector=ConeVector(acc), terms=terms, tail_bound=tail,
-                           lambda_used=lam, trunc_tol=trunc_tol)
+        q = cur / prev[active]      # prev >= threshold > 0 on active columns
+        ratio[active] = q if count <= 8 else np.maximum(ratio[active], q)
+        prev[active] = cur
+        terms[active] = count
+        keep = cur >= threshold
+        active, term = active[keep], term[:, keep]
+    return result()
 
 
 def resolvent_apply(mp: HomogeneousMap, lam: float, x: ConeVector,

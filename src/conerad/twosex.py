@@ -83,6 +83,11 @@ class SpatialGrid:
         return cls("rectangle2d", centers, np.full(nx * ny, hx * hy))
 
 
+def _per_cell(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The per-cell vector v shaped to broadcast against f, (n,) or (n, k)."""
+    return v if f.ndim == 1 else v[:, None]
+
+
 class KernelRole(enum.Enum):
     FEMALE = "female"
     MALE = "male"
@@ -115,8 +120,9 @@ class MigrationKernel:
                 f"{mass[worst]:.6g} > 1", cell=worst)
 
     def apply(self, grid: SpatialGrid, f: np.ndarray) -> np.ndarray:
-        """The integral operator at per-cell densities f, by quadrature."""
-        return self.matrix @ (grid.cell_weights * f)
+        """The integral operator at per-cell densities f, by quadrature; f is
+        one density (n,) or a block of them (n, k)."""
+        return self.matrix @ (_per_cell(grid.cell_weights, f) * f)
 
 
 def _tight_order_bound(psi: np.ndarray, k_female: MigrationKernel,
@@ -166,13 +172,13 @@ class MatingFunction:
         return np.minimum(self.beta1, self.beta2)
 
     def apply(self, females: np.ndarray, males: np.ndarray) -> np.ndarray:
+        """Offspring per cell from densities of shape (n,) or (n, k)."""
         if self.kind is MatingKind.HARMONIC_MEAN:
             total = females + males
-            out = np.zeros_like(total)
-            mask = total > 0
-            out[mask] = self.beta[mask] * females[mask] * males[mask] / total[mask]
-            return out
-        return np.minimum(self.beta1 * females, self.beta2 * males)
+            births = _per_cell(self.beta, total) * females * males
+            return np.divide(births, total, out=np.zeros_like(total), where=total > 0)
+        return np.minimum(_per_cell(self.beta1, females) * females,
+                          _per_cell(self.beta2, males) * males)
 
 
 def mating_value(mating: MatingFunction, cell: int, x1: float, x2: float) -> float:
@@ -222,18 +228,23 @@ class TwoSexModel:
 
 
 def _step_raw(model: TwoSexModel, f: np.ndarray) -> np.ndarray:
+    """The yearly update of one density (n,) or of each column of (n, k).
+
+    Both order-bound checks run per column, each at that column's own scale.
+    """
     females = model.k_female.apply(model.grid, f)
     males = model.k_male.apply(model.grid, f)
     out = model.mating.apply(females, males)
-    psi = model.mating.psi_field
-    cap = psi * (females + males)
-    # ndarray.max, not np.max: this runs once per evaluation, often at small n
-    scale = max(1.0, float(cap.max()))
-    if float((out - cap).max()) > _CHAIN_SLACK * scale:
+    cap = _per_cell(model.mating.psi_field, f) * (females + males)
+    # ndarray methods and count_nonzero, the cheapest numpy calls on a
+    # scalar: this runs once per evaluation, often at small n
+    scale = cap.max(axis=0, initial=1.0)
+    if np.count_nonzero((out - cap).max(axis=0) > _CHAIN_SLACK * scale):
         raise ModelContractError("offspring exceeded psi * (K1 f + K2 f)")
-    mass = float(model.grid.cell_weights @ f)
+    mass = model.grid.cell_weights @ f
     u = model.order_bound.entries
-    if float((out - mass * u).max()) > _CHAIN_SLACK * max(1.0, mass * float(u.max()), scale):
+    bound = np.maximum(mass * u.max(), scale)  # scale >= 1
+    if np.count_nonzero((out - _per_cell(u, f) * mass).max(axis=0) > _CHAIN_SLACK * bound):
         raise ModelContractError("offspring exceeded ||f||_1 * order bound")
     return out
 

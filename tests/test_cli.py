@@ -84,6 +84,7 @@ class TestRadiusCommand:
         emitted = {p.name for p in (tmp_path / "out").iterdir()}
         assert set(manifest["files"]) == emitted
         assert manifest["input_sha256"]
+        assert set(manifest["versions"]["blas"]) == {"name", "version"}
 
     def test_out_and_seed_flags_override_config(self, tmp_path):
         path = make_run(tmp_path, "radius", {"matrix": [[1.5]]}, seed=1)
@@ -229,6 +230,31 @@ class TestOtherCommands:
         path = make_run(tmp_path, "radius", {"matrix": [[1.0, 0.5], [0.4, 1.0]], **bad})
         assert main(["--config", str(path), "--quiet"]) == 1
         assert f"config error: input field '{name}' is invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, extra", [
+        ("radius", "max_iter", {"max_iter": "lots"}),
+        ("radius", "max_iter", {"max_iter": 1e400}),
+        ("radius", "tolerances.tol", {"tolerances": {"tol": "abc"}}),
+        ("radius", "tolerances", {"tolerances": [1e-8]}),
+        ("radius", "seed", {"seed": "seven"}),
+        ("radius", "input", {"input": 5}),
+        ("radius", "output_dir", {"output_dir": ["out"]}),
+        ("twosex-simulate", "years", {"years": "ten"}),
+        ("twosex-simulate", "emit_densities", {"emit_densities": "false"}),
+        ("twosex-simulate", "f0", {"f0": "bogus"}),
+        ("twosex-simulate", "f0", {"f0": [1.0, 1.0]}),
+        ("twosex-simulate", "f0", {"f0": [1.0, -1.0, 1.0]}),
+        ("twosex-assess", "f0", {"f0": [[1.0, 1.0]]}),
+        ("twosex-assess", "f0", {"f0": [["a", "b", "c"]]}),
+        ("twosex-assess", "f0", {"f0": 5}),
+    ])
+    def test_malformed_run_config_names_field(self, tmp_path, capsys, command, name, extra):
+        inp = {"matrix": [[1.0, 0.5], [0.4, 1.0]]} if command == "radius" \
+            else gaussian_config(n_cells=3)
+        path = make_run(tmp_path, command, inp, **extra)
+        assert main(["--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("conerad: config error:") and f"'{name}'" in err
 
     def test_malformed_input_is_validation_error(self, tmp_path, capsys):
         path = make_run(tmp_path, "radius", {"surprise": True})

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conerad import eigenproblem
 from conerad import (
     ConeSpace,
     ConeVector,
     EigenMode,
     estimate_eigenfunctional,
+    from_callable,
     from_matrix,
     radius_bracket,
     reduce_power_functional,
@@ -25,6 +25,8 @@ from conerad.errors import (
     SpectralDomainError,
     ZeroLimitError,
 )
+
+from conftest import counting_map
 
 
 def vec(*vals):
@@ -218,23 +220,42 @@ class TestEigenfunctional:
             assert abs(phi(ConeVector(alpha * x)) - alpha * fx) <= 1e-9 * max(1.0, alpha * fx)
             assert fx <= phi(ConeVector(x + d)) + 1e-9
 
-    def test_one_resolvent_series_per_probe(self, rng, monkeypatch):
+    def test_one_resolvent_series_per_probe(self, rng):
         # n basis probes and the sampled ones set the normalizer; the first
-        # n + 8 of them reuse those values in the defect pass, which adds
-        # only the series at B(p).
-        runs = []
-        series = eigenproblem.resolvent_series
-
-        def counted(*args, **kwargs):
-            runs.append(args)
-            return series(*args, **kwargs)
-
-        monkeypatch.setattr(eigenproblem, "resolvent_series", counted)
+        # n + 8 of them reuse those values in the defect pass, which adds one
+        # map call on those probes and the series at their images B(p).  At
+        # lambda = 1e12 every series stops after one map column, so the
+        # columns left after the radius bracket and the B(p) call count the
+        # series.
         n, samples = 3, 16
+        mat = rng.uniform(0.1, 1.0, size=(n, n))
         u = ConeVector(np.ones(n))
-        estimate_eigenfunctional(from_matrix(rng.uniform(0.1, 1.0, size=(n, n))), u, u,
+        bracket_map, bracket_calls = counting_map(mat)
+        radius_bracket(bracket_map, u, tol=1e-10, max_iter=10000)
+        mp, calls = counting_map(mat)
+        estimate_eigenfunctional(mp, u, u, lambda_schedule=[1e12], trunc_tol=1e-6,
                                  normalizer_samples=samples)
-        assert len(runs) == n + samples + (n + 8)
+        series = len(calls) - len(bracket_calls) - (n + 8)
+        assert series == n + samples + (n + 8)
+
+    def test_function_of_one_vector(self, rng):
+        # from_callable feeds a block to its function one column at a time,
+        # so a function that only takes (n,) vectors still gets a functional.
+        mat = rng.uniform(0.1, 1.0, size=(4, 4))
+
+        def fn(x):
+            if x.shape != (4,):
+                raise ValueError(f"one vector only, got shape {x.shape}")
+            return mat @ x
+
+        mp = from_callable(ConeSpace(4), fn)
+        block = rng.random((4, 5))
+        assert np.array_equal(mp.raw(block), np.column_stack([fn(c) for c in block.T]))
+        u = ConeVector(np.ones(4))
+        got = estimate_eigenfunctional(mp, u, u)
+        want = estimate_eigenfunctional(from_matrix(mat), u, u)
+        assert got.normalizer == pytest.approx(want.normalizer, rel=1e-12)
+        assert got.defect_max == pytest.approx(want.defect_max, rel=1e-9)
 
     def test_schedule_below_radius_rejected(self, diag21):
         with pytest.raises(SpectralDomainError):

@@ -127,6 +127,22 @@ class TestPerturb:
             rhs = (1.0 + eta) * evaluate(pert, x).entries
             assert np.all(lhs >= rhs * (1 - 1e-12))
 
+    @pytest.mark.parametrize("base", ["l1_rank_one", "linf", "two_sex"])
+    def test_block_takes_psi_per_column(self, rng, gaussian_model, base):
+        # The rank-one branch (L1, linear) and the generic branch (LInf norm,
+        # nonlinear two-sex map) both add eps * psi(x_j) * u to column j.
+        if base == "two_sex":
+            mp = gaussian_model.as_map()
+        else:
+            space = ConeSpace(5, NormKind.L1 if base == "l1_rank_one" else NormKind.LINF)
+            mp = from_matrix(rng.random((5, 5)), space=space)
+        n = mp.space.dim
+        pert = perturb(mp, 0.3, ConeVector(rng.random(n) + 0.1))
+        assert bool(pert.flags & MapFlag.LINEAR) == (base == "l1_rank_one")
+        block = rng.random((n, 6)) * np.array([1.0, 1e3, 0.0, 1e-3, 1.0, 5.0])
+        want = np.column_stack([pert.raw(c) for c in block.T])
+        assert np.allclose(pert.raw(block), want, rtol=1e-13, atol=0.0)
+
 
 class TestOpNorm:
     def test_exact_column_sum(self):

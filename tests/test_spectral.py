@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -18,10 +19,11 @@ from conerad import (
     radius_bracket,
     radius_power_quotient,
     resolvent_apply,
+    resolvent_series,
 )
 from conerad.errors import DegenerateBoundError, SpectralDomainError, TruncationError
 
-from conftest import counting_map, scale_beta, two_patch_config
+from conftest import counting_map, gaussian_config, scale_beta, two_patch_config
 
 
 def vec(*vals):
@@ -259,6 +261,36 @@ class TestResolvent:
                     for lam in lams]
             assert all(b > a for a, b in zip(vals, vals[1:]))
             assert vals[-1] > 100 * vals[0]
+
+
+class TestResolventBlock:
+    @pytest.mark.parametrize("kind", ["linear", "two_sex"])
+    def test_block_equals_column_series(self, rng, kind):
+        if kind == "linear":
+            mp = from_matrix(rng.uniform(0.05, 1.0, size=(8, 8)))
+        else:
+            mp = build_model(gaussian_config(n_cells=12)).as_map()
+        n = mp.space.dim
+        lam = 1.2 * radius_bracket(mp, ConeVector(np.ones(n)), tol=1e-10).cw_upper
+        # columns of different sizes converge after different numbers of terms
+        block = rng.random((n, 6)) * np.array([1.0, 1e-6, 0.0, 1e4, 1.0, 1e-12])
+        res = resolvent_series(mp, lam, block, trunc_tol=1e-10)
+        assert len(set(res.column_terms.tolist())) > 2
+        for j in range(block.shape[1]):
+            one = resolvent_series(mp, lam, ConeVector(block[:, j]), trunc_tol=1e-10)
+            assert res.column_terms[j] == one.terms
+            assert np.allclose(res.vectors[:, j], one.vector.entries, rtol=1e-13, atol=0.0)
+            assert res.tail_bounds[j] == pytest.approx(one.tail_bound, rel=1e-9, abs=1e-300)
+        assert res.terms == int(res.column_terms.sum())
+
+    def test_cut_off_column_leaves_others_finished(self, diag21):
+        # At lambda just above 2 the e1 series needs far more than 50
+        # terms; the e2 series (ratio 1/lambda) finishes on its own.
+        with pytest.raises(TruncationError) as exc:
+            resolvent_series(diag21, 2.0 + 1e-9, np.eye(2), trunc_tol=1e-10, max_terms=50)
+        part = exc.value.partial
+        assert part.column_terms[0] == 50 and part.tail_bounds[0] == math.inf
+        assert part.column_terms[1] < 50 and math.isfinite(part.tail_bounds[1])
 
 
 class TestOtherNormsAndScales:

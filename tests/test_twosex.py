@@ -19,7 +19,7 @@ from conerad import (
     simulate,
     step_next_year,
 )
-from conerad.errors import ConfigError, FieldError, KernelMassError
+from conerad.errors import ConfigError, FieldError, KernelMassError, ModelContractError
 
 from conftest import gaussian_config, scale_beta, single_cell_config, two_patch_config
 
@@ -155,6 +155,42 @@ class TestStepContracts:
         for _ in range(10):
             f = ConeVector(rng.random(n))
             assert step_next_year(model, f).is_zero()
+
+
+class TestBlockEvaluation:
+    @pytest.mark.parametrize("mating", [
+        {"kind": "harmonic_mean", "beta": 2.0},
+        {"kind": "min_rate", "beta1": 1.5, "beta2": 2.5},
+    ])
+    def test_block_equals_columns(self, rng, mating):
+        cfg = gaussian_config(n_cells=30)
+        cfg["mating"] = mating
+        mp = build_model(cfg).as_map()
+        block = rng.random((30, 7)) * np.array([1.0, 1e6, 0.0, 1e-6, 1.0, 3.0, 1.0])
+        block[:15, 6] = 0.0  # a column with half its cells empty
+        got = mp.raw(block)
+        want = np.column_stack([mp.raw(c) for c in block.T])
+        assert got.shape == block.shape
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert not got[:, 2].any()
+
+    def test_one_bad_column_raises(self):
+        # Understate the order bound after construction, where the model no
+        # longer checks it: a point mass at the kernel peak then breaks it,
+        # a spread-out density does not.
+        model = build_model(gaussian_config(n_cells=6))
+        u = model.order_bound.entries
+        object.__setattr__(model, "order_bound", ConeVector(u / 4.0))
+        mp = model.as_map()
+        spread = np.full(6, 1e12)
+        point = np.zeros(6)
+        point[2] = 1.0
+        mp.raw(spread)
+        with pytest.raises(ModelContractError):
+            mp.raw(point)
+        # the huge column must not lend its scale to the small one
+        with pytest.raises(ModelContractError):
+            mp.raw(np.column_stack([spread, point]))
 
 
 class TestSimulate:
