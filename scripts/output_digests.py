@@ -6,8 +6,9 @@
 The first form runs every batch operation and every known-defect probe of
 the four ``perfbench`` workloads once through ``conerad.cli.main``,
 importing the program from ``--src``, and prints one JSON object: per
-operation the exit code and the SHA-256 of each output file, plus the map
-columns of each workload's batch (the benchmark's ``map_columns``).
+operation the exit code, the SHA-256 of each output file and the distinct
+``RuntimeWarning`` messages the operation raised, plus the map columns of
+each workload's batch (the benchmark's ``map_columns``).
 ``manifest.json`` is digested without its ``threads`` and ``versions.blas``
 fields, which only some trees write.  Two trees produce the same outputs
 when their digest files are equal, apart from ``map_columns``.  With
@@ -17,9 +18,10 @@ when their digest files are equal, apart from ``map_columns``.  With
 The second form compares two kept directories.  For each operation it
 reports whether the exit codes match and, for each output file, whether it
 is byte-identical (manifests without the fields above) or else the largest
-relative difference over its JSON numbers or CSV cells.  It exits 1 on an
-exit-code mismatch, a missing file, a difference in anything but numbers,
-or a relative difference above ``--rtol``.
+relative difference over its JSON numbers or CSV cells, and it lists the
+warnings of both sides.  It exits 1 on an exit-code mismatch, a missing
+file, a difference in anything but numbers, a relative difference above
+``--rtol``, or a warning that only ``DIR_B`` raised.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,10 +93,16 @@ def digest(src: str, seed: int, keep: Path | None) -> dict:
                     cfg.write_text(json.dumps({"command": op["command"], "input": inp.name,
                                                "seed": seed, **op["extra"]}))
                     out = work / "out" / _op_dir(key)
-                    code = cli.main(["--config", str(cfg), "--out", str(out), "--quiet"])
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always", RuntimeWarning)
+                        code = cli.main(["--config", str(cfg), "--out", str(out), "--quiet"])
                     files = sorted(out.iterdir()) if out.is_dir() else []
-                    report["ops"][key] = {"code": code,
-                                          "files": {p.name: _digest(p) for p in files}}
+                    report["ops"][key] = {
+                        "code": code,
+                        "files": {p.name: _digest(p) for p in files},
+                        "warnings": sorted({str(w.message) for w in caught
+                                            if issubclass(w.category, RuntimeWarning)}),
+                    }
                 if tag == "op":
                     report["map_columns"][name] = columns - start
         if keep is not None:
@@ -181,6 +190,11 @@ def compare(dir_a: Path, dir_b: Path, rtol: float) -> int:
             codes += " MISMATCH"
             bad += 1
         parts = [codes]
+        warn_a, warn_b = op_a.get("warnings", []), op_b.get("warnings", [])
+        if warn_a or warn_b:
+            new = sorted(set(warn_b) - set(warn_a))
+            parts.append(f"warnings {warn_a} / {warn_b}" + (" MISMATCH" if new else ""))
+            bad += bool(new)
         for fname in sorted(set(op_a["files"]) | set(op_b["files"])):
             fa = dir_a / "out" / _op_dir(key) / fname
             fb = dir_b / "out" / _op_dir(key) / fname

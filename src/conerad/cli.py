@@ -171,6 +171,8 @@ def _load_input(path: Path):
             u = ConeVector(np.asarray(raw.get("u", np.ones(n)), dtype=float))
             if u.dim != n:
                 raise ValueError(f"u has {u.dim} entries, the matrix has {n} rows")
+            if not np.all(u.entries > 0):
+                raise ValueError("u must be strictly positive")
         return "linear", mp, u
     if "grid" in raw:
         model = build_model(raw)

@@ -1,23 +1,25 @@
 """Cone spectral radius estimation.
 
 The central routine is a normalized power iteration that maintains a
-certified Collatz-Wielandt bracket around the radius:
-
-* lower bounds come from min ratios (B^m x)_i / x_i at probe vectors x,
-* upper bounds come from max ratios at strictly positive probe vectors,
-
-both taken to the 1/m power.  Probe vectors are the current iterate, its
-support truncations (entries below a relative threshold zeroed), and, for
-upper bounds, those probes re-inflated by a shrinking multiple of the
-reference vector so they stay strictly positive.  Every individual bound is
+certified Collatz-Wielandt bracket around the radius.  One rule gives every
+bound: for a probe vector x and m >= 1, the m-th root of the min ratio
+(B^m x)_i / x_i over supp x bounds the radius from below (when B^m x > 0
+there), and the m-th root of the max ratio bounds it from above (when
+x > 0).  Every probe gives every bound it certifies.  The probes are the
+iterate y, its support truncations (entries below a relative threshold
+zeroed), each of these plus 2^-k u_hat, a shrinking multiple of the
+reference vector that makes it strictly positive, and the last few stored
+iterates, whose m-step images are multiples of y.  Every individual bound is
 certified on its own, so the running max of lowers and min of uppers is a
 certified bracket; reported endpoints are rounded outward by a rigorous
 floating-point margin.
 
-Each probe vector is evaluated once.  The untruncated lower probe is the
-iterate y itself, so its image B(y) is kept and becomes the next power step:
-on strictly positive problems an iteration costs two evaluations, B(y) and
-the regularized upper probe.
+Each distinct probe vector is evaluated once, one map call per probe.  The
+first probe is y itself, so its image B(y) becomes the next power step; a
+regularized probe is formed only while 2^-k u_hat is a normal float and
+changes the truncation.  On strictly positive problems an iteration costs
+two evaluations, B(y) and B(y + 2^-k u_hat), until 2^-k u_hat no longer
+changes y, then one.
 
 Maps follow the evaluator contract of ``homog_map``: a vector (n,) or a
 column block (n, k) whose columns are evaluated independently.  The
@@ -99,6 +101,24 @@ def _outward(lo: float, hi: float, dim: int) -> tuple[float, float]:
     return max(lo_out, 0.0), hi_out
 
 
+def _cw_ratios(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collatz-Wielandt ratios of the probe columns x (n, k) and their images z.
+
+    lower_j is the min of z/x over supp x, or 0 unless z > 0 there; upper_j is
+    the max of z/x, or +inf unless x > 0.  With z = B^m x, z >= lower_j x and
+    z <= upper_j x, so lower_j^(1/m) <= radius <= upper_j^(1/m).  A ratio that
+    overflows is +inf, a vacuous upper bound.  Column-contiguous blocks (the
+    transpose of row-stacked vectors) reduce several times faster at large n.
+    """
+    sup = x > 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = z / x
+        lower = np.where(sup, q, math.inf).min(axis=0)
+        lower[~np.all((z > 0) | ~sup, axis=0)] = 0.0
+        upper = np.where(sup.all(axis=0), q.max(axis=0), math.inf)
+    return lower, upper
+
+
 class _BracketEngine:
     """Shared state of the normalized power iteration with bracket tracking."""
 
@@ -111,11 +131,9 @@ class _BracketEngine:
         self.space = mp.space
         nu = self.space.norm(u.entries)
         self.u_hat = u.entries / nu
-        self.u_strict = bool(np.all(u.entries > 0))
         self.y = self.u_hat.copy()
-        self.z: np.ndarray | None = None    # B(y), once the probes have computed it
-        self.cumlog = 0.0
-        self.hist: list[tuple[np.ndarray, float]] = [(self.y, 0.0)]
+        self.z = mp.raw(self.y)             # B(y): the next power step
+        self.hist: list[np.ndarray] = [self.y]    # y_(k-m), ..., y_k
         self.logs: list[float] = []
         self.bounds: list[tuple[float, float]] = []
         self.best_lower = 0.0
@@ -123,42 +141,9 @@ class _BracketEngine:
         self.dead = False
         self.iterations = 0
 
-    def _probe_lower(self, x: np.ndarray) -> np.ndarray:
-        z = self.mp.raw(x)
-        sup = x > 0
-        zs = z[sup]
-        if np.all(zs > 0):
-            self.best_lower = max(self.best_lower, float(np.min(zs / x[sup])))
-        return z
-
-    def _probe_upper(self, x: np.ndarray) -> None:
-        # x must be strictly positive for the max ratio to bound the radius.
-        z = self.mp.raw(x)
-        self.best_upper = min(self.best_upper, float(np.max(z / x)))
-
-    def _orbit_bounds(self) -> None:
-        yk, ck = self.hist[-1]
-        count = len(self.hist)
-        for idx in range(count - 1):
-            yo, co = self.hist[idx]
-            m = count - 1 - idx
-            d = ck - co
-            sup = yo > 0
-            yks = yk[sup]
-            if np.all(yks > 0):
-                lo = math.exp((d + math.log(float(np.min(yks / yo[sup])))) / m)
-                self.best_lower = max(self.best_lower, lo)
-            if np.all(yo > 0):
-                top = float(np.max(yk / yo))
-                if top > 0:
-                    hi = math.exp((d + math.log(top)) / m)
-                    self.best_upper = min(self.best_upper, hi)
-
     def step(self) -> None:
         self.iterations += 1
-        k = self.iterations
-        z = self.mp.raw(self.y) if self.z is None else self.z
-        nz = self.space.norm(z)
+        nz = self.space.norm(self.z)
         if nz == 0.0:
             # The orbit of u dies: B^k u = 0 certifies a zero radius under
             # the order-bound hypotheses, so the bracket collapses.
@@ -166,33 +151,42 @@ class _BracketEngine:
             self.best_lower = 0.0
             self.best_upper = 0.0
             return
-        self.cumlog += math.log(nz)
         self.logs.append(math.log(nz))
-        self.y = z / nz
-        self.hist.append((self.y, self.cumlog))
+        self.y = self.z / nz
+        self.hist.append(self.y)
         if len(self.hist) > _ORBIT_MEMORY + 1:
             self.hist.pop(0)
-        self._orbit_bounds()
 
-        sigma = 2.0 ** (-k)
+        # On-orbit bounds: y_k = B^m y_(k-m) / exp(d), d the sum of the last m
+        # step logs.  fsum rounds d once; the difference of two running sums
+        # would be off by about eps times the log of the whole orbit.
+        old = self.hist[:-1]
+        lower, upper = _cw_ratios(np.stack(old).T, self.y[:, None])
+        for lo, hi, m in zip(lower, upper, range(len(old), 0, -1)):
+            d = math.fsum(self.logs[-m:])
+            if lo > 0.0:
+                self.best_lower = max(self.best_lower, math.exp((d + math.log(lo)) / m))
+            if hi < math.inf:
+                self.best_upper = min(self.best_upper, math.exp((d + math.log(hi)) / m))
+
+        # Probes: the support truncations of y (nested masks, so a repeated
+        # size is a repeated probe), then each plus 2^-k u_hat where that
+        # changes it, while the shift is a normal float (a subnormal one makes
+        # ratios overflow and loses the relative precision _outward assumes).
         mx = float(np.max(self.y))
-        seen = set()
+        masks = {}
         for theta in _TRUNCATION_LEVELS:
             mask = self.y >= theta * mx
-            key = mask.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            x = np.where(mask, self.y, 0.0)
-            if not x.any():
-                continue
-            z = self._probe_lower(x)
-            if theta == 0.0:
-                self.z = z  # x equals y here, so this is the next step's B(y)
-            if self.u_strict:
-                xr = x + sigma * self.u_hat
-                if np.all(xr > 0):  # sigma * u_hat underflows after ~1070 iterations
-                    self._probe_upper(xr)
+            masks.setdefault(int(np.count_nonzero(mask)), mask)
+        probes = [np.where(mask, self.y, 0.0) for mask in masks.values()]
+        shift = 2.0 ** (-self.iterations) * self.u_hat
+        if shift.min() >= np.finfo(float).tiny:
+            probes += [xr for x in probes if ((xr := x + shift) != x).any()]
+        images = [self.mp.raw(x) for x in probes]
+        lower, upper = _cw_ratios(np.stack(probes).T, np.stack(images).T)
+        self.best_lower = max(self.best_lower, float(lower.max()))
+        self.best_upper = min(self.best_upper, float(upper.min()))
+        self.z = images[0]                  # probe 0 is y itself
         self.bounds.append((self.best_lower, self.best_upper))
 
     def bracket_closed(self, tol: float) -> bool:

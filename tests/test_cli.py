@@ -225,6 +225,7 @@ class TestOtherCommands:
         ("u", {"u": [1.0, 1.0, 1.0]}),
         ("matrix", {"matrix": [[1.0, -0.5], [0.4, 1.0]]}),
         ("matrix", {"matrix": [[1.0, "x"], [0.4, 1.0]]}),
+        ("u", {"u": [1.0, 0.0]}),
     ])
     def test_malformed_linear_input_names_field(self, tmp_path, capsys, name, bad):
         path = make_run(tmp_path, "radius", {"matrix": [[1.0, 0.5], [0.4, 1.0]], **bad})

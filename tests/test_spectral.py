@@ -22,6 +22,7 @@ from conerad import (
     resolvent_series,
 )
 from conerad.errors import DegenerateBoundError, SpectralDomainError, TruncationError
+from conerad.spectral import _cw_ratios
 
 from conftest import counting_map, gaussian_config, scale_beta, two_patch_config
 
@@ -31,6 +32,30 @@ def vec(*vals):
 
 
 ONES2 = ConeVector(np.ones(2))
+
+
+class TestCwRatios:
+    def test_matches_definition(self, rng):
+        # lower: min z/x over supp x, or 0 unless z > 0 there;
+        # upper: max z/x, or +inf unless x > 0 (an overflow is +inf too)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            x = rng.uniform(0.0, 1.0, size=(n, k)) * (rng.random((n, k)) < 0.7)
+            x[rng.integers(n), :] = rng.uniform(0.5, 1.0, size=k)   # nonzero columns
+            x[:, 0] = np.where(x[:, 0] > 0, 1e-310, 0.0)            # overflowing ratios
+            z = rng.uniform(0.0, 2.0, size=(n, k)) * (rng.random((n, k)) < 0.7)
+            z[:, -1] = 0.0                                           # a zero image
+            lower, upper = _cw_ratios(x, z)
+            for j in range(k):
+                sup = [i for i in range(n) if x[i, j] > 0]
+                ratios = [float(z[i, j]) / float(x[i, j]) for i in sup]
+                want_lo = min(ratios) if all(z[i, j] > 0 for i in sup) else 0.0
+                want_hi = max(ratios) if len(sup) == n else math.inf
+                assert lower[j] == want_lo and upper[j] == want_hi
+            # an image column broadcasts against every probe column
+            lo1, hi1 = _cw_ratios(x, z[:, :1])
+            lok, hik = _cw_ratios(x, np.repeat(z[:, :1], k, axis=1))
+            assert np.array_equal(lo1, lok) and np.array_equal(hi1, hik)
 
 
 class TestPowerQuotient:
@@ -127,6 +152,15 @@ class TestRadiusBracket:
         assert est.iterations == 6
         assert len(calls) == 1 + 2 * est.iterations
 
+    def test_one_evaluation_per_iteration_once_the_shift_is_below_rounding(self):
+        # Once 2^-k u_hat no longer changes y, the regularized probe is y
+        # itself, so it is not formed again and an iteration costs one
+        # evaluation, B(y).  A small spectral gap keeps the bracket open.
+        mp, calls = counting_map(0.01 + np.diag([1.0, 0.97, 0.94, 0.91, 0.88, 0.85]))
+        est = radius_bracket(mp, ConeVector(np.ones(6)), tol=1e-14, max_iter=100)
+        assert est.iterations == 100
+        assert est.iterations < len(calls) < 1 + 2 * est.iterations
+
     def test_requires_strictly_positive_start(self, diag21):
         with pytest.raises(DegenerateBoundError):
             radius_bracket(diag21, vec(1, 0))
@@ -142,23 +176,80 @@ class TestRadiusBracket:
         assert est.cw_lower <= r <= est.cw_upper
 
     def test_underflowed_upper_probes_are_skipped(self):
-        # After about 1070 iterations sigma * u_hat underflows to 0, and the
-        # regularized probes of this reducible matrix get zero entries.  Such
-        # a probe certifies nothing, so it is skipped: no division by zero,
-        # and the bracket is the one the run had before the underflow.
-        mat = np.array([
-            [1, .344, 0, .572, 0, 0, 0, .457], [0, 0, .844, .555, 0, 0, .889, 0],
-            [0, 0, 0, 0, 0, 0, .967, 0], [0, 0, 0, .284, 0, 0, 0, .075],
-            [0, 0, 0, 0, .7, .04, .343, 0], [0] * 8, [0, 0, 0, 0, 0, 0, .224, 0], [0] * 8])
-        u = ConeVector(np.ones(8))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            long = radius_bracket(from_matrix(mat), u, max_iter=1080)
-        short = radius_bracket(from_matrix(mat), u, max_iter=1040)
-        assert long.iterations == 1080
-        assert long.bound_trace[:1040] == short.bound_trace
-        assert long.bound_trace[-1] == short.bound_trace[-1]
-        assert (long.cw_lower, long.cw_upper) == (short.cw_lower, short.cw_upper)
+        # From about 1020 iterations on, 2^-k u_hat is subnormal, and later
+        # it underflows to 0.  Probes regularized by it are not formed: they
+        # divide by zero or overflow (B x)_i / x_i at truncated entries, and
+        # subnormal products lose the relative precision the outward margin
+        # assumes.  So the run does not warn, and its bracket stops where a
+        # shorter run's does.  The second matrix's zero row keeps y off the
+        # interior, so only regularized probes bound it from above.
+        cases = [
+            (np.array([
+                [1, .344, 0, .572, 0, 0, 0, .457], [0, 0, .844, .555, 0, 0, .889, 0],
+                [0, 0, 0, 0, 0, 0, .967, 0], [0, 0, 0, .284, 0, 0, 0, .075],
+                [0, 0, 0, 0, .7, .04, .343, 0], [0] * 8, [0, 0, 0, 0, 0, 0, .224, 0], [0] * 8]),
+             1080, 1040),
+            (np.array([[0.992, 0, 0.378, 0, 0], [0, 0, 0.153, 0, 0], [0, 0, 1, 0, 0],
+                       [0, 0, 0, 0.684, 0], [0, 0, 0, 0, 0]]),
+             1100, 1020),
+        ]
+        for mat, n_long, n_short in cases:
+            u = ConeVector(np.ones(mat.shape[0]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                long = radius_bracket(from_matrix(mat), u, max_iter=n_long)
+            short = radius_bracket(from_matrix(mat), u, max_iter=n_short)
+            assert long.iterations == n_long
+            assert long.bound_trace[:n_short] == short.bound_trace
+            assert long.bound_trace[-1] == short.bound_trace[-1]
+            assert (long.cw_lower, long.cw_upper) == (short.cw_lower, short.cw_upper)
+            r = linear_radius_exact(mat).value
+            assert short.cw_lower <= r <= short.cw_upper
+
+    def test_orbit_bounds_do_not_drift_along_long_orbits(self):
+        # The m-step factor from y_(k-m) to y_k is the sum of the last m step
+        # logs.  Taken as the difference of two running sums it drifts by
+        # about eps times the log of the whole orbit, which lifted the lower
+        # bound of both runs above the radius (the first one converged).
+        cases = [
+            (np.array([[0.45, 0.25, 0], [0, 0.5, 0], [0, 0, 0]]), 10000),
+            (0.5 * np.array([[0.992, 0, 0.378, 0, 0], [0, 0, 0.153, 0, 0], [0, 0, 1, 0, 0],
+                             [0, 0, 0, 0.684, 0], [0, 0, 0, 0, 0]]), 2000),
+        ]
+        for mat, max_iter in cases:
+            est = radius_bracket(from_matrix(mat), ConeVector(np.ones(mat.shape[0])),
+                                 max_iter=max_iter)
+            r = float(np.max(np.diag(mat)))     # triangular: the radius is exact
+            assert est.cw_lower <= r <= est.cw_upper
+
+    @pytest.mark.parametrize("kind", ["positive", "block_triangular", "block_cyclic"])
+    def test_every_traced_bracket_contains_the_radius(self, kind):
+        rng = np.random.default_rng({"positive": 1, "block_triangular": 2,
+                                     "block_cyclic": 3}[kind])
+        for trial in range(6):
+            n = int(rng.integers(3, 16))
+            if kind == "positive":
+                mat = rng.uniform(0.05, 1.0, size=(n, n))
+            elif kind == "block_triangular":
+                h = n // 2
+                mat = np.zeros((n, n))
+                mat[:h, :h] = rng.uniform(0.05, 1.0, size=(h, h))
+                mat[h:, h:] = rng.uniform(0.05, 1.0, size=(n - h, n - h))
+                coupling = rng.uniform(0.0, 1.0, size=(h, n - h))
+                mat[:h, h:] = coupling * (rng.random((h, n - h)) < 0.3)
+            else:
+                period = 2 + trial % 3
+                b = max(1, n // period)
+                mat = np.zeros((b * period, b * period))
+                for i in range(period):
+                    j = (i + 1) % period    # block row i maps only into block j
+                    mat[i * b:(i + 1) * b, j * b:(j + 1) * b] = rng.uniform(0.05, 1.0, (b, b))
+            rep = linear_radius_exact(mat)
+            est = radius_bracket(from_matrix(mat), ConeVector(np.ones(mat.shape[0])), tol=1e-10)
+            assert est.converged
+            for lo, hi in est.bound_trace:
+                assert lo <= rep.value + rep.accuracy
+                assert rep.value - rep.accuracy <= hi
 
     def test_scaling_law(self, rng):
         mat = rng.uniform(0.1, 1.0, size=(6, 6))
