@@ -374,6 +374,14 @@ def run(cfg: RunConfig) -> int:
     code = 0
     try:
         code = _RUNNERS[cfg.command](cfg, kind, problem, u, emit)
+    except ConfigError:
+        raise
+    except ConeRadError as exc:
+        # a numerical failure (exit 2) still leaves a result.json naming it
+        if "result.json" not in emit.files:
+            emit.write_json("result.json", {"error": f"{type(exc).__name__}: {exc}",
+                                            "seed": cfg.seed})
+        raise
     finally:
         manifest = {
             "command": cfg.command,

@@ -6,9 +6,14 @@ sex) with a cellwise homogeneous mating and birth function:
     next_year(f) = F(K_female f, K_male f)
 
 on a quadrature grid, with the weighted L1 norm playing the role of the
-continuous total-population norm.  Kernel matrices store raw kernel values
-k(x_i, x_j) and are applied by quadrature, K @ (w * f) with w the cell
-weights; no weighted copy of a kernel is kept.
+continuous total-population norm.  A grid is the product of its axes
+(slowest first), and a kernel is ``scale * (F_1 kron ... kron F_d)``: one
+square factor of raw kernel values k(x_i, x_j) per grid axis, applied by
+quadrature axis by axis, K @ (w * f) with w the cell weights.  No n x n
+kernel is ever formed: a Gaussian or local kernel on an nx x ny rectangle
+holds nx^2 + ny^2 values, and ``build_model`` gives both sexes one shared
+factor tuple with per-sex scales, so an evaluation spreads w * f once.
+A hand-built dense n x n kernel is the one-factor case.
 The model carries an order-bound certificate vector u with
 next_year(f) <= ||f||_1 * u for every f, which both feeds the spectral
 routines and is checked at every evaluation.
@@ -20,6 +25,7 @@ import enum
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -39,13 +45,28 @@ _MASS_TOL = 1e-12
 _CHAIN_SLACK = 1e-9   # relative slack for the certified bound chain
 
 
+def _frozen(a) -> np.ndarray:
+    """a as a read-only float array; one that already is one is not copied."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Midpoint-rule quadrature grid on an interval or a rectangle."""
+    """Midpoint-rule quadrature grid on an interval or a rectangle.
+
+    ``axes`` holds one (centers, widths) pair per grid axis, slowest axis
+    first: cell i of a rectangle is (x[i % nx], y[i // nx]), so its axes
+    are (y, x).  A cell's weight is the product of its axes' widths.
+    """
 
     kind: str                   # "interval1d" | "rectangle2d"
     cell_centers: np.ndarray    # (n_cells, spatial_dim)
     cell_weights: np.ndarray    # (n_cells,)
+    axes: tuple                 # ((centers, widths), ...), slowest axis first
 
     def __post_init__(self):
         c = np.asarray(self.cell_centers, dtype=float)
@@ -54,10 +75,16 @@ class SpatialGrid:
             raise DimensionError("cell centers and weights are inconsistent")
         if np.any(w <= 0):
             raise ValueError("quadrature weights must be strictly positive")
+        axes = tuple((_frozen(ac), _frozen(aw)) for ac, aw in self.axes)
+        if not axes or any(ac.ndim != 1 or ac.shape != aw.shape for ac, aw in axes):
+            raise DimensionError("each grid axis needs one center and one width per cell")
+        if not np.array_equal(reduce(np.multiply.outer, [aw for _, aw in axes]).ravel(), w):
+            raise DimensionError("cell weights are not the products of the axis widths")
         c.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "cell_centers", c)
         object.__setattr__(self, "cell_weights", w)
+        object.__setattr__(self, "axes", axes)
 
     @property
     def n_cells(self) -> int:
@@ -68,8 +95,9 @@ class SpatialGrid:
         if b <= a or n_cells < 1:
             raise ValueError("interval grid needs b > a and n_cells >= 1")
         h = (b - a) / n_cells
-        centers = (a + (np.arange(n_cells) + 0.5) * h).reshape(-1, 1)
-        return cls("interval1d", centers, np.full(n_cells, h))
+        xs = a + (np.arange(n_cells) + 0.5) * h
+        hs = np.full(n_cells, h)
+        return cls("interval1d", xs.reshape(-1, 1), hs, ((xs, hs),))
 
     @classmethod
     def rectangle(cls, bounds, nx: int, ny: int) -> "SpatialGrid":
@@ -79,8 +107,9 @@ class SpatialGrid:
         hx, hy = (bx - ax) / nx, (by - ay) / ny
         xs = ax + (np.arange(nx) + 0.5) * hx
         ys = ay + (np.arange(ny) + 0.5) * hy
-        centers = np.array([(x, y) for y in ys for x in xs])
-        return cls("rectangle2d", centers, np.full(nx * ny, hx * hy))
+        centers = np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
+        return cls("rectangle2d", centers, np.full(nx * ny, hx * hy),
+                   ((ys, np.full(ny, hy)), (xs, np.full(nx, hx))))
 
 
 def _per_cell(v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -93,26 +122,78 @@ class KernelRole(enum.Enum):
     MALE = "male"
 
 
+def _kron_apply(factors: tuple, t: np.ndarray) -> np.ndarray:
+    """(F_1 kron ... kron F_d) @ t for t of shape (n,) or (n, k), one matmul
+    per factor on its own axis of the rows of t.T, (k, n1, ..., nd).
+
+    A block comes back with its longer side contiguous: column-major when
+    n >= k, row-major when k > n.  Numpy's entrywise and per-column work on
+    an (n, k) block is fastest that way, and the rest of an evaluation
+    inherits the layout.
+    """
+    wide = t.ndim == 2 and t.shape[1] > t.shape[0]
+    if len(factors) == 1:   # a dense kernel: one product, no reshaping
+        return factors[0] @ t if wide else (t.T @ factors[0].T).T
+    rows = t.T
+    post = rows.shape[-1]
+    for fac in factors:
+        m = fac.shape[0]
+        post //= m
+        if post == 1:   # the last axis: one product with every row at once
+            rows = rows.reshape(-1, m) @ fac.T
+        else:
+            rows = fac @ rows.reshape(-1, m, post)
+    out = rows.reshape(t.T.shape).T
+    return np.ascontiguousarray(out) if wide else out
+
+
+def _kron_row_max(factors: tuple) -> np.ndarray:
+    """Row maxima of F_1 kron ... kron F_d, the products of the factors' row
+    maxima (every entry is nonnegative)."""
+    return reduce(np.multiply.outer, [fac.max(axis=1) for fac in factors]).ravel()
+
+
 @dataclass(frozen=True)
 class MigrationKernel:
-    """Raw kernel values k(x_i, x_j); column quadrature mass must be <= 1."""
+    """The kernel ``scale * (F_1 kron ... kron F_d)`` of raw kernel values
+    k(x_i, x_j), one square factor per grid axis, slowest axis first.
 
-    matrix: np.ndarray
+    ``factors`` is a tuple of factors, or one square array: a dense kernel
+    is the one-factor case.  Factors that already are read-only float
+    arrays are held, not copied, so two kernels can share one tuple.
+    Column quadrature mass must be <= 1.
+    """
+
+    factors: tuple
     role: KernelRole
+    scale: float = 1.0
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError("kernel matrix must be square")
-        if not np.all(np.isfinite(m)) or np.any(m < 0):
-            raise FieldError("kernel values must be finite and nonnegative")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        given = self.factors if isinstance(self.factors, tuple) else (self.factors,)
+        factors = tuple(_frozen(fac) for fac in given)
+        if not factors:
+            raise DimensionError("a kernel needs at least one factor")
+        for fac in factors:
+            if fac.ndim != 2 or fac.shape[0] != fac.shape[1]:
+                raise DimensionError("kernel factors must be square")
+            if not np.all(np.isfinite(fac)) or np.any(fac < 0):
+                raise FieldError("kernel values must be finite and nonnegative")
+        scale = float(self.scale)
+        if not (math.isfinite(scale) and scale >= 0):
+            raise FieldError("kernel scale must be finite and nonnegative")
+        if not (given is self.factors and all(a is b for a, b in zip(factors, given))):
+            object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "scale", scale)
         if isinstance(self.role, str):
             object.__setattr__(self, "role", KernelRole(self.role))
 
+    @property
+    def n_cells(self) -> int:
+        return math.prod(fac.shape[0] for fac in self.factors)
+
     def validate_mass(self, grid: SpatialGrid) -> None:
-        mass = grid.cell_weights @ self.matrix
+        mass = self.scale * _kron_apply(tuple(fac.T for fac in self.factors),
+                                        grid.cell_weights)
         worst = int(np.argmax(mass))
         if mass[worst] > 1.0 + _MASS_TOL:
             raise KernelMassError(
@@ -122,13 +203,19 @@ class MigrationKernel:
     def apply(self, grid: SpatialGrid, f: np.ndarray) -> np.ndarray:
         """The integral operator at per-cell densities f, by quadrature; f is
         one density (n,) or a block of them (n, k)."""
-        return self.matrix @ (_per_cell(grid.cell_weights, f) * f)
+        return self.scale * _kron_apply(self.factors, _per_cell(grid.cell_weights, f) * f)
 
 
 def _tight_order_bound(psi: np.ndarray, k_female: MigrationKernel,
                        k_male: MigrationKernel) -> np.ndarray:
-    """psi * rowmax(K_f + K_m): the least u with psi_i (K_f + K_m)_ij <= u_i."""
-    return psi * np.max(k_female.matrix + k_male.matrix, axis=1)
+    """psi * rowmax(K_f + K_m): the least u with psi_i (K_f + K_m)_ij <= u_i.
+
+    Kernels sharing one factor tuple need only its row maxima; distinct
+    kernels are summed densely."""
+    if k_female.factors is k_male.factors:
+        return psi * ((k_female.scale + k_male.scale) * _kron_row_max(k_female.factors))
+    dense = [k.scale * reduce(np.kron, k.factors) for k in (k_female, k_male)]
+    return psi * np.max(dense[0] + dense[1], axis=1)
 
 
 class MatingKind(enum.Enum):
@@ -202,7 +289,7 @@ class TwoSexModel:
     def __post_init__(self):
         n = self.grid.n_cells
         for kern in (self.k_female, self.k_male):
-            if kern.matrix.shape != (n, n):
+            if kern.n_cells != n:
                 raise DimensionError("kernel size does not match grid")
             kern.validate_mass(self.grid)
         if self.mating.n_cells != n or self.order_bound.dim != n:
@@ -230,21 +317,30 @@ class TwoSexModel:
 def _step_raw(model: TwoSexModel, f: np.ndarray) -> np.ndarray:
     """The yearly update of one density (n,) or of each column of (n, k).
 
-    Both order-bound checks run per column, each at that column's own scale.
+    Kernels sharing one factor tuple spread w * f once and scale the result
+    per sex.  Both order-bound checks run per column, each at that column's
+    own scale.
     """
-    females = model.k_female.apply(model.grid, f)
-    males = model.k_male.apply(model.grid, f)
+    k_f, k_m = model.k_female, model.k_male
+    weighted = _per_cell(model.grid.cell_weights, f) * f
+    spread = _kron_apply(k_f.factors, weighted)
+    females = k_f.scale * spread
+    if k_m.factors is not k_f.factors:
+        spread = _kron_apply(k_m.factors, weighted)
+    males = k_m.scale * spread
     out = model.mating.apply(females, males)
     cap = _per_cell(model.mating.psi_field, f) * (females + males)
-    # ndarray methods and count_nonzero, the cheapest numpy calls on a
-    # scalar: this runs once per evaluation, often at small n
+    # ndarray methods, the cheapest numpy calls on a scalar: this runs once
+    # per evaluation, often at small n.  Each check compares entrywise
+    # against its column's threshold.
     scale = cap.max(axis=0, initial=1.0)
-    if np.count_nonzero((out - cap).max(axis=0) > _CHAIN_SLACK * scale):
+    if (out - cap > _CHAIN_SLACK * scale).any():
         raise ModelContractError("offspring exceeded psi * (K1 f + K2 f)")
     mass = model.grid.cell_weights @ f
     u = model.order_bound.entries
     bound = np.maximum(mass * u.max(), scale)  # scale >= 1
-    if np.count_nonzero((out - _per_cell(u, f) * mass).max(axis=0) > _CHAIN_SLACK * bound):
+    top = np.multiply(_per_cell(u, f), mass, out=np.empty_like(out))  # laid out like out
+    if (out - top > _CHAIN_SLACK * bound).any():
         raise ModelContractError("offspring exceeded ||f||_1 * order bound")
     return out
 
@@ -256,23 +352,24 @@ def step_next_year(model: TwoSexModel, f: ConeVector) -> ConeVector:
     return ConeVector(_step_raw(model, f.entries))
 
 
-def _gaussian_kernel(grid: SpatialGrid, sigma: float) -> np.ndarray:
-    """Gaussian displacement density sampled at cell centers (not renormalized,
-    so mass dispersing outside the habitat is lost)."""
+def _gaussian_kernel(grid: SpatialGrid, sigma: float) -> tuple:
+    """Gaussian displacement density sampled at cell centers, one factor per
+    grid axis (not renormalized, so mass dispersing outside the habitat is
+    lost).  The isotropic Gaussian is the product of its 1D marginals."""
     if sigma <= 0:
         raise ConfigError("dispersal sigma must be positive")
-    n, dim = grid.cell_centers.shape
-    d2 = np.zeros((n, n))
-    for coord in grid.cell_centers.T:
-        diff = coord[:, None] - coord[None, :]
-        d2 += diff * diff
-    norm = (2.0 * math.pi * sigma * sigma) ** (dim / 2.0)
-    return np.exp(-d2 / (2.0 * sigma * sigma)) / norm
+    norm = (2.0 * math.pi * sigma * sigma) ** 0.5
+    factors = []
+    for centers, _ in grid.axes:
+        diff = centers[:, None] - centers[None, :]
+        factors.append(np.exp(-(diff * diff) / (2.0 * sigma * sigma)) / norm)
+    return tuple(factors)
 
 
-def _local_kernel(grid: SpatialGrid) -> np.ndarray:
-    """No dispersal: offspring recruit in their natal cell."""
-    return np.diag(1.0 / grid.cell_weights)
+def _local_kernel(grid: SpatialGrid) -> tuple:
+    """No dispersal: offspring recruit in their natal cell; one factor per
+    grid axis."""
+    return tuple(np.diag(1.0 / widths) for _, widths in grid.axes)
 
 
 @contextmanager
@@ -357,10 +454,10 @@ def build_model(config: dict) -> TwoSexModel:
     kind = _mapping(disp, "dispersal").get("kind")
     if kind == "gaussian":
         _require_keys(disp, {"kind", "sigma"}, "dispersal")
-        base = _gaussian_kernel(grid, _number(disp["sigma"], "dispersal.sigma"))
+        factors = _gaussian_kernel(grid, _number(disp["sigma"], "dispersal.sigma"))
     elif kind == "local":
         _require_keys(disp, {"kind"}, "dispersal")
-        base = _local_kernel(grid)
+        factors = _local_kernel(grid)
     else:
         raise ConfigError("dispersal.kind must be 'gaussian' or 'local'")
 
@@ -387,8 +484,9 @@ def build_model(config: dict) -> TwoSexModel:
     else:
         raise ConfigError("mating.kind must be 'harmonic_mean' or 'min_rate'")
 
-    k_female = MigrationKernel(base * (s_f * q), KernelRole.FEMALE)
-    k_male = MigrationKernel(base * (s_m * (1.0 - q)), KernelRole.MALE)
+    # both sexes hold the female kernel's (frozen) factor tuple
+    k_female = MigrationKernel(factors, KernelRole.FEMALE, s_f * q)
+    k_male = MigrationKernel(k_female.factors, KernelRole.MALE, s_m * (1.0 - q))
     u = _tight_order_bound(mating.psi_field, k_female, k_male)
     return TwoSexModel(grid=grid, k_female=k_female, k_male=k_male,
                        mating=mating, order_bound=ConeVector(u))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,11 @@ def random_cone_vector(rng: np.random.Generator, n: int) -> ConeVector:
 
 def random_positive_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(0.05, 1.0, size=(n, n))
+
+
+def dense_kernel(kern) -> np.ndarray:
+    """A migration kernel as the dense n x n matrix scale * kron(*factors)."""
+    return kern.scale * reduce(np.kron, kern.factors)
 
 
 def counting_map(mat: np.ndarray, flags: MapFlag = MapFlag.NONE):

@@ -200,6 +200,22 @@ class TestOtherCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert {"result.json", "trace.csv"} <= set(manifest["files"])
 
+    @pytest.mark.parametrize("command", ["twosex-assess", "functional", "radius"])
+    def test_numerical_error_writes_partial_result(self, tmp_path, capsys, command):
+        # Two cells without births leave the order bound u with zero cells:
+        # each command stops with a DegenerateBoundError (exit 2).
+        cfg = single_cell_config(beta=[3.0, 3.0, 0.0, 0.0, 3.0, 3.0])
+        cfg["grid"]["n_cells"] = 6
+        path = make_run(tmp_path, command, cfg, seed=5)
+        assert main(["--config", str(path), "--quiet"]) == 2
+        assert "DegenerateBoundError" in capsys.readouterr().err
+        out = tmp_path / "out"
+        result = json.loads((out / "result.json").read_text())
+        assert result["error"].startswith("DegenerateBoundError: ")
+        assert result["seed"] == 5
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == ["result.json", "manifest.json"]
+
     def test_functional_on_matrix(self, tmp_path):
         path = make_run(tmp_path, "functional",
                         {"matrix": [[1.0, 0.5], [0.4, 1.0]]})

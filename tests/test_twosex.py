@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,16 @@ from conerad import (
     simulate,
     step_next_year,
 )
+from conerad import twosex
 from conerad.errors import ConfigError, FieldError, KernelMassError, ModelContractError
 
-from conftest import gaussian_config, scale_beta, single_cell_config, two_patch_config
+from conftest import (
+    dense_kernel,
+    gaussian_config,
+    scale_beta,
+    single_cell_config,
+    two_patch_config,
+)
 
 
 class TestGrid:
@@ -34,6 +43,13 @@ class TestGrid:
         g = SpatialGrid.rectangle([[0.0, 2.0], [0.0, 1.0]], 4, 5)
         assert g.cell_weights.sum() == pytest.approx(2.0)
         assert g.n_cells == 20
+        # x runs fastest; the centers are bit-identical to a loop over cells
+        xs = 0.0 + (np.arange(4) + 0.5) * 0.5
+        ys = 0.0 + (np.arange(5) + 0.5) * 0.2
+        assert np.array_equal(g.cell_centers, np.array([(x, y) for y in ys for x in xs]))
+        (ay, wy), (ax, wx) = g.axes
+        assert np.array_equal(ay, ys) and np.array_equal(ax, xs)
+        assert np.array_equal(np.multiply.outer(wy, wx).ravel(), g.cell_weights)
 
 
 class TestMating:
@@ -67,7 +83,7 @@ class TestBuildModel:
     def test_local_columns_integrate_to_survival_times_ratio(self, two_patch_model):
         g = two_patch_model.grid
         for kern, want in ((two_patch_model.k_female, 0.25), (two_patch_model.k_male, 0.25)):
-            mass = g.cell_weights @ kern.matrix
+            mass = g.cell_weights @ dense_kernel(kern)
             assert np.allclose(mass, want, rtol=1e-14)
 
     def test_zero_survival_gives_zero_map(self):
@@ -81,7 +97,7 @@ class TestBuildModel:
 
     def test_gaussian_columns_lose_boundary_mass(self):
         model = build_model(gaussian_config(n_cells=30, sigma=0.15))
-        mass = model.grid.cell_weights @ model.k_female.matrix
+        mass = model.grid.cell_weights @ dense_kernel(model.k_female)
         assert np.all(mass <= 0.25 + 1e-12)
         assert mass[0] < 0.2  # boundary cell loses dispersing offspring
         assert mass[15] > 0.24
@@ -106,8 +122,134 @@ class TestBuildModel:
     def test_order_bound_is_rowwise_max(self, gaussian_model):
         m = gaussian_model
         psi = m.mating.psi_field
-        want = psi * np.max(m.k_female.matrix + m.k_male.matrix, axis=1)
+        want = psi * np.max(dense_kernel(m.k_female) + dense_kernel(m.k_male), axis=1)
         assert np.allclose(m.order_bound.entries, want, rtol=1e-15)
+
+
+GRIDS = {
+    "interval": {"kind": "interval1d", "a": 0.0, "b": 1.0, "n_cells": 9},
+    # nx != ny and unequal widths, so swapped axes would not match
+    "rectangle": {"kind": "rectangle2d", "bounds": [[0.0, 2.0], [-1.0, 0.5]],
+                  "nx": 5, "ny": 3},
+}
+
+
+def geometric_kernel(grid, dispersal) -> np.ndarray:
+    """The dense, unscaled kernel k(x_i, x_j) built from the cell centers."""
+    if dispersal["kind"] == "local":
+        return np.diag(1.0 / grid.cell_weights)
+    c, sigma = grid.cell_centers, dispersal["sigma"]
+    d2 = ((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(-d2 / (2 * sigma ** 2)) / (2 * np.pi * sigma ** 2) ** (c.shape[1] / 2)
+
+
+class TestFactoredKernel:
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("dispersal", [{"kind": "gaussian", "sigma": 0.4},
+                                           {"kind": "local"}])
+    def test_matches_dense_reference(self, rng, grid, dispersal):
+        cfg = gaussian_config(s_f=0.6, s_m=0.5, q=0.4)
+        cfg["grid"], cfg["dispersal"] = GRIDS[grid], dispersal
+        model = build_model(cfg)
+        g = model.grid
+        n, w = g.n_cells, g.cell_weights
+        kerns = (model.k_female, model.k_male)
+        assert kerns[0].factors is kerns[1].factors
+        assert len(kerns[0].factors) == len(g.axes)
+        base = geometric_kernel(g, dispersal)
+        for kern, c in zip(kerns, (0.6 * 0.4, 0.5 * 0.6)):
+            assert np.allclose(dense_kernel(kern), c * base, rtol=1e-13, atol=0.0)
+        blocks = (rng.random((n, 4)), np.asfortranarray(rng.random((n, 4))),
+                  np.asfortranarray(rng.random((n, n + 3))))  # the last one wide
+        for f in (rng.random(n),) + blocks:
+            for kern in kerns:
+                got = kern.apply(g, f)
+                want = dense_kernel(kern) @ (w * f.T).T
+                assert got.shape == f.shape
+                assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        # the mass check, with the heaviest column put just above and below 1
+        unit = twosex.MigrationKernel(kerns[0].factors, "female")
+        mass = w @ dense_kernel(unit)
+        for above in (True, False):
+            kern = twosex.MigrationKernel(unit.factors, "female",
+                                          (1.0 + (1e-9 if above else -1e-9)) / mass.max())
+            if above:
+                with pytest.raises(KernelMassError) as exc:
+                    kern.validate_mass(g)
+                assert mass[exc.value.cell] == pytest.approx(mass.max(), rel=1e-13)
+            else:
+                kern.validate_mass(g)
+        psi = model.mating.psi_field
+        want = psi * np.max(dense_kernel(kerns[0]) + dense_kernel(kerns[1]), axis=1)
+        assert np.allclose(model.order_bound.entries, want, rtol=1e-14, atol=0.0)
+
+    def test_one_kernel_application_per_evaluation_when_shared(self, rng, monkeypatch):
+        calls = []
+        real = twosex._kron_apply
+
+        def counting(factors, t):
+            calls.append(len(factors))
+            return real(factors, t)
+
+        cfg = gaussian_config(s_f=0.6, s_m=0.5)
+        cfg["grid"] = GRIDS["rectangle"]
+        shared = build_model(cfg)
+        # the same kernels as dense, separately held matrices
+        distinct = TwoSexModel(
+            grid=shared.grid,
+            k_female=MigrationKernel(dense_kernel(shared.k_female), "female"),
+            k_male=MigrationKernel(dense_kernel(shared.k_male), "male"),
+            mating=shared.mating, order_bound=shared.order_bound)
+        monkeypatch.setattr(twosex, "_kron_apply", counting)
+        f = rng.random((15, 3))
+        got = shared.as_map().raw(f)
+        assert calls == [2]
+        calls.clear()
+        want = distinct.as_map().raw(f)
+        assert calls == [1, 1]
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_build_model_memory_is_per_axis(self):
+        # 40 x 40 cells: one dense kernel would take 8 * 1600^2 B = 20.5 MB
+        cfg = gaussian_config()
+        cfg["grid"] = {"kind": "rectangle2d", "bounds": [[0.0, 1.0], [0.0, 1.0]],
+                       "nx": 40, "ny": 40}
+        tracemalloc.start()
+        try:
+            model = build_model(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_axis = 8 * (40 * 40 + 40 * 40)
+        held = {id(fac): fac.nbytes for kern in (model.k_female, model.k_male)
+                for fac in kern.factors}
+        assert sum(held.values()) == per_axis
+        assert peak < 16 * per_axis
+
+    def test_large_habitat_bracket_contains_exact_radius(self):
+        # 128 x 128 cells, beyond any dense kernel.  With one scalar beta the
+        # harmonic-mean map is linear, beta c_f c_m / (c_f + c_m) K W, and
+        # K W = (hy Ky) kron (hx Kx) with symmetric factors built here.
+        nx = ny = 128
+        sigma, beta, s_f, s_m, q = 0.1, 8.0, 0.6, 0.5, 0.5
+        cfg = {"grid": {"kind": "rectangle2d", "bounds": [[0.0, 1.0], [0.0, 2.0]],
+                        "nx": nx, "ny": ny},
+               "dispersal": {"kind": "gaussian", "sigma": sigma},
+               "survival": {"female": s_f, "male": s_m},
+               "sex_ratio": q,
+               "mating": {"kind": "harmonic_mean", "beta": beta}}
+        top = []
+        for lo, hi, m in ((0.0, 1.0, nx), (0.0, 2.0, ny)):
+            h = (hi - lo) / m
+            c = lo + (np.arange(m) + 0.5) * h
+            d = c[:, None] - c[None, :]
+            fac = np.exp(-d * d / (2 * sigma * sigma)) / np.sqrt(2 * np.pi * sigma * sigma)
+            top.append(np.linalg.eigvalsh(h * fac)[-1])
+        c_f, c_m = s_f * q, s_m * (1 - q)
+        exact = beta * c_f * c_m / (c_f + c_m) * top[0] * top[1]
+        report = assess_persistence(build_model(cfg))
+        assert report.radius.converged
+        assert report.radius.cw_lower <= exact <= report.radius.cw_upper
 
 
 class TestStepContracts:
@@ -123,8 +265,8 @@ class TestStepContracts:
 
     def test_bound_chain(self, gaussian_model, rng):
         m = gaussian_model
-        kf = m.k_female.matrix * m.grid.cell_weights
-        km = m.k_male.matrix * m.grid.cell_weights
+        kf = dense_kernel(m.k_female) * m.grid.cell_weights
+        km = dense_kernel(m.k_male) * m.grid.cell_weights
         psi = m.mating.psi_field
         for _ in range(20):
             f = rng.random(m.grid.n_cells)
