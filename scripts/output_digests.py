@@ -1,7 +1,7 @@
 """Digest and compare every CLI output of the benchmark batches.
 
     python3 scripts/output_digests.py --src src --seed 1 [--keep DIR] > digests.json
-    python3 scripts/output_digests.py --compare DIR_A DIR_B --rtol 1e-12
+    python3 scripts/output_digests.py --compare DIR_A DIR_B --rtol 1e-12 [--atol 1e-14]
 
 The first form runs every batch operation and every known-defect probe of
 the four ``perfbench`` workloads once through ``conerad.cli.main``,
@@ -19,9 +19,12 @@ The second form compares two kept directories.  For each operation it
 reports whether the exit codes match and, for each output file, whether it
 is byte-identical (manifests without the fields above) or else the largest
 relative difference over its JSON numbers or CSV cells, and it lists the
-warnings of both sides.  It exits 1 on an exit-code mismatch, a missing
-file, a difference in anything but numbers, a relative difference above
-``--rtol``, or a warning that only ``DIR_B`` raised.
+warnings of both sides.  Two numbers a, b match when
+|a - b| <= atol + rtol * max(|a|, |b|); both tolerances default to 0, and
+``--atol`` keeps values near zero that move at rounding level from showing
+as relative differences of order 1.  It exits 1 on an exit-code mismatch, a
+missing file, a difference in anything but numbers, a number out of
+tolerance, or a warning that only ``DIR_B`` raised.
 """
 
 from __future__ import annotations
@@ -116,32 +119,36 @@ class _Mismatch(Exception):
     """The two files differ in something other than a number."""
 
 
-def _rel(a: float, b: float) -> float:
+def _diff(a: float, b: float) -> tuple[float, float]:
+    """|a - b| and the magnitude max(|a|, |b|) it is measured against; a
+    difference in a non-finite value gives (inf, 0), which no tolerance
+    accepts."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
+        return 0.0, 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+        return math.inf, 0.0
+    return abs(a - b), max(abs(a), abs(b))
 
 
-def _json_diff(a, b, where: str = "") -> float:
-    """Largest relative difference over the numbers of two JSON values."""
+def _json_diff(a, b, where: str = ""):
+    """Yield _diff of each pair of numbers of two JSON values."""
     if isinstance(a, bool) or isinstance(b, bool) or isinstance(a, str) or a is None:
         if a != b or type(a) is not type(b):
             raise _Mismatch(f"{where or 'value'}: {a!r} != {b!r}")
-        return 0.0
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return _rel(float(a), float(b))
-    if isinstance(a, dict) and isinstance(b, dict):
+    elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        yield _diff(float(a), float(b))
+    elif isinstance(a, dict) and isinstance(b, dict):
         if set(a) != set(b):
             raise _Mismatch(f"{where or 'object'}: keys {sorted(set(a) ^ set(b))} differ")
-        return max((_json_diff(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
+        for k in a:
+            yield from _json_diff(a[k], b[k], f"{where}.{k}")
+    elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise _Mismatch(f"{where or 'list'}: lengths {len(a)} != {len(b)}")
-        return max((_json_diff(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))),
-                   default=0.0)
-    raise _Mismatch(f"{where or 'value'}: {type(a).__name__} != {type(b).__name__}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _json_diff(x, y, f"{where}[{i}]")
+    else:
+        raise _Mismatch(f"{where or 'value'}: {type(a).__name__} != {type(b).__name__}")
 
 
 def _cell(text: str):
@@ -151,28 +158,43 @@ def _cell(text: str):
         return text
 
 
-def _csv_diff(a: Path, b: Path) -> float:
+def _csv_diff(a: Path, b: Path):
     with open(a, newline="") as fa, open(b, newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     return _json_diff([[_cell(c) for c in r] for r in rows_a],
                       [[_cell(c) for c in r] for r in rows_b], "csv")
 
 
-def _file_diff(a: Path, b: Path) -> str | float:
-    """"identical", or the largest relative difference over the numbers."""
+def _file_diff(a: Path, b: Path) -> list | None:
+    """None when the files are identical, else the _diff of every pair of
+    numbers they hold."""
     da, db = a.read_bytes(), b.read_bytes()
     if a.name == "manifest.json":
         da, db = _manifest(da), _manifest(db)
     if da == db:
-        return "identical"
+        return None
     if a.suffix == ".json":
-        return _json_diff(json.loads(da), json.loads(db))
+        return list(_json_diff(json.loads(da), json.loads(db)))
     if a.suffix == ".csv":
-        return _csv_diff(a, b)
+        return list(_csv_diff(a, b))
     raise _Mismatch("bytes differ")
 
 
-def compare(dir_a: Path, dir_b: Path, rtol: float) -> int:
+def _number_report(diffs: list, rtol: float, atol: float) -> tuple[str, int]:
+    """A summary of the differing numbers of one file and how many of them
+    fail |a - b| <= atol + rtol * max(|a|, |b|)."""
+    worst_abs = max((d for d, _ in diffs), default=0.0)
+    worst_rel = max((d / m if m else math.inf for d, m in diffs if d), default=0.0)
+    bad = sum(d > atol + rtol * m for d, m in diffs)
+    text = f"max rel diff {worst_rel:.3g}"
+    if atol:
+        text += f", max abs diff {worst_abs:.3g}"
+    if bad:
+        text += f", {bad} number(s) out of tolerance MISMATCH"
+    return text, bad
+
+
+def compare(dir_a: Path, dir_b: Path, rtol: float, atol: float = 0.0) -> int:
     rep_a = json.loads((dir_a / "digests.json").read_text())
     rep_b = json.loads((dir_b / "digests.json").read_text())
     bad = 0
@@ -203,19 +225,19 @@ def compare(dir_a: Path, dir_b: Path, rtol: float) -> int:
                 bad += 1
                 continue
             try:
-                diff = _file_diff(fa, fb)
+                diffs = _file_diff(fa, fb)
             except _Mismatch as exc:
                 parts.append(f"{fname} differs beyond numbers ({exc}) MISMATCH")
                 bad += 1
                 continue
-            if diff == "identical":
+            if diffs is None:
                 parts.append(f"{fname} identical")
             else:
-                flag = " MISMATCH" if diff > rtol else ""
-                bad += diff > rtol
-                parts.append(f"{fname} max rel diff {diff:.3g}{flag}")
+                text, out = _number_report(diffs, rtol, atol)
+                bad += bool(out)
+                parts.append(f"{fname} {text}")
         print(f"{key}: " + "; ".join(parts))
-    print(f"compare: {bad} mismatch(es) at rtol {rtol:g}")
+    print(f"compare: {bad} mismatch(es) at rtol {rtol:g}, atol {atol:g}")
     return 1 if bad else 0
 
 
@@ -227,10 +249,13 @@ def main(argv=None) -> int:
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"),
                     help="compare two --keep directories instead of running")
     ap.add_argument("--rtol", type=float, default=0.0,
-                    help="largest relative difference --compare accepts")
+                    help="relative tolerance of --compare")
+    ap.add_argument("--atol", type=float, default=0.0,
+                    help="absolute tolerance of --compare: numbers a, b match when "
+                         "|a - b| <= atol + rtol * max(|a|, |b|)")
     args = ap.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, args.rtol)
+        return compare(*args.compare, args.rtol, args.atol)
     if args.src is None or args.seed is None:
         ap.error("--src and --seed are required unless --compare is given")
     print(json.dumps(digest(args.src, args.seed, args.keep), indent=1, sort_keys=True))

@@ -23,11 +23,13 @@ class NormKind(enum.Enum):
     WEIGHTED = "weighted"  # weighted L1 with strictly positive weights
 
 
-def _as_float_vector(values, name: str = "vector") -> np.ndarray:
+def _as_float_vector(values, name: str = "vector", block: bool = False) -> np.ndarray:
+    """values as a finite float vector, or also as a 2-D block when ``block``."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim != 1 and not (block and arr.ndim == 2):
+        kind = "a vector or a column block" if block else "one-dimensional"
+        raise DimensionError(f"{name} must be {kind}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite entries")
     return arr
 
@@ -64,11 +66,13 @@ class ConeSpace:
         array of column norms of a (dim, k) block."""
         arr = np.asarray(x, dtype=float)
         if arr.shape == (self.dim,):
+            # ndarray methods: the cheapest numpy calls, and this path runs
+            # once per solver step
             if self.norm_kind is NormKind.L1:
-                return float(np.sum(np.abs(arr)))
+                return float(np.abs(arr).sum())
             if self.norm_kind is NormKind.LINF:
-                return float(np.max(np.abs(arr)))
-            return float(np.sum(self.weights * np.abs(arr)))
+                return float(np.abs(arr).max())
+            return float((self.weights * np.abs(arr)).sum())
         if arr.ndim != 2 or arr.shape[0] != self.dim:
             raise DimensionError(f"expected shape ({self.dim},) or ({self.dim}, k), got {arr.shape}")
         a = np.abs(arr)
@@ -134,22 +138,23 @@ def meet(x: ConeVector, y: ConeVector) -> ConeVector:
     return ConeVector(np.minimum(x.entries, y.entries))
 
 
-def psi_hull(space: ConeSpace, x) -> float:
+def psi_hull(space: ConeSpace, x):
     """Least norm over all vectors dominating x.
 
     For monotone norms this collapses to the norm of the entrywise positive
     part, so psi is homogeneous, order preserving, subadditive, 1-Lipschitz,
     zero exactly on the negative orthant, and strictly positive on nonzero
-    cone vectors.
+    cone vectors.  A (dim, k) block gives the array of its column values.
     """
-    arr = _as_float_vector(x, "x")
-    return space.norm(np.maximum(arr, 0.0))
+    return space.norm(np.maximum(_as_float_vector(x, "x", block=True), 0.0))
 
 
-def diamond_norm(space: ConeSpace, x) -> float:
-    """max(psi(x), psi(-x)): an equivalent norm that is monotone on the cone."""
-    arr = _as_float_vector(x, "x")
-    return max(psi_hull(space, arr), psi_hull(space, -arr))
+def diamond_norm(space: ConeSpace, x):
+    """max(psi(x), psi(-x)): an equivalent norm that is monotone on the cone.
+    A (dim, k) block gives the array of its column values."""
+    arr = _as_float_vector(x, "x", block=True)
+    pos, neg = space.norm(np.maximum(arr, 0.0)), space.norm(np.maximum(-arr, 0.0))
+    return max(pos, neg) if arr.ndim == 1 else np.maximum(pos, neg)
 
 
 def u_norm(x: ConeVector, u: ConeVector) -> float:

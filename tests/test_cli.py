@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from conerad import ConeVector, build_model, simulate
+from conerad import ConeSpace, ConeVector, NormKind, build_model, diamond_norm, psi_hull, simulate
+from conerad import cli
 from conerad.cli import main, parse_config
 from conerad.errors import ConfigError
 
@@ -143,6 +144,19 @@ class TestTwoSexCommands:
         traj = simulate(build_model(cfg), ConeVector(np.ones(6)), years=4)
         assert np.array_equal(cells, traj.shapes)
 
+    def test_csv_bytes_match_csv_module(self, tmp_path):
+        header = ["year", "log_total_mass", "gamma_estimate", "cell_0", "cell_1"]
+        rows = [[0, 0.0, "", 1.0, 2.5e-310], [1, -1.2345678901234567, 0.1, 1e300, -0.0],
+                [2, float("inf"), float("nan"), 3, 1 / 3], [3, "1.5", "inf", "", ""]]
+        emit = cli._Emitter(tmp_path)
+        emit.write_csv("got.csv", header, iter(rows))
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert emit.files == ["got.csv"]
+
     @pytest.mark.parametrize("name, path, bad", [
         ("dispersal.sigma", ("dispersal", "sigma"), "wide"),
         ("grid.n_cells", ("grid", "n_cells"), "many"),
@@ -229,6 +243,32 @@ class TestOtherCommands:
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["map_properties"]["ok"] is True
         assert result["cone_functionals"]["violations"] == 0
+
+    @pytest.mark.parametrize("space", [
+        ConeSpace(7), ConeSpace(40, NormKind.LINF),
+        ConeSpace(5, NormKind.WEIGHTED, np.array([0.2, 1.0, 3.0, 0.5, 1.5])),
+    ], ids=["l1", "linf", "weighted"])
+    def test_cone_functional_blocks_match_per_trial_loop(self, space):
+        # The checks of validate's cone_functionals one trial at a time; the
+        # block run gives the same count and a bit-identical largest defect.
+        rng = np.random.default_rng(7)
+        violations, worst = 0, 0.0
+        for _ in range(300):
+            x, y = rng.standard_normal(space.dim), rng.standard_normal(space.dim)
+            alpha = float(rng.uniform(0, 10))
+            px, py, nx = psi_hull(space, x), psi_hull(space, y), space.norm(x)
+            checks = (
+                abs(psi_hull(space, alpha * x) - alpha * px),
+                max(0.0, abs(px - py) - space.norm(x - y)),
+                max(0.0, psi_hull(space, x + y) - px - py),
+                max(0.0, diamond_norm(space, x) - nx),
+            )
+            defect = max(checks) / max(1.0, nx + space.norm(y))
+            worst = max(worst, defect)
+            violations += defect > 1e-12
+        got = cli._cone_functional_defects(space, np.random.default_rng(7), trials=300)
+        assert got == (violations, worst)
+        assert worst > 0.0
 
     def test_missing_config_is_validation_error(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json")]) == 1

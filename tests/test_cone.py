@@ -181,6 +181,63 @@ class TestDiamondNorm:
             + 1e-12 * max(1.0, space.norm(z))
 
 
+SPACES_6 = {
+    "l1": ConeSpace(6),
+    "linf": ConeSpace(6, NormKind.LINF),
+    "weighted": ConeSpace(6, NormKind.WEIGHTED, np.array([0.3, 1.0, 2.5, 0.7, 1.1, 4.0])),
+}
+
+
+class TestBlocks:
+    """psi_hull and diamond_norm on a (dim, k) block give one value per
+    column.  A column-major block equals the per-column 1-D calls bitwise;
+    a row-major one sums each column in another order, so its values agree
+    to rtol 1e-14 (and exactly for the LInf norm, a max)."""
+
+    @pytest.mark.parametrize("norm", sorted(SPACES_6))
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("fn", [psi_hull, diamond_norm])
+    def test_block_equals_columns(self, rng, norm, order, fn):
+        space = SPACES_6[norm]
+        block = rng.standard_normal((6, 9)) * np.array([1.0, 1e3, 1e-3, 1, 1, 1, 1, 1, 1])
+        block[:, 3] = 0.0                       # the zero column
+        block[:, 4] = -np.abs(block[:, 4])      # an all-negative column
+        block[:, 5] = np.abs(block[:, 5])       # a cone column
+        block = np.asarray(block, order=order)
+        got = fn(space, block)
+        want = np.array([fn(space, col) for col in block.T])
+        assert got.shape == (9,)
+        if order == "F" or norm == "linf":
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        assert got[3] == 0.0
+        assert (got[4] == 0.0) == (fn is psi_hull)
+
+    @pytest.mark.parametrize("fn", [psi_hull, diamond_norm])
+    def test_one_column_block(self, rng, fn):
+        x = rng.standard_normal(6)
+        for space in SPACES_6.values():
+            assert fn(space, x[:, None]).tolist() == [fn(space, x)]
+
+    @pytest.mark.parametrize("fn", [psi_hull, diamond_norm])
+    def test_malformed_blocks_rejected(self, fn):
+        space = ConeSpace(3)
+        bad = np.ones((3, 4))
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            fn(space, bad)
+        bad[1, 2] = -np.inf
+        with pytest.raises(ValueError):
+            fn(space, bad)
+        with pytest.raises(DimensionError):
+            fn(space, np.ones((3, 4, 2)))
+        with pytest.raises(DimensionError):
+            fn(space, np.ones((4, 3)))
+        with pytest.raises(DimensionError):
+            fn(space, np.ones(4))
+
+
 class TestOrderRatios:
     def test_u_norm_max_ratio(self):
         assert u_norm(vec(1, 2), vec(1, 1)) == 2.0

@@ -20,6 +20,7 @@ from conerad import (
     u_norm,
     verify_properties,
 )
+from conerad import homog_map
 from conerad.errors import DegenerateBoundError, MapContractError
 
 from conftest import counting_map
@@ -177,7 +178,79 @@ class TestOpNorm:
             assert lhs <= rhs * (1 + 1e-12)
 
 
+def quad_map(flags=MapFlag.NONE):
+    """The map of test_quadratic_flagged: not homogeneous."""
+    return from_callable(ConeSpace(2), lambda x: np.array([x[0] ** 2, x[1]]), flags=flags)
+
+
+def dip_map(flags=MapFlag.NONE):
+    """The map of test_non_monotone_flagged: not order preserving, and
+    subadditive where it claims superadditivity."""
+    return from_callable(ConeSpace(2), lambda x: np.array([max(0.0, x[0] - x[1]), x[1]]),
+                         flags=flags)
+
+
+def reference_properties(mp, trials, tol, seed):
+    """verify_properties as one trial at a time: four one-vector
+    evaluations per trial, each defect at the trial's own scale."""
+    rng = np.random.default_rng(seed)
+    found = {"homogeneity": [], "monotonicity": [], "superadditivity": []}
+    worst = dict.fromkeys(found, 0.0)
+    for t in range(trials):
+        x = np.abs(rng.standard_normal(mp.space.dim))
+        d = np.abs(rng.standard_normal(mp.space.dim))
+        alpha = float(rng.uniform(0.0, 4.0))
+        bx = mp.raw(x)
+        scale = max(1.0, float(np.max(np.abs(bx))))
+        defect = float(np.max(np.abs(mp.raw(alpha * x) - alpha * bx)))
+        defects = {"homogeneity": defect / max(scale * alpha, 1e-300) if alpha > 0 else defect}
+        by = mp.raw(x + d)
+        defects["monotonicity"] = float(np.max(bx - by)) / scale
+        if mp.flags & MapFlag.SUPERADDITIVE:
+            defects["superadditivity"] = float(np.max(bx + mp.raw(d) - by)) / scale
+        for name, value in defects.items():
+            worst[name] = max(worst[name], value)
+            if value > tol:
+                entry = {"trial": t, "defect": value}
+                found[name].append({"trial": t, "alpha": alpha, "defect": value}
+                                   if name == "homogeneity" else entry)
+    return found, worst
+
+
+def report_lists(rep):
+    return {"homogeneity": rep.homogeneity_violations,
+            "monotonicity": rep.monotonicity_violations,
+            "superadditivity": rep.superadditivity_violations}
+
+
 class TestVerifyProperties:
+    @pytest.mark.parametrize("make", [quad_map, dip_map])
+    @pytest.mark.parametrize("flags", [MapFlag.NONE, MapFlag.SUPERADDITIVE])
+    @pytest.mark.parametrize("block_entries", [1 << 18, 14])
+    def test_block_trials_match_per_trial_loop(self, monkeypatch, make, flags, block_entries):
+        # A map made by from_callable sees the same columns either way, so
+        # the block run reproduces the per-trial loop exactly, also when the
+        # trials are split over several blocks (14 entries: 7 trials each).
+        monkeypatch.setattr(homog_map, "_TRIAL_BLOCK_ENTRIES", block_entries)
+        mp = make(flags)
+        rep = verify_properties(mp, trials=60, tol=1e-9, seed=3)
+        found, worst = reference_properties(mp, 60, 1e-9, 3)
+        assert report_lists(rep) == found
+        assert any(found.values())
+        assert rep.max_homogeneity_defect == worst["homogeneity"]
+        assert rep.max_monotonicity_defect == worst["monotonicity"]
+        assert rep.max_superadditivity_defect == worst["superadditivity"]
+
+    def test_two_sex_block_trials_match_per_trial_loop(self, gaussian_model):
+        # The two-sex map evaluates a block with matrix products, which round
+        # differently from one column at a time: defects agree to 1e-14.
+        mp = gaussian_model.as_map()
+        rep = verify_properties(mp, trials=40, tol=1e-9, seed=5)
+        found, worst = reference_properties(mp, 40, 1e-9, 5)
+        assert report_lists(rep) == found == {k: [] for k in found}
+        assert rep.max_homogeneity_defect == pytest.approx(worst["homogeneity"], abs=1e-14)
+        assert rep.max_monotonicity_defect == pytest.approx(worst["monotonicity"], abs=1e-14)
+
     def test_linear_map_clean(self, diag21):
         assert verify_properties(diag21, trials=100, tol=1e-10).ok
 

@@ -43,3 +43,54 @@ def test_compare_fails_on_a_new_warning(digests, tmp_path, capsys, warn_a, warn_
     out = capsys.readouterr().out
     for msg in (warn_a or []) + warn_b:
         assert msg in out
+
+
+def _kept_result(root: Path, result: dict) -> Path:
+    """A kept directory whose one operation wrote result.json = result."""
+    root.mkdir()
+    key = "linear-mix/op0"
+    out = root / "out" / key.replace("/", "-")
+    out.mkdir(parents=True)
+    (out / "result.json").write_text(json.dumps(result))
+    (root / "digests.json").write_text(json.dumps(
+        {"seed": 1, "map_columns": {"linear-mix": 10},
+         "ops": {key: {"code": 0, "files": {"result.json": "-"}, "warnings": []}}}))
+    return root
+
+
+@pytest.mark.parametrize("a, b, rtol, atol, code", [
+    (2e-16, 2e-16, 0.0, 0.0, 0),
+    # a defect near zero that moves at rounding level: relative difference 2/3
+    (1e-16, 3e-16, 0.0, 0.0, 1),
+    (1e-16, 3e-16, 1e-12, 0.0, 1),
+    (1e-16, 3e-16, 0.0, 1e-14, 0),
+    (1e-16, 3e-16, 1e-12, 1e-14, 0),
+    # atol does not hide a difference above it on a value of order one
+    (1.0, 1.0 + 1e-12, 0.0, 1e-14, 1),
+    (1.0, 1.0 + 1e-12, 1e-11, 0.0, 0),
+    # the relative tolerance is taken against the larger magnitude, so the
+    # test is symmetric in the two trees, as the relative difference was
+    (1.0, 2.0, 0.5, 0.0, 0),
+    (2.0, 1.0, 0.5, 0.0, 0),
+    (1.0, 2.0, 0.49, 0.0, 1),
+    (1.0, float("inf"), 1.0, 1.0, 1),
+    (float("nan"), float("nan"), 0.0, 0.0, 0),
+])
+def test_compare_tolerances(digests, tmp_path, capsys, a, b, rtol, atol, code):
+    left = _kept_result(tmp_path / "a", {"defect": a, "ok": True})
+    right = _kept_result(tmp_path / "b", {"defect": b, "ok": True})
+    assert digests.compare(left, right, rtol=rtol, atol=atol) == code
+    assert ("MISMATCH" in capsys.readouterr().out) == bool(code)
+
+
+def test_compare_atol_keeps_non_numbers_exact(digests, tmp_path):
+    left = _kept_result(tmp_path / "a", {"defect": 1e-16, "ok": True})
+    right = _kept_result(tmp_path / "b", {"defect": 1e-16, "ok": False})
+    assert digests.compare(left, right, rtol=1.0, atol=1.0) == 1
+
+
+def test_compare_default_tolerance_is_zero(digests, tmp_path):
+    left = _kept_result(tmp_path / "a", {"defect": 1e-16})
+    right = _kept_result(tmp_path / "b", {"defect": 1.5e-16})
+    assert digests.main(["--compare", str(left), str(right)]) == 1
+    assert digests.main(["--compare", str(left), str(right), "--atol", "1e-15"]) == 0

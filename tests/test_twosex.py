@@ -209,6 +209,38 @@ class TestFactoredKernel:
         assert calls == [1, 1]
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_shared_factors_take_one_column_mass(self, grid, monkeypatch):
+        calls = []
+        real = twosex.MigrationKernel.column_mass
+
+        def counting(kern, g):
+            calls.append(kern.role)
+            return real(kern, g)
+
+        monkeypatch.setattr(twosex.MigrationKernel, "column_mass", counting)
+        cfg = gaussian_config(s_f=0.6, s_m=0.5)
+        cfg["grid"] = GRIDS[grid]
+        shared = build_model(cfg)
+        assert calls == [twosex.KernelRole.FEMALE]
+        calls.clear()
+        distinct = [MigrationKernel(dense_kernel(k), k.role) for k in
+                    (shared.k_female, shared.k_male)]
+        TwoSexModel(grid=shared.grid, k_female=distinct[0], k_male=distinct[1],
+                    mating=shared.mating, order_bound=shared.order_bound)
+        assert calls == [twosex.KernelRole.FEMALE, twosex.KernelRole.MALE]
+        # the shared mass is still checked at each kernel's own scale
+        w = shared.grid.cell_weights
+        peak = float(np.max(w @ dense_kernel(MigrationKernel(shared.k_female.factors, "male"))))
+        for role, over in (("female", (2.0, 0.5)), ("male", (0.5, 2.0))):
+            k_f, k_m = (MigrationKernel(shared.k_female.factors, r, c / peak)
+                        for r, c in zip(("female", "male"), over))
+            assert k_m.factors is k_f.factors
+            with pytest.raises(KernelMassError, match=f"{role} kernel"):
+                TwoSexModel(grid=shared.grid, k_female=k_f, k_male=k_m,
+                            mating=shared.mating,
+                            order_bound=ConeVector(np.full(shared.grid.n_cells, 1e9)))
+
     def test_build_model_memory_is_per_axis(self):
         # 40 x 40 cells: one dense kernel would take 8 * 1600^2 B = 20.5 MB
         cfg = gaussian_config()
