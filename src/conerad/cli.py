@@ -29,7 +29,7 @@ from .errors import ConeRadError, ConfigError, InnerIterationError
 from .eigenproblem import estimate_eigenfunctional, solve_eigenvector_perturbation
 from .homog_map import HomogeneousMap, _trial_blocks, from_matrix, verify_properties
 from .spectral import SpectralEstimate, radius_bracket
-from .twosex import TwoSexModel, assess_persistence, build_model, simulate
+from .twosex import TwoSexModel, _integer, assess_persistence, build_model, simulate
 
 _COMMANDS = ("radius", "eigen", "functional", "twosex-assess", "twosex-simulate", "validate")
 _BASE_KEYS = {"command", "input", "output_dir", "tolerances", "max_iter", "seed"}
@@ -51,7 +51,7 @@ class RunConfig:
     years: int = 20
     f0: object = None
     emit_densities: bool = False
-    config_path: Path | None = None
+    config_sha256: str | None = None
 
 
 @contextmanager
@@ -72,14 +72,22 @@ def _density(value, n: int) -> ConeVector:
     return f
 
 
+def _read_json(path: Path, what: str) -> tuple[object, str]:
+    """The JSON value in a file and the SHA-256 of the bytes it was read from."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        obj = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}")
+    return obj, hashlib.sha256(data).hexdigest()
+
+
 def parse_config(path) -> RunConfig:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    raw, sha256 = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
@@ -94,7 +102,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("config is missing required key 'input'")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
-    given = raw.get("tolerances") or {}
+    given = raw.get("tolerances", {})
     if not isinstance(given, dict):
         raise ConfigError("config field 'tolerances' must be a mapping")
     for name, val in given.items():
@@ -107,15 +115,15 @@ def parse_config(path) -> RunConfig:
         tolerances[name] = val
 
     with _field("max_iter", "config"):
-        max_iter = int(raw.get("max_iter", 10000))
+        max_iter = _integer(raw.get("max_iter", 10000))
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
     with _field("years", "config"):
-        years = int(raw.get("years", 20))
+        years = _integer(raw.get("years", 20))
     if years < 1:
         raise ConfigError("years must be >= 1")
     with _field("seed", "config"):
-        seed = int(raw.get("seed", 0))
+        seed = _integer(raw.get("seed", 0))
 
     with _field("input", "config"):
         input_path = Path(raw["input"])
@@ -136,18 +144,12 @@ def parse_config(path) -> RunConfig:
         years=years,
         f0=raw.get("f0"),
         emit_densities=emit_densities,
-        config_path=path,
+        config_sha256=sha256,
     )
 
 
-def _load_input(path: Path):
-    """Returns ("linear", map, u) or ("twosex", model, u)."""
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"input is not valid JSON: {exc}")
+def _load_input(raw):
+    """The problem in a parsed input file: ("linear", map, u) or ("twosex", model, u)."""
     if not isinstance(raw, dict):
         raise ConfigError("input must be a JSON object")
 
@@ -182,10 +184,6 @@ def _load_input(path: Path):
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class _Emitter:
@@ -365,8 +363,9 @@ def _blas() -> dict:
 
 
 def run(cfg: RunConfig) -> int:
+    raw, input_sha256 = _read_json(cfg.input_path, "input")
     try:
-        kind, problem, u = _load_input(cfg.input_path)
+        kind, problem, u = _load_input(raw)
     except ConfigError:
         raise
     except ConeRadError as exc:
@@ -389,8 +388,8 @@ def run(cfg: RunConfig) -> int:
         manifest = {
             "command": cfg.command,
             "seed": cfg.seed,
-            "config_sha256": _sha256(cfg.config_path) if cfg.config_path else None,
-            "input_sha256": _sha256(cfg.input_path),
+            "config_sha256": cfg.config_sha256,
+            "input_sha256": input_sha256,
             "versions": {
                 "conerad": __version__,
                 "numpy": np.__version__,
@@ -403,15 +402,17 @@ def run(cfg: RunConfig) -> int:
     return code
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="conerad",
+    description="cone spectral radius and positive eigenproblem toolkit")
+_PARSER.add_argument("--config", required=True, help="path to a run config JSON")
+_PARSER.add_argument("--out", default=None, help="output directory (overrides config)")
+_PARSER.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
+_PARSER.add_argument("--quiet", action="store_true", help="suppress the summary line")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="conerad",
-        description="cone spectral radius and positive eigenproblem toolkit")
-    parser.add_argument("--config", required=True, help="path to a run config JSON")
-    parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-    parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = parse_config(args.config)

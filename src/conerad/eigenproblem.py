@@ -62,7 +62,9 @@ class EigenResult:
 
 
 def _psi_normalize(space: ConeSpace, v: np.ndarray) -> np.ndarray:
-    p = psi_hull(space, v)
+    """v / psi(v) for a finite nonnegative v (a cone vector or a value from
+    ``raw``), where psi(v) is ||v|| bit for bit, so v is not checked again."""
+    p = space.norm(v)
     if p == 0.0:
         raise DegenerateBoundError("cannot normalize the zero vector")
     return v / p
@@ -101,8 +103,7 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     for eps in eps_schedule:
         pert = perturb(mp, eps, u)
         for _ in range(max_inner):
-            w = pert.raw(v)
-            w = _psi_normalize(space, w)
+            w = _psi_normalize(space, pert.raw(v))
             delta = space.norm(w - v)
             v = w
             if delta < inner_tol:

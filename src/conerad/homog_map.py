@@ -1,8 +1,10 @@
 """Bounded homogeneous maps on the cone: evaluation, combinators, checks.
 
 A map is stored as a raw evaluator on ndarrays together with structure
-flags.  Linear maps additionally carry their matrix, which lets several
-downstream operations stay exact (operator norms, rank-one perturbations).
+flags.  Linear maps carry their frozen matrix and evaluate it, which lets
+several downstream operations stay exact (operator norms, rank-one
+perturbations).  ``HomogeneousMap.raw`` checks every map value against the
+cone contract once; solvers do not check it again.
 
 Evaluator contract: an evaluator takes a vector of shape (n,) or a column
 block of shape (n, k) and returns an array of the same shape; for a block,
@@ -14,6 +16,7 @@ perturbed maps and the two-sex map evaluate a block at once; a map made by
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +34,15 @@ class MapFlag(enum.Flag):
 
 @dataclass(frozen=True)
 class HomogeneousMap:
-    """Evaluatable map of the cone into itself, homogeneous of degree one."""
+    """Evaluatable map of the cone into itself, homogeneous of degree one.
+
+    A LINEAR map may leave out its evaluator: it then evaluates its own
+    frozen matrix.  An evaluator given together with a matrix is probed
+    against it once, at construction.
+    """
 
     space: ConeSpace
-    evaluator: object  # Callable[[np.ndarray], np.ndarray], on (n,) or (n, k)
+    evaluator: object = None  # Callable[[np.ndarray], np.ndarray], on (n,) or (n, k)
     flags: MapFlag = MapFlag.NONE
     matrix: np.ndarray | None = None
     name: str = "map"
@@ -47,25 +55,37 @@ class HomogeneousMap:
             if m.shape != (self.space.dim, self.space.dim):
                 raise DimensionError(
                     f"matrix shape {m.shape} does not match dimension {self.space.dim}")
-            if np.any(m < 0) or not np.all(np.isfinite(m)):
+            if not (m.min() >= 0.0 and m.max() < math.inf):
                 raise ValueError("linear map matrix must be finite and nonnegative")
-            m = m.copy()
-            m.flags.writeable = False
+            # a read-only array that owns its data cannot change under the map
+            if m.flags.writeable or not m.flags.owndata:
+                m = m.copy()
+                m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
-            _check_linear_agreement(self)
+            if self.evaluator is None:
+                object.__setattr__(self, "evaluator", m.__matmul__)
+            else:
+                _check_linear_agreement(self)
         elif self.matrix is not None:
             raise ValueError("matrix is only meaningful with the LINEAR flag")
+        elif self.evaluator is None:
+            raise ValueError("only a LINEAR map may leave out its evaluator")
 
     def raw(self, x: np.ndarray) -> np.ndarray:
         """Evaluate on a raw vector (n,) or column block (n, k) with the cone
-        contract enforced entry by entry."""
+        contract enforced entry by entry.
+
+        This is the one place a map value is checked: solvers rely on a value
+        from ``raw`` being finite and nonnegative and do not check it again.
+        """
         out = np.asarray(self.evaluator(x), dtype=float)
         if out.shape != x.shape:
             raise MapContractError(
                 f"{self.name}: evaluator changed shape {x.shape} -> {out.shape}")
-        if not np.all(np.isfinite(out)):
-            raise MapContractError(f"{self.name}: evaluator produced NaN/Inf")
-        if np.any(out < 0):
+        # NaN fails both comparisons; the diagnosis runs only on failure
+        if out.size and not (out.min() >= 0.0 and out.max() < math.inf):
+            if not np.isfinite(out).all():
+                raise MapContractError(f"{self.name}: evaluator produced NaN/Inf")
             raise MapContractError(f"{self.name}: evaluator left the cone")
         return out
 
@@ -93,13 +113,8 @@ def from_matrix(matrix, space: ConeSpace | None = None, name: str = "linear") ->
         raise DimensionError(f"matrix must be square, got shape {m.shape}")
     if space is None:
         space = ConeSpace(m.shape[0])
-    return HomogeneousMap(
-        space=space,
-        evaluator=lambda x, _m=m: _m @ x,
-        flags=MapFlag.LINEAR | MapFlag.SUPERADDITIVE,
-        matrix=m,
-        name=name,
-    )
+    return HomogeneousMap(space=space, flags=MapFlag.LINEAR | MapFlag.SUPERADDITIVE,
+                          matrix=m, name=name)
 
 
 def from_callable(space: ConeSpace, fn, flags: MapFlag = MapFlag.NONE,
@@ -162,13 +177,9 @@ def perturb(mp: HomogeneousMap, eps: float, u: ConeVector,
         flags |= MapFlag.SUPERADDITIVE
     if w is not None and (mp.flags & MapFlag.LINEAR):
         matrix = mp.matrix + eps * np.outer(u.entries, w)
-        return HomogeneousMap(
-            space=sp,
-            evaluator=lambda x, _m=matrix: _m @ x,
-            flags=flags | MapFlag.LINEAR | MapFlag.SUPERADDITIVE,
-            matrix=matrix,
-            name=f"{mp.name}+{eps:g}*psi*u",
-        )
+        matrix.flags.writeable = False      # fresh, so the map keeps it uncopied
+        return HomogeneousMap(space=sp, flags=flags | MapFlag.LINEAR | MapFlag.SUPERADDITIVE,
+                              matrix=matrix, name=f"{mp.name}+{eps:g}*psi*u")
 
     ue = u.entries.copy()
 
@@ -265,16 +276,18 @@ def _trial_blocks(rng: np.random.Generator, n: int, trials: int, alpha_high: flo
     """Random trials x, y ~ N(0, I_n), alpha ~ U(0, alpha_high), drawn in
     that order trial after trial, gathered into column-major (n, k) blocks
     X, Y and a length-k array of alphas.  Yields (first trial, X, Y, alpha).
+    x and y are one draw of 2n normals, the same stream as two draws of n.
     A block holds at most _TRIAL_BLOCK_ENTRIES entries, or one column when a
     column is longer, so a check's memory stays bounded on large maps."""
     width = max(1, _TRIAL_BLOCK_ENTRIES // n)
     for start in range(0, trials, width):
-        draws = [(rng.standard_normal(n), rng.standard_normal(n), rng.uniform(0.0, alpha_high))
+        draws = [(rng.standard_normal(2 * n), rng.uniform(0.0, alpha_high))
                  for _ in range(start, min(trials, start + width))]
-        xs, ys, alphas = zip(*draws)
+        xys, alphas = zip(*draws)
         # column-major, so per-column sums match one-vector calls bit for bit:
-        # the rows of a C-ordered (k, n) array are the columns of its transpose
-        yield start, np.array(xs).T, np.array(ys).T, np.array(alphas)
+        # the rows of a C-ordered (k, 2n) array are the columns of its transpose
+        xy = np.array(xys).T
+        yield start, xy[:n], xy[n:], np.array(alphas)
 
 
 def _over(values: np.ndarray, tol: float) -> list:

@@ -41,6 +41,7 @@ from .homog_map import HomogeneousMap, power_apply
 _ORBIT_MEMORY = 8           # on-orbit ratio bounds use powers m = 1.._ORBIT_MEMORY
 _TRUNCATION_LEVELS = (0.0, 1e-2, 1e-5, 1e-8, 1e-11)
 _WINDOW = 20                # trailing Cesaro window for the power-quotient value
+_TINY = float(np.finfo(float).tiny)     # smallest normal float
 
 
 @dataclass
@@ -157,35 +158,39 @@ class _BracketEngine:
         if len(self.hist) > _ORBIT_MEMORY + 1:
             self.hist.pop(0)
 
-        # On-orbit bounds: y_k = B^m y_(k-m) / exp(d), d the sum of the last m
-        # step logs.  fsum rounds d once; the difference of two running sums
-        # would be off by about eps times the log of the whole orbit.
-        old = self.hist[:-1]
-        lower, upper = _cw_ratios(np.stack(old).T, self.y[:, None])
-        for lo, hi, m in zip(lower, upper, range(len(old), 0, -1)):
-            d = math.fsum(self.logs[-m:])
-            if lo > 0.0:
-                self.best_lower = max(self.best_lower, math.exp((d + math.log(lo)) / m))
-            if hi < math.inf:
-                self.best_upper = min(self.best_upper, math.exp((d + math.log(hi)) / m))
-
         # Probes: the support truncations of y (nested masks, so a repeated
         # size is a repeated probe), then each plus 2^-k u_hat where that
         # changes it, while the shift is a normal float (a subnormal one makes
         # ratios overflow and loses the relative precision _outward assumes).
-        mx = float(np.max(self.y))
+        mx = self.y.max()
         masks = {}
         for theta in _TRUNCATION_LEVELS:
             mask = self.y >= theta * mx
             masks.setdefault(int(np.count_nonzero(mask)), mask)
         probes = [np.where(mask, self.y, 0.0) for mask in masks.values()]
         shift = 2.0 ** (-self.iterations) * self.u_hat
-        if shift.min() >= np.finfo(float).tiny:
+        if shift.min() >= _TINY:
             probes += [xr for x in probes if ((xr := x + shift) != x).any()]
         images = [self.mp.raw(x) for x in probes]
-        lower, upper = _cw_ratios(np.stack(probes).T, np.stack(images).T)
-        self.best_lower = max(self.best_lower, float(lower.max()))
-        self.best_upper = min(self.best_upper, float(upper.min()))
+
+        # One ratio block: the stored iterates against y, where
+        # y_k = B^m y_(k-m) / exp(d) with d the sum of the last m step logs,
+        # then the probes against their images.
+        old = self.hist[:-1]
+        lower, upper = _cw_ratios(np.array(old + probes).T,
+                                  np.array([self.y] * len(old) + images).T)
+        lower, upper = lower.tolist(), upper.tolist()
+        best_lower, best_upper = self.best_lower, self.best_upper
+        # fsum rounds d once; the difference of two running sums would be off
+        # by about eps times the log of the whole orbit
+        for lo, hi, m in zip(lower, upper, range(len(old), 0, -1)):
+            d = math.fsum(self.logs[-m:])
+            if lo > 0.0:
+                best_lower = max(best_lower, math.exp((d + math.log(lo)) / m))
+            if hi < math.inf:
+                best_upper = min(best_upper, math.exp((d + math.log(hi)) / m))
+        self.best_lower = max(best_lower, *lower[len(old):])
+        self.best_upper = min(best_upper, *upper[len(old):])
         self.z = images[0]                  # probe 0 is y itself
         self.bounds.append((self.best_lower, self.best_upper))
 

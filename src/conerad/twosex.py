@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
@@ -392,6 +393,14 @@ def _config_field(name: str):
         raise ConfigError(f"model config field '{name}' is invalid: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """value as an int when it is an integer; a bool, a float or a string,
+    which int() would coerce or round, raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _number(value, name: str, kind=float):
     with _config_field(name):
         return kind(value)
@@ -446,7 +455,7 @@ def build_model(config: dict) -> TwoSexModel:
     if kind == "interval1d":
         _require_keys(g, {"kind", "a", "b", "n_cells"}, "grid")
         a, b = _number(g["a"], "grid.a"), _number(g["b"], "grid.b")
-        n_cells = _number(g["n_cells"], "grid.n_cells", int)
+        n_cells = _number(g["n_cells"], "grid.n_cells", _integer)
         with _config_field("grid"):
             grid = SpatialGrid.interval(a, b, n_cells)
     elif kind == "rectangle2d":
@@ -454,7 +463,7 @@ def build_model(config: dict) -> TwoSexModel:
         with _config_field("grid.bounds"):
             (ax, bx), (ay, by) = g["bounds"]
             bounds = ((float(ax), float(bx)), (float(ay), float(by)))
-        nx, ny = _number(g["nx"], "grid.nx", int), _number(g["ny"], "grid.ny", int)
+        nx, ny = _number(g["nx"], "grid.nx", _integer), _number(g["ny"], "grid.ny", _integer)
         with _config_field("grid"):
             grid = SpatialGrid.rectangle(bounds, nx, ny)
     else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -84,7 +85,9 @@ class TestRadiusCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         emitted = {p.name for p in (tmp_path / "out").iterdir()}
         assert set(manifest["files"]) == emitted
-        assert manifest["input_sha256"]
+        assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        inp = (tmp_path / "input.json").read_bytes()
+        assert manifest["input_sha256"] == hashlib.sha256(inp).hexdigest()
         assert set(manifest["versions"]["blas"]) == {"name", "version"}
 
     def test_out_and_seed_flags_override_config(self, tmp_path):
@@ -169,6 +172,13 @@ class TestTwoSexCommands:
                                     "nx": 2, "ny": 2}),
         ("grid", ("grid", "n_cells"), 0),
         ("grid", ("grid", "b"), -1.0),
+        ("grid.n_cells", ("grid", "n_cells"), 10.9),
+        ("grid.n_cells", ("grid", "n_cells"), 5.0),
+        ("grid.n_cells", ("grid", "n_cells"), True),
+        ("grid.nx", ("grid",), {"kind": "rectangle2d", "bounds": [[0, 1], [0, 1]],
+                                "nx": 2.5, "ny": 2}),
+        ("grid.ny", ("grid",), {"kind": "rectangle2d", "bounds": [[0, 1], [0, 1]],
+                                "nx": 2, "ny": "2"}),
     ])
     def test_malformed_twosex_input_names_field(self, tmp_path, capsys, name, path, bad):
         cfg = gaussian_config(n_cells=5)
@@ -304,6 +314,15 @@ class TestOtherCommands:
         ("twosex-assess", "f0", {"f0": [[1.0, 1.0]]}),
         ("twosex-assess", "f0", {"f0": [["a", "b", "c"]]}),
         ("twosex-assess", "f0", {"f0": 5}),
+        # integer fields take JSON integers only; int() would round or coerce
+        ("radius", "max_iter", {"max_iter": 2.7}),
+        ("radius", "max_iter", {"max_iter": True}),
+        ("radius", "seed", {"seed": 1.9}),
+        ("radius", "seed", {"seed": False}),
+        ("twosex-simulate", "years", {"years": 3.0}),
+        ("radius", "tolerances", {"tolerances": []}),
+        ("radius", "tolerances", {"tolerances": 0}),
+        ("radius", "tolerances", {"tolerances": None}),
     ])
     def test_malformed_run_config_names_field(self, tmp_path, capsys, command, name, extra):
         inp = {"matrix": [[1.0, 0.5], [0.4, 1.0]]} if command == "radius" \

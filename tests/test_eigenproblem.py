@@ -9,9 +9,12 @@ from conerad import (
     ConeSpace,
     ConeVector,
     EigenMode,
+    NormKind,
     estimate_eigenfunctional,
     from_callable,
     from_matrix,
+    perturb,
+    psi_hull,
     radius_bracket,
     reduce_power_functional,
     refine_eigenvector_monotone,
@@ -26,6 +29,8 @@ from conerad.errors import (
     ZeroLimitError,
 )
 
+from conerad.eigenproblem import _psi_normalize
+
 from conftest import counting_map
 
 
@@ -34,6 +39,48 @@ def vec(*vals):
 
 
 ONES2 = ConeVector(np.ones(2))
+
+
+def reference_continuation(mp, u, inner_tol):
+    """solve_eigenvector_perturbation's continuation with every iterate
+    normalized by psi_hull; returns (vector, lam, residual, trace)."""
+    space = mp.space
+    v = u.entries / psi_hull(space, u.entries)
+    trace = []
+    for eps in [10.0 ** (-n) for n in range(1, 9)]:
+        pert = perturb(mp, eps, u)
+        delta = np.inf
+        while delta >= inner_tol:
+            w = pert.raw(v)
+            w = w / psi_hull(space, w)
+            delta = space.norm(w - v)
+            v = w
+        trace.append((eps, psi_hull(space, pert.raw(v))))
+    bv = mp.raw(v)
+    lam = psi_hull(space, bv)
+    return v, lam, space.norm(bv - lam * v), trace
+
+
+class TestContinuationReference:
+    @pytest.mark.parametrize("case", ["l1", "linf", "weighted", "two_sex"])
+    def test_matches_psi_hull_loop_bitwise(self, rng, gaussian_model, case):
+        if case == "two_sex":
+            mp = gaussian_model.as_map()
+        else:
+            n = 7
+            space = {"l1": ConeSpace(n), "linf": ConeSpace(n, NormKind.LINF),
+                     "weighted": ConeSpace(n, NormKind.WEIGHTED, rng.uniform(0.5, 2.0, n))}[case]
+            mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)), space=space)
+        u = ConeVector(rng.uniform(0.5, 1.5, mp.space.dim))
+        res = solve_eigenvector_perturbation(mp, u, inner_tol=1e-13)
+        v, lam, residual, trace = reference_continuation(mp, u, 1e-13)
+        assert np.array_equal(res.vector.entries, v)
+        assert (res.lam, res.residual, res.trace) == (lam, residual, trace)
+        assert res.lam_raw == trace[-1][1]
+
+    def test_zero_vector_not_normalized(self):
+        with pytest.raises(DegenerateBoundError, match="zero vector"):
+            _psi_normalize(ConeSpace(3), np.zeros(3))
 
 
 class TestPerturbationSolver:

@@ -8,6 +8,7 @@ import pytest
 from conerad import (
     ConeSpace,
     ConeVector,
+    HomogeneousMap,
     MapFlag,
     NormKind,
     evaluate,
@@ -17,6 +18,7 @@ from conerad import (
     perturb,
     power_apply,
     psi_hull,
+    radius_bracket,
     u_norm,
     verify_properties,
 )
@@ -53,6 +55,72 @@ class TestEvaluate:
         with pytest.raises(MapContractError):
             HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: 2 * x,
                            flags=MapFlag.LINEAR, matrix=np.eye(2))
+
+
+class TestRawContract:
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan], "produced NaN/Inf"),
+        ([np.inf], "produced NaN/Inf"),
+        ([-np.inf], "produced NaN/Inf"),
+        ([-0.5], "left the cone"),
+        ([-0.5, np.nan], "produced NaN/Inf"),   # NaN/Inf is named first
+    ], ids=["nan", "+inf", "-inf", "negative", "negative_and_nan"])
+    @pytest.mark.parametrize("shape", [(3,), (3, 4)], ids=["vector", "block"])
+    def test_names_the_broken_contract(self, bad, message, shape):
+        def evaluator(x):
+            out = np.ones_like(x)
+            out[:len(bad), ...] = np.array(bad).reshape((-1,) + (1,) * (x.ndim - 1))
+            return out
+
+        mp = HomogeneousMap(space=ConeSpace(3), evaluator=evaluator, name="bad")
+        with pytest.raises(MapContractError, match=f"^bad: evaluator {message}$"):
+            mp.raw(np.ones(shape))
+
+    def test_clean_values_pass(self):
+        mp = HomogeneousMap(space=ConeSpace(3), evaluator=lambda x: -0.0 * x)
+        assert np.array_equal(mp.raw(np.ones((3, 2))), np.zeros((3, 2)))
+        assert mp.raw(np.ones((3, 0))).shape == (3, 0)
+
+
+class TestLinearEvaluator:
+    def test_evaluates_its_frozen_matrix(self):
+        # The evaluator once captured the caller's array: a later write to it
+        # changed the map but not its matrix.
+        a = np.array([[1.0, 0.5], [0.4, 0.5]])
+        mp = from_matrix(a)
+        a[0, 0] = 50.0
+        assert np.array_equal(mp.raw(np.ones(2)), [1.5, 0.9])
+        assert np.array_equal(mp.raw(np.ones((2, 3))), mp.matrix @ np.ones((2, 3)))
+        est = radius_bracket(mp, ConeVector(np.ones(2)))
+        assert est.cw_upper <= op_norm_plus(mp).value
+
+    def test_checks_only_a_supplied_evaluator(self, monkeypatch):
+        checked = []
+        check = homog_map._check_linear_agreement
+        monkeypatch.setattr(homog_map, "_check_linear_agreement",
+                            lambda mp: checked.append(mp.name) or check(mp))
+        mp = from_matrix([[1.0, 0.5], [0.4, 0.5]], name="m")
+        pert = perturb(mp, 0.1, vec(1, 2))
+        assert pert.flags & MapFlag.LINEAR and checked == []
+        for frozen in (mp.matrix, pert.matrix):
+            assert not frozen.flags.writeable
+            with pytest.raises(ValueError):
+                frozen[0, 0] = 2.0
+        hand = HomogeneousMap(space=ConeSpace(2), evaluator=lambda x, _m=mp.matrix: _m @ x,
+                              flags=MapFlag.LINEAR, matrix=mp.matrix, name="hand")
+        assert checked == ["hand"]
+        assert np.array_equal(hand.raw(np.ones(2)), mp.raw(np.ones(2)))
+
+    def test_evaluator_agreeing_on_ones_only_rejected(self):
+        # x -> reversed x equals the averaging matrix on the all-ones probe
+        # but not on the random probes
+        with pytest.raises(MapContractError, match="disagrees with matrix"):
+            HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: x[::-1].copy(),
+                           flags=MapFlag.LINEAR, matrix=0.5 * np.ones((2, 2)))
+
+    def test_only_a_linear_map_may_leave_out_its_evaluator(self):
+        with pytest.raises(ValueError, match="evaluator"):
+            HomogeneousMap(space=ConeSpace(2))
 
 
 class TestPowerApply:

@@ -58,6 +58,92 @@ class TestCwRatios:
             assert np.array_equal(lo1, lok) and np.array_equal(hi1, hik)
 
 
+def reference_bracket(mp, iterations):
+    """The bracket iteration of radius_bracket from u = 1, written out with
+    two ratio blocks per step: the stored iterates against y, then the
+    probes against their images.  Returns the bound and log-norm traces."""
+    space, n = mp.space, mp.space.dim
+    u_hat = np.ones(n) / space.norm(np.ones(n))
+    y = u_hat.copy()
+    z = mp.raw(y)
+    hist, logs, bounds = [y], [], []
+    best_lower, best_upper = 0.0, math.inf
+    for k in range(1, iterations + 1):
+        nz = space.norm(z)
+        if nz == 0.0:
+            break
+        logs.append(math.log(nz))
+        y = z / nz
+        hist = (hist + [y])[-9:]
+        old = hist[:-1]
+        lower, upper = _cw_ratios(np.stack(old).T, y[:, None])
+        for lo, hi, m in zip(lower, upper, range(len(old), 0, -1)):
+            d = math.fsum(logs[-m:])
+            if lo > 0.0:
+                best_lower = max(best_lower, math.exp((d + math.log(lo)) / m))
+            if hi < math.inf:
+                best_upper = min(best_upper, math.exp((d + math.log(hi)) / m))
+        mx = float(np.max(y))
+        masks = {}
+        for theta in (0.0, 1e-2, 1e-5, 1e-8, 1e-11):
+            mask = y >= theta * mx
+            masks.setdefault(int(np.count_nonzero(mask)), mask)
+        probes = [np.where(mask, y, 0.0) for mask in masks.values()]
+        shift = 2.0 ** (-k) * u_hat
+        if shift.min() >= np.finfo(float).tiny:
+            probes += [xr for x in probes if ((xr := x + shift) != x).any()]
+        images = [mp.raw(x) for x in probes]
+        lower, upper = _cw_ratios(np.stack(probes).T, np.stack(images).T)
+        best_lower = max(best_lower, float(lower.max()))
+        best_upper = min(best_upper, float(upper.min()))
+        z = images[0]
+        bounds.append((best_lower, best_upper))
+    return bounds, logs
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def matrix_of_class(rng, kind: str, n: int) -> np.ndarray:
+    if kind == "positive":
+        return rng.uniform(0.05, 1.0, size=(n, n))
+    if kind == "upper_triangular":
+        mat = np.triu(rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.4), 1)
+        return mat + np.diag(rng.uniform(0.1, 1.0, size=n))
+    h = n // 2
+    mat = np.zeros((n, n))
+    if kind == "block_triangular":
+        mat[:h, :h] = rng.uniform(0.05, 1.0, size=(h, h))
+        mat[h:, h:] = rng.uniform(0.05, 1.0, size=(n - h, n - h))
+        mat[:h, h:] = rng.uniform(0.0, 1.0, size=(h, n - h)) * (rng.random((h, n - h)) < 0.3)
+    else:   # block_cyclic, period 2
+        mat[:h, h:] = rng.uniform(0.05, 1.0, size=(h, n - h))
+        mat[h:, :h] = rng.uniform(0.05, 1.0, size=(n - h, h))
+    return mat
+
+
+class TestBracketReference:
+    @pytest.mark.parametrize("kind", ["positive", "block_triangular", "block_cyclic",
+                                      "upper_triangular"])
+    def test_traces_match_reference_bitwise(self, kind):
+        rng = np.random.default_rng(17)
+        mats = [matrix_of_class(rng, kind, int(rng.integers(3, 16))) for _ in range(4)]
+        if kind == "upper_triangular":
+            # its upper bound stalls, so the run passes iteration 1022, where
+            # the shift 2^-k u_hat stops being a normal float
+            mats.append(np.array([[0.992, 0, 0.378, 0, 0], [0, 0, 0.153, 0, 0],
+                                  [0, 0, 1, 0, 0], [0, 0, 0, 0.684, 0], [0, 0, 0, 0, 0]]))
+        for mat in mats:
+            mp = from_matrix(mat)
+            est = radius_bracket(mp, ConeVector(np.ones(mat.shape[0])), tol=1e-10,
+                                 max_iter=1100)
+            bounds, logs = reference_bracket(mp, est.iterations)
+            assert len(bounds) == len(est.bound_trace) > 0
+            assert bits(est.bound_trace) == bits(bounds)
+            assert bits(est.log_norm_trace) == bits(logs)
+
+
 class TestPowerQuotient:
     def test_dominant_diagonal(self, diag21):
         est = radius_power_quotient(diag21, ONES2, tol=1e-9)
