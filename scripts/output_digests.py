@@ -6,9 +6,9 @@
 The first form runs every batch operation and every known-defect probe of
 the four ``perfbench`` workloads once through ``conerad.cli.main``,
 importing the program from ``--src``, and prints one JSON object: per
-operation the exit code, the SHA-256 of each output file and the distinct
-``RuntimeWarning`` messages the operation raised, plus the map columns of
-each workload's batch (the benchmark's ``map_columns``).
+operation its command, the exit code, the SHA-256 of each output file and
+the distinct ``RuntimeWarning`` messages the operation raised, plus the map
+columns of each workload's batch (the benchmark's ``map_columns``).
 ``manifest.json`` is digested without its ``threads`` and ``versions.blas``
 fields, which only some trees write.  Two trees produce the same outputs
 when their digest files are equal, apart from ``map_columns``.  With
@@ -24,7 +24,10 @@ warnings of both sides.  Two numbers a, b match when
 ``--atol`` keeps values near zero that move at rounding level from showing
 as relative differences of order 1.  It exits 1 on an exit-code mismatch, a
 missing file, a difference in anything but numbers, a number out of
-tolerance, or a warning that only ``DIR_B`` raised.
+tolerance, or a warning that only ``DIR_B`` raised.  It ends with one line
+per command that counts its operations in three classes: identical (every
+file byte-identical), moved (some numbers differ, all within tolerance) and
+mismatched.
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ def digest(src: str, seed: int, keep: Path | None) -> dict:
                         code = cli.main(["--config", str(cfg), "--out", str(out), "--quiet"])
                     files = sorted(out.iterdir()) if out.is_dir() else []
                     report["ops"][key] = {
+                        "command": op["command"],
                         "code": code,
                         "files": {p.name: _digest(p) for p in files},
                         "warnings": sorted({str(w.message) for w in caught
@@ -198,46 +202,57 @@ def compare(dir_a: Path, dir_b: Path, rtol: float, atol: float = 0.0) -> int:
     rep_a = json.loads((dir_a / "digests.json").read_text())
     rep_b = json.loads((dir_b / "digests.json").read_text())
     bad = 0
+    tally: dict[str, list[int]] = {}   # command -> [identical, moved, mismatched]
     for name in sorted(set(rep_a["map_columns"]) | set(rep_b["map_columns"])):
         ca, cb = rep_a["map_columns"].get(name), rep_b["map_columns"].get(name)
         print(f"map_columns {name}: {ca} -> {cb}" + ("" if ca == cb else "  (differs)"))
     for key in sorted(set(rep_a["ops"]) | set(rep_b["ops"])):
         op_a, op_b = rep_a["ops"].get(key), rep_b["ops"].get(key)
+        command = (op_b or {}).get("command") or (op_a or {}).get("command") or "unrecorded"
+        counts = tally.setdefault(command, [0, 0, 0])
         if op_a is None or op_b is None:
             print(f"{key}: only in {dir_a if op_b is None else dir_b}  MISMATCH")
             bad += 1
+            counts[2] += 1
             continue
+        op_bad, moved = 0, False
         codes = f"exit {op_a['code']} / {op_b['code']}"
         if op_a["code"] != op_b["code"]:
             codes += " MISMATCH"
-            bad += 1
+            op_bad += 1
         parts = [codes]
         warn_a, warn_b = op_a.get("warnings", []), op_b.get("warnings", [])
         if warn_a or warn_b:
             new = sorted(set(warn_b) - set(warn_a))
             parts.append(f"warnings {warn_a} / {warn_b}" + (" MISMATCH" if new else ""))
-            bad += bool(new)
+            op_bad += bool(new)
         for fname in sorted(set(op_a["files"]) | set(op_b["files"])):
             fa = dir_a / "out" / _op_dir(key) / fname
             fb = dir_b / "out" / _op_dir(key) / fname
             if not (fa.is_file() and fb.is_file()):
                 parts.append(f"{fname} missing on one side MISMATCH")
-                bad += 1
+                op_bad += 1
                 continue
             try:
                 diffs = _file_diff(fa, fb)
             except _Mismatch as exc:
                 parts.append(f"{fname} differs beyond numbers ({exc}) MISMATCH")
-                bad += 1
+                op_bad += 1
                 continue
             if diffs is None:
                 parts.append(f"{fname} identical")
             else:
                 text, out = _number_report(diffs, rtol, atol)
-                bad += bool(out)
+                op_bad += bool(out)
+                moved = True
                 parts.append(f"{fname} {text}")
         print(f"{key}: " + "; ".join(parts))
+        bad += op_bad
+        counts[2 if op_bad else 1 if moved else 0] += 1
     print(f"compare: {bad} mismatch(es) at rtol {rtol:g}, atol {atol:g}")
+    for command, (same, moved, mismatched) in sorted(tally.items()):
+        print(f"command {command}: {same} identical, {moved} moved within tolerance, "
+              f"{mismatched} mismatched")
     return 1 if bad else 0
 
 

@@ -85,6 +85,12 @@ def _read_json(path: Path, what: str) -> tuple[object, str]:
     return obj, hashlib.sha256(data).hexdigest()
 
 
+def _check_seed(seed: int, name: str) -> None:
+    # numpy's generators take nonnegative seeds only
+    if seed < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {seed}")
+
+
 def parse_config(path) -> RunConfig:
     path = Path(path)
     raw, sha256 = _read_json(path, "config")
@@ -124,6 +130,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("years must be >= 1")
     with _field("seed", "config"):
         seed = _integer(raw.get("seed", 0))
+    _check_seed(seed, "config field 'seed'")
 
     with _field("input", "config"):
         input_path = Path(raw["input"])
@@ -419,6 +426,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.output_dir = Path(args.out)
         if args.seed is not None:
+            _check_seed(args.seed, "option '--seed'")
             cfg.seed = args.seed
         code = run(cfg)
     except ConfigError as exc:

@@ -32,6 +32,9 @@ from .homog_map import HomogeneousMap, perturb, unit_cone_probes
 from .spectral import radius_bracket, resolvent_series
 
 _MONOTONE_SLACK = 1e-12  # relative slack absorbing evaluator roundoff
+# A jump with ratio mu leaves |mu_true - mu| / (mu (1 - mu)) of the mode it
+# removes; a jump waits until successive ratios agree to this fraction of that.
+_AITKEN_SETTLED = 1e-2
 
 
 class EigenMode(enum.Enum):
@@ -75,11 +78,18 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
                                    max_inner: int = 20000) -> EigenResult:
     """Eigenvector by continuation over B_eps = B + eps * psi(.) * u, eps -> 0.
 
-    Each stage runs v <- B_eps(v) / psi(B_eps(v)) warm-started from the
-    previous stage until successive iterates differ by less than inner_tol.
-    The stage value lam_eps = psi(B_eps(v)) is nonincreasing along the
-    schedule; the returned lam is the unperturbed Rayleigh value psi(B(v))
-    at the final iterate (the raw perturbed values stay in the trace).
+    Each stage runs plain steps w = B_eps(v) / psi(B_eps(v)), warm-started
+    from the previous stage, until a step moves the iterate by less than
+    inner_tol.  Between plain steps it may take an Aitken jump: with
+    d = w - v and the step ratio mu = (d . d_prev) / (d_prev . d_prev),
+    two successive ratios in (0, 1) that agree to 1e-2 * mu * (1 - mu)
+    move w to normalize(max(w + mu / (1 - mu) * d, 0)), which removes the
+    error mode of ratio mu, and restart the ratio history.  A jump costs no
+    evaluation (max_inner counts plain steps) and never happens when
+    mu <= 0, so periodic maps stall as without it.  The stage value
+    lam_eps = psi(B_eps(v)) is nonincreasing along the schedule; the
+    returned lam is the unperturbed Rayleigh value psi(B(v)) at the final
+    iterate (the raw perturbed values stay in the trace).
     """
     space = mp.space
     if u.dim != space.dim or not np.all(u.entries > 0):
@@ -90,6 +100,8 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     if any(e <= 0 for e in eps_schedule) or any(
             b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps_schedule must be positive and strictly decreasing")
+    if not inner_tol > 0:
+        raise ValueError("inner_tol must be positive")
 
     v = _psi_normalize(space, u.entries)
     if not mp.raw(v).any():
@@ -102,12 +114,23 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     lam_raw = math.nan
     for eps in eps_schedule:
         pert = perturb(mp, eps, u)
+        d_prev = mu_prev = None
         for _ in range(max_inner):
             w = _psi_normalize(space, pert.raw(v))
-            delta = space.norm(w - v)
-            v = w
-            if delta < inner_tol:
+            d = w - v
+            if space.norm(d) < inner_tol:
+                v = w
                 break
+            mu = None
+            if d_prev is not None:
+                mu = float(d @ d_prev) / float(d_prev @ d_prev)
+                if (mu_prev is not None and 0.0 < mu < 1.0
+                        and abs(mu - mu_prev) <= _AITKEN_SETTLED * mu * (1.0 - mu)):
+                    # Aitken jump: remove the settled error mode of ratio mu.
+                    w = _psi_normalize(space, np.maximum(w + (mu / (1.0 - mu)) * d, 0.0))
+                    d = mu = None
+            d_prev, mu_prev = d, mu
+            v = w
         else:
             raise InnerIterationError(
                 f"inner iteration did not settle within {max_inner} steps at eps={eps}",

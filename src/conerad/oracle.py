@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionError
 from .homog_map import HomogeneousMap
@@ -87,6 +85,11 @@ def _component_power_radius(block: np.ndarray) -> tuple[float, int]:
 
 
 def _long_power_radius(matrix: np.ndarray) -> OracleReport:
+    # Imported here: scipy.sparse costs every CLI process about 0.1 s at start,
+    # and only this oracle path uses it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     ncomp, labels = connected_components(csr_matrix(matrix != 0), connection="strong")
     best = 0.0
     sizes = []

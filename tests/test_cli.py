@@ -323,6 +323,10 @@ class TestOtherCommands:
         ("radius", "tolerances", {"tolerances": []}),
         ("radius", "tolerances", {"tolerances": 0}),
         ("radius", "tolerances", {"tolerances": None}),
+        # numpy's generators reject negative seeds
+        ("validate", "seed", {"seed": -3}),
+        ("functional", "seed", {"seed": -3}),
+        ("radius", "seed", {"seed": -1}),
     ])
     def test_malformed_run_config_names_field(self, tmp_path, capsys, command, name, extra):
         inp = {"matrix": [[1.0, 0.5], [0.4, 1.0]]} if command == "radius" \
@@ -331,6 +335,14 @@ class TestOtherCommands:
         assert main(["--config", str(path), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("conerad: config error:") and f"'{name}'" in err
+
+    @pytest.mark.parametrize("command", ["validate", "functional", "radius"])
+    def test_negative_seed_option_is_config_error(self, tmp_path, capsys, command):
+        path = make_run(tmp_path, command, {"matrix": [[1.0, 0.5], [0.4, 1.0]]})
+        assert main(["--config", str(path), "--quiet", "--seed", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("conerad: config error:") and "'--seed'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_input_is_validation_error(self, tmp_path, capsys):
         path = make_run(tmp_path, "radius", {"surprise": True})

@@ -41,9 +41,9 @@ def vec(*vals):
 ONES2 = ConeVector(np.ones(2))
 
 
-def reference_continuation(mp, u, inner_tol):
-    """solve_eigenvector_perturbation's continuation with every iterate
-    normalized by psi_hull; returns (vector, lam, residual, trace)."""
+def plain_continuation(mp, u, inner_tol):
+    """The continuation without jumps: plain normalized power steps in every
+    stage; returns (vector, lam, residual, trace)."""
     space = mp.space
     v = u.entries / psi_hull(space, u.entries)
     trace = []
@@ -61,22 +61,154 @@ def reference_continuation(mp, u, inner_tol):
     return v, lam, space.norm(bv - lam * v), trace
 
 
+def reference_continuation(mp, u, inner_tol):
+    """solve_eigenvector_perturbation's continuation with every iterate
+    normalized by psi_hull: plain steps d = w - v, and after two successive
+    step ratios mu = d.d_prev / d_prev.d_prev in (0, 1) that agree to
+    1e-2 * mu * (1 - mu), the jump w <- w + mu / (1 - mu) * d clipped at 0.
+    Returns (vector, lam, residual, trace)."""
+    space = mp.space
+    v = u.entries / psi_hull(space, u.entries)
+    trace = []
+    for eps in [10.0 ** (-n) for n in range(1, 9)]:
+        pert = perturb(mp, eps, u)
+        d_prev = mu_prev = None
+        while True:
+            w = pert.raw(v)
+            w = w / psi_hull(space, w)
+            d = w - v
+            if space.norm(d) < inner_tol:
+                v = w
+                break
+            mu = None
+            if d_prev is not None:
+                mu = float(d @ d_prev) / float(d_prev @ d_prev)
+                if (mu_prev is not None and 0.0 < mu < 1.0
+                        and abs(mu - mu_prev) <= 1e-2 * mu * (1.0 - mu)):
+                    w = np.maximum(w + (mu / (1.0 - mu)) * d, 0.0)
+                    w = w / psi_hull(space, w)
+                    d = mu = None
+            d_prev, mu_prev = d, mu
+            v = w
+        trace.append((eps, psi_hull(space, pert.raw(v))))
+    bv = mp.raw(v)
+    lam = psi_hull(space, bv)
+    return v, lam, space.norm(bv - lam * v), trace
+
+
+def counted(mp):
+    """mp behind a callable wrapper, plus the list of its evaluations."""
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return mp.raw(x)
+
+    return from_callable(mp.space, fn), calls
+
+
+def block_triangular(rng, n=8):
+    m = np.zeros((n, n))
+    h = n // 2
+    m[:h, :h] = rng.uniform(0.05, 1.0, size=(h, h))
+    m[h:, h:] = 0.8 * rng.uniform(0.05, 1.0, size=(n - h, n - h))
+    m[:h, h:] = rng.uniform(0.0, 1.0, size=(h, n - h))
+    return m
+
+
+def upper_triangular(rng, n=8, second=0.7):
+    """Spectrum 1, second, then entries in [0.1, 0.5]."""
+    m = np.triu(rng.uniform(0.05, 1.0, size=(n, n)), 1)
+    m[np.diag_indices(n)] = np.linspace(0.5, 0.1, n)
+    m[0, 0], m[n - 1, n - 1] = 1.0, second
+    return m
+
+
+def perron_vector(m):
+    vals, vecs = np.linalg.eig(m)
+    p = np.abs(vecs[:, np.argmax(vals.real)].real)
+    return p / p.sum()
+
+
+def continuation_case(case, rng, gaussian_model):
+    if case == "two_sex":
+        return gaussian_model.as_map()
+    if case == "block_triangular":
+        return from_matrix(block_triangular(rng))
+    if case == "upper_triangular":
+        return from_matrix(upper_triangular(rng))
+    n = 7
+    space = {"l1": ConeSpace(n), "linf": ConeSpace(n, NormKind.LINF),
+             "weighted": ConeSpace(n, NormKind.WEIGHTED, rng.uniform(0.5, 2.0, n))}[case]
+    return from_matrix(rng.uniform(0.05, 1.0, size=(n, n)), space=space)
+
+
 class TestContinuationReference:
     @pytest.mark.parametrize("case", ["l1", "linf", "weighted", "two_sex"])
     def test_matches_psi_hull_loop_bitwise(self, rng, gaussian_model, case):
-        if case == "two_sex":
-            mp = gaussian_model.as_map()
-        else:
-            n = 7
-            space = {"l1": ConeSpace(n), "linf": ConeSpace(n, NormKind.LINF),
-                     "weighted": ConeSpace(n, NormKind.WEIGHTED, rng.uniform(0.5, 2.0, n))}[case]
-            mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)), space=space)
+        mp = continuation_case(case, rng, gaussian_model)
         u = ConeVector(rng.uniform(0.5, 1.5, mp.space.dim))
         res = solve_eigenvector_perturbation(mp, u, inner_tol=1e-13)
         v, lam, residual, trace = reference_continuation(mp, u, 1e-13)
         assert np.array_equal(res.vector.entries, v)
         assert (res.lam, res.residual, res.trace) == (lam, residual, trace)
         assert res.lam_raw == trace[-1][1]
+
+    @pytest.mark.parametrize("case", ["l1", "linf", "weighted", "two_sex",
+                                      "block_triangular", "upper_triangular"])
+    def test_agrees_with_plain_loop(self, rng, gaussian_model, case):
+        mp = continuation_case(case, rng, gaussian_model)
+        u = ConeVector(rng.uniform(0.5, 1.5, mp.space.dim))
+        res = solve_eigenvector_perturbation(mp, u)
+        v, lam, _, trace = plain_continuation(mp, u, 1e-13)
+        assert mp.space.norm(res.vector.entries - v) <= 1e-11
+        assert res.lam == pytest.approx(lam, rel=1e-12, abs=0)
+        assert [e for e, _ in res.trace] == [e for e, _ in trace]
+        for (_, got), (_, want) in zip(res.trace, trace):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_block_triangular_perron_vector(self, rng):
+        m = block_triangular(rng)
+        u = ConeVector(np.ones(8))
+        res = solve_eigenvector_perturbation(from_matrix(m), u)
+        p = perron_vector(m + 1e-8 * np.outer(u.entries, np.ones(8)))
+        assert np.abs(res.vector.entries - p).sum() <= 1e-11
+
+    def test_half_the_evaluations_of_the_plain_loop(self, gaussian_model):
+        mp = gaussian_model.as_map()
+        u = ConeVector(np.ones(mp.space.dim))
+        solver_map, solver_calls = counted(mp)
+        plain_map, plain_calls = counted(mp)
+        solve_eigenvector_perturbation(solver_map, u)
+        plain_continuation(plain_map, u, 1e-13)
+        assert 2 * len(solver_calls) <= len(plain_calls)
+
+    def test_nonlinear_map_reaches_plain_fixed_point(self, rng):
+        n = 8
+        a, b = block_triangular(rng, n), block_triangular(rng, n)
+        mp = from_callable(ConeSpace(n), lambda x: np.minimum(a @ x, b @ x + 0.1 * x))
+        u = ConeVector(np.ones(n))
+        solver_map, solver_calls = counted(mp)
+        plain_map, plain_calls = counted(mp)
+        res = solve_eigenvector_perturbation(solver_map, u)
+        v, _, _, _ = plain_continuation(plain_map, u, 1e-13)
+        assert np.abs(res.vector.entries - v).sum() <= 1e-11
+        assert len(solver_calls) < len(plain_calls)
+
+    @pytest.mark.parametrize("second", [0.99, 0.999])
+    def test_near_defective_pair_settles(self, rng, second):
+        # Two top eigenvalues 1 and `second` of a non-normal matrix: the step
+        # ratio drifts near 1, where a jump on a ratio that has not settled
+        # to a fraction of 1 - mu overshoots and the stage never settles.
+        m = upper_triangular(rng, n=5, second=second)
+        u = ConeVector(np.ones(5))
+        solver_map, solver_calls = counted(from_matrix(m))
+        plain_map, plain_calls = counted(from_matrix(m))
+        res = solve_eigenvector_perturbation(solver_map, u)
+        v, _, _, _ = plain_continuation(plain_map, u, 1e-13)
+        p = perron_vector(m + 1e-8 * np.outer(u.entries, np.ones(5)))
+        assert np.abs(res.vector.entries - p).sum() <= np.abs(v - p).sum()
+        assert 10 * len(solver_calls) < len(plain_calls)
 
     def test_zero_vector_not_normalized(self):
         with pytest.raises(DegenerateBoundError, match="zero vector"):
@@ -135,6 +267,11 @@ class TestPerturbationSolver:
     def test_rejects_bad_schedule(self, diag21):
         with pytest.raises(ValueError):
             solve_eigenvector_perturbation(diag21, ONES2, eps_schedule=[1e-2, 1e-1])
+
+    @pytest.mark.parametrize("inner_tol", [0.0, -1e-13])
+    def test_rejects_nonpositive_inner_tol(self, diag21, inner_tol):
+        with pytest.raises(ValueError, match="inner_tol"):
+            solve_eigenvector_perturbation(diag21, ONES2, inner_tol=inner_tol)
 
     def test_perturbed_fixed_point_independent_of_start(self, rng):
         # For fixed eps the normalized fixed point is unique: iterations

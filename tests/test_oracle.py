@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +41,26 @@ class TestLinearRadius:
         rep = linear_radius_exact(np.eye(7))
         assert rep.method == "long_power_iteration"
         assert rep.certificate["irreducible"] is False
+
+    def test_sparse_graph_library_loaded_on_first_use(self):
+        # The CLI starts without scipy.sparse; the 6x6 reducible oracle path
+        # imports it when it first splits a matrix into components.
+        code = (
+            "import sys, numpy as np, conerad.cli\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "from conerad import linear_radius_exact\n"
+            "m = np.zeros((6, 6)); m[:3, :3] = 1.0; m[3:, 3:] = 0.5; m[:3, 3:] = 2.0\n"
+            "rep = linear_radius_exact(m)\n"
+            "print(rep.value, rep.certificate['component_sizes'])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        value, sizes = out.stdout.split(" ", 1)
+        assert float(value) == pytest.approx(3.0, rel=1e-8)
+        assert sizes.strip() == "[3, 3]"
 
     def test_charpoly_vs_power_iteration(self, rng):
         # Methods are independent; force both on the same matrix by padding

@@ -1,9 +1,12 @@
-"""scripts/output_digests.py --compare: warnings recorded per operation."""
+"""scripts/output_digests.py: commands and warnings recorded per operation,
+and --compare's tolerances and per-command tally."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,66 @@ def test_compare_default_tolerance_is_zero(digests, tmp_path):
     right = _kept_result(tmp_path / "b", {"defect": 1.5e-16})
     assert digests.main(["--compare", str(left), str(right)]) == 1
     assert digests.main(["--compare", str(left), str(right), "--atol", "1e-15"]) == 0
+
+
+def test_digest_records_each_command(digests, tmp_path, monkeypatch):
+    from conerad.homog_map import HomogeneousMap
+
+    fake = types.ModuleType("workloads")
+    fake.WORKLOADS = ["linear-mix"]
+    matrix = {"matrix": [[1.0, 0.5], [0.4, 1.0]]}
+    fake.GENERATORS = {"linear-mix": lambda seed: [
+        {"command": c, "input": matrix, "extra": {}} for c in ("radius", "eigen")]}
+    fake.known_defects = lambda name, seed: []
+    monkeypatch.setitem(sys.modules, "workloads", fake)
+    # digest counts map columns by patching raw and pins BLAS threads
+    monkeypatch.setattr(HomogeneousMap, "raw", HomogeneousMap.raw)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    src = str(_PATH.parent.parent / "src")
+    report = digests.digest(src, 1, tmp_path / "kept")
+    assert {k: op["command"] for k, op in report["ops"].items()} == {
+        "linear-mix/op0": "radius", "linear-mix/op1": "eigen"}
+    assert all(op["code"] == 0 for op in report["ops"].values())
+
+
+def _kept_ops(root: Path, ops: dict) -> Path:
+    """A kept directory with one result.json per operation: ops maps a key
+    to (command, exit code, result)."""
+    root.mkdir()
+    entries = {}
+    for key, (command, code, result) in ops.items():
+        out = root / "out" / key.replace("/", "-")
+        out.mkdir(parents=True)
+        (out / "result.json").write_text(json.dumps(result))
+        entries[key] = {"command": command, "code": code,
+                        "files": {"result.json": "-"}, "warnings": []}
+    (root / "digests.json").write_text(json.dumps(
+        {"seed": 1, "map_columns": {"linear-mix": 10}, "ops": entries}))
+    return root
+
+
+def test_compare_tallies_each_command(digests, tmp_path, capsys):
+    left = _kept_ops(tmp_path / "a", {
+        "linear-mix/op0": ("radius", 0, {"value": 1.0}),
+        "linear-mix/op1": ("eigen", 0, {"lambda": 1.0}),
+        "linear-mix/op2": ("eigen", 0, {"lambda": 2.0}),
+        "linear-mix/op3": ("validate", 0, {"ok": True}),
+        "linear-mix/op4": ("eigen", 0, {"lambda": 3.0}),
+    })
+    right = _kept_ops(tmp_path / "b", {
+        "linear-mix/op0": ("radius", 0, {"value": 1.0}),
+        "linear-mix/op1": ("eigen", 0, {"lambda": 1.0 + 1e-13}),
+        "linear-mix/op2": ("eigen", 0, {"lambda": 2.0}),
+        "linear-mix/op3": ("validate", 2, {"ok": True}),
+        "linear-mix/op4": ("eigen", 0, {"lambda": 3.1}),
+    })
+    assert digests.compare(left, right, rtol=1e-12) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4] == "compare: 2 mismatch(es) at rtol 1e-12, atol 0"
+    assert lines[-3:] == [
+        "command eigen: 1 identical, 1 moved within tolerance, 1 mismatched",
+        "command radius: 1 identical, 0 moved within tolerance, 0 mismatched",
+        "command validate: 0 identical, 0 moved within tolerance, 1 mismatched",
+    ]
