@@ -32,9 +32,13 @@ from .homog_map import HomogeneousMap, perturb, unit_cone_probes
 from .spectral import radius_bracket, resolvent_series
 
 _MONOTONE_SLACK = 1e-12  # relative slack absorbing evaluator roundoff
-# A jump with ratio mu leaves |mu_true - mu| / (mu (1 - mu)) of the mode it
-# removes; a jump waits until successive ratios agree to this fraction of that.
+# A jump with ratio mu leaves |mu_true - mu| / (mu (1 - mu)) of the real mode
+# it removes; a jump waits until successive ratios agree to this fraction of that.
 _AITKEN_SETTLED = 1e-2
+# A jump multiplies a mode that turns the step by an angle theta by
+# sin(theta) / (1 - mu) = ||d - mu d_prev|| / ((1 - mu) ||d||); a jump waits
+# until that factor is at most this, so it never grows a rotating mode.
+_AITKEN_PARALLEL = 0.1
 
 
 class EigenMode(enum.Enum):
@@ -82,11 +86,13 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     from the previous stage, until a step moves the iterate by less than
     inner_tol.  Between plain steps it may take an Aitken jump: with
     d = w - v and the step ratio mu = (d . d_prev) / (d_prev . d_prev),
-    two successive ratios in (0, 1) that agree to 1e-2 * mu * (1 - mu)
+    two successive ratios in (0, 1) that agree to 1e-2 * mu * (1 - mu),
+    with d parallel to d_prev to ||d - mu d_prev|| <= 0.1 (1 - mu) ||d||,
     move w to normalize(max(w + mu / (1 - mu) * d, 0)), which removes the
-    error mode of ratio mu, and restart the ratio history.  A jump costs no
-    evaluation (max_inner counts plain steps) and never happens when
-    mu <= 0, so periodic maps stall as without it.  The stage value
+    real error mode of ratio mu, and restart the ratio history.  A jump
+    costs no evaluation (max_inner counts plain steps).  A mode that turns
+    the step by an angle theta fails the parallel test unless the jump
+    shrinks it at least tenfold, and mu <= 0 never jumps.  The stage value
     lam_eps = psi(B_eps(v)) is nonincreasing along the schedule; the
     returned lam is the unperturbed Rayleigh value psi(B(v)) at the final
     iterate (the raw perturbed values stay in the trace).
@@ -123,10 +129,16 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
                 break
             mu = None
             if d_prev is not None:
-                mu = float(d @ d_prev) / float(d_prev @ d_prev)
+                # Euclidean step ratio on steps scaled by max|d_prev|, which
+                # cannot underflow whatever the scale of the norm (p . p >= 1).
+                scale = np.abs(d_prev).max()
+                p, q = d_prev / scale, d / scale
+                mu = float(q @ p) / float(p @ p)
                 if (mu_prev is not None and 0.0 < mu < 1.0
-                        and abs(mu - mu_prev) <= _AITKEN_SETTLED * mu * (1.0 - mu)):
-                    # Aitken jump: remove the settled error mode of ratio mu.
+                        and abs(mu - mu_prev) <= _AITKEN_SETTLED * mu * (1.0 - mu)
+                        and np.linalg.norm(q - mu * p)
+                        <= _AITKEN_PARALLEL * (1.0 - mu) * np.linalg.norm(q)):
+                    # Aitken jump: remove the settled real error mode of ratio mu.
                     w = _psi_normalize(space, np.maximum(w + (mu / (1.0 - mu)) * d, 0.0))
                     d = mu = None
             d_prev, mu_prev = d, mu

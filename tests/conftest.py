@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conerad import ConeSpace, ConeVector, MapFlag, build_model, from_callable, from_matrix
+from conerad import ConeVector, MapFlag, build_model, from_callable, from_matrix
 
 
 def single_cell_config(beta: float = 2.0, s_f: float = 0.5, s_m: float = 0.5,
@@ -74,15 +74,17 @@ def dense_kernel(kern) -> np.ndarray:
     return kern.scale * reduce(np.kron, kern.factors)
 
 
-def counting_map(mat: np.ndarray, flags: MapFlag = MapFlag.NONE):
-    """x -> mat @ x as a callable map, plus the list of its evaluations."""
+def counting_map(target, flags: MapFlag = MapFlag.NONE):
+    """A matrix (x -> mat @ x) or a HomogeneousMap behind a callable map,
+    plus the list of its evaluations."""
+    mp = from_matrix(target) if isinstance(target, np.ndarray) else target
     calls = []
 
     def fn(x):
         calls.append(x)
-        return mat @ x
+        return mp.raw(x)
 
-    return from_callable(ConeSpace(mat.shape[0]), fn, flags=flags), calls
+    return from_callable(mp.space, fn, flags=flags), calls
 
 
 @pytest.fixture
