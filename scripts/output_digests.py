@@ -65,58 +65,76 @@ def _op_dir(key: str) -> str:
     return key.replace("/", "-")
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def digest(src: str, seed: int, keep: Path | None) -> dict:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    os.environ["OMP_NUM_THREADS"] = "1"
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    sys.path.insert(0, str(Path(src).resolve()))
-    import workloads
-    from conerad import cli
-    from conerad.homog_map import HomogeneousMap
+    """Run and digest every operation; the BLAS thread variables,
+    ``sys.path`` and ``HomogeneousMap.raw`` are restored on return."""
+    saved_path = list(sys.path)
+    saved_env = {var: os.environ.get(var) for var in _THREAD_VARS}
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
+    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
+    orig_raw = None
+    try:
+        import workloads
+        from conerad import cli
+        from conerad.homog_map import HomogeneousMap
 
-    columns = 0
-    orig_raw = HomogeneousMap.raw
+        columns = 0
+        orig_raw = HomogeneousMap.raw
 
-    def counting_raw(mp, x):
-        nonlocal columns
-        columns += x.shape[1] if x.ndim == 2 else 1
-        return orig_raw(mp, x)
+        def counting_raw(mp, x):
+            nonlocal columns
+            columns += x.shape[1] if x.ndim == 2 else 1
+            return orig_raw(mp, x)
 
-    HomogeneousMap.raw = counting_raw
-    report: dict = {"seed": seed, "map_columns": {}, "ops": {}}
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for name in workloads.WORKLOADS:
-            batches = (("op", workloads.GENERATORS[name](seed)),
-                       ("defect", workloads.known_defects(name, seed)))
-            for tag, ops in batches:
-                start = columns
-                for i, op in enumerate(ops):
-                    key = f"{name}/{tag}{i}"
-                    inp = work / f"{name}-{tag}{i}.input.json"
-                    inp.write_text(json.dumps(op["input"]))
-                    cfg = work / f"{name}-{tag}{i}.config.json"
-                    cfg.write_text(json.dumps({"command": op["command"], "input": inp.name,
-                                               "seed": seed, **op["extra"]}))
-                    out = work / "out" / _op_dir(key)
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always", RuntimeWarning)
-                        code = cli.main(["--config", str(cfg), "--out", str(out), "--quiet"])
-                    files = sorted(out.iterdir()) if out.is_dir() else []
-                    report["ops"][key] = {
-                        "command": op["command"],
-                        "code": code,
-                        "files": {p.name: _digest(p) for p in files},
-                        "warnings": sorted({str(w.message) for w in caught
-                                            if issubclass(w.category, RuntimeWarning)}),
-                    }
-                if tag == "op":
-                    report["map_columns"][name] = columns - start
-        if keep is not None:
-            keep.mkdir(parents=True, exist_ok=True)
-            shutil.copytree(work / "out", keep / "out", dirs_exist_ok=True)
-            (keep / "digests.json").write_text(json.dumps(report, indent=1, sort_keys=True))
-    return report
+        HomogeneousMap.raw = counting_raw
+        report: dict = {"seed": seed, "map_columns": {}, "ops": {}}
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            for name in workloads.WORKLOADS:
+                batches = (("op", workloads.GENERATORS[name](seed)),
+                           ("defect", workloads.known_defects(name, seed)))
+                for tag, ops in batches:
+                    start = columns
+                    for i, op in enumerate(ops):
+                        key = f"{name}/{tag}{i}"
+                        inp = work / f"{name}-{tag}{i}.input.json"
+                        inp.write_text(json.dumps(op["input"]))
+                        cfg = work / f"{name}-{tag}{i}.config.json"
+                        cfg.write_text(json.dumps({"command": op["command"], "input": inp.name,
+                                                   "seed": seed, **op["extra"]}))
+                        out = work / "out" / _op_dir(key)
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always", RuntimeWarning)
+                            code = cli.main(["--config", str(cfg), "--out", str(out),
+                                             "--quiet"])
+                        files = sorted(out.iterdir()) if out.is_dir() else []
+                        report["ops"][key] = {
+                            "command": op["command"],
+                            "code": code,
+                            "files": {p.name: _digest(p) for p in files},
+                            "warnings": sorted({str(w.message) for w in caught
+                                                if issubclass(w.category, RuntimeWarning)}),
+                        }
+                    if tag == "op":
+                        report["map_columns"][name] = columns - start
+            if keep is not None:
+                keep.mkdir(parents=True, exist_ok=True)
+                shutil.copytree(work / "out", keep / "out", dirs_exist_ok=True)
+                (keep / "digests.json").write_text(json.dumps(report, indent=1,
+                                                              sort_keys=True))
+        return report
+    finally:
+        if orig_raw is not None:
+            HomogeneousMap.raw = orig_raw
+        sys.path[:] = saved_path
+        for var, value in saved_env.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 class _Mismatch(Exception):

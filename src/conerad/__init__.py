@@ -29,12 +29,10 @@ from .homog_map import (
 )
 from .spectral import (
     ResolventBlock,
-    ResolventResult,
     SpectralEstimate,
     cw_lower,
     cw_upper,
     radius_bracket,
-    radius_power_quotient,
     resolvent_apply,
     resolvent_series,
 )
@@ -56,7 +54,6 @@ from .twosex import (
     TwoSexModel,
     assess_persistence,
     build_model,
-    mating_value,
     simulate,
     step_next_year,
 )
@@ -69,15 +66,14 @@ __all__ = [
     "HomogeneousMap", "MapFlag", "OperatorNormEstimate", "evaluate",
     "from_callable", "from_matrix", "op_norm_plus", "perturb",
     "power_apply", "verify_properties",
-    "ResolventBlock", "ResolventResult", "SpectralEstimate", "cw_lower", "cw_upper",
-    "radius_bracket", "radius_power_quotient", "resolvent_apply",
-    "resolvent_series",
+    "ResolventBlock", "SpectralEstimate", "cw_lower", "cw_upper",
+    "radius_bracket", "resolvent_apply", "resolvent_series",
     "EigenMode", "EigenResult", "EigenfunctionalEstimate",
     "estimate_eigenfunctional", "reduce_power_functional",
     "refine_eigenvector_monotone", "solve_eigenvector_perturbation",
     "solve_subeigenvector_min",
     "MatingFunction", "MatingKind", "MigrationKernel", "SpatialGrid",
-    "TwoSexModel", "assess_persistence", "build_model", "mating_value",
+    "TwoSexModel", "assess_persistence", "build_model",
     "simulate", "step_next_year",
     "OracleReport", "brute_force_bracket", "linear_radius_exact",
     "errors",

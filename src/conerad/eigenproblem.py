@@ -307,7 +307,7 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     if any(b >= a for a, b in zip(lambda_schedule, lambda_schedule[1:])):
         raise ValueError("lambda_schedule must be strictly decreasing")
     for lam in lambda_schedule:
-        if lam <= upper:
+        if not lam > upper:
             raise SpectralDomainError(
                 f"schedule entry {lam} is not above the upper radius estimate {upper}")
 
@@ -323,7 +323,8 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
         raise DegenerateBoundError("sampled normalizer is zero; xstar annihilates the orbit")
 
     def evaluator(x: ConeVector, _n=normalizer) -> float:
-        return float(xs @ resolvent_series(mp, lam, x, trunc_tol).vector.entries) / _n
+        col = resolvent_series(mp, lam, x.entries[:, None], trunc_tol).vectors[:, 0]
+        return float(xs @ col) / _n
 
     # The first n + 8 probes reuse their normalizer values; only the series
     # at their images B(p) is new.

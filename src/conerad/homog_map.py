@@ -89,9 +89,6 @@ class HomogeneousMap:
             raise MapContractError(f"{self.name}: evaluator left the cone")
         return out
 
-    def __call__(self, x: ConeVector) -> ConeVector:
-        return evaluate(self, x)
-
 
 def _check_linear_agreement(mp: HomogeneousMap, tol: float = 1e-12) -> None:
     # Probe a few vectors; a declared-linear evaluator must match its matrix.

@@ -40,7 +40,6 @@ from .homog_map import HomogeneousMap, power_apply
 
 _ORBIT_MEMORY = 8           # on-orbit ratio bounds use powers m = 1.._ORBIT_MEMORY
 _TRUNCATION_LEVELS = (0.0, 1e-2, 1e-5, 1e-8, 1e-11)
-_WINDOW = 20                # trailing Cesaro window for the power-quotient value
 _TINY = float(np.finfo(float).tiny)     # smallest normal float
 
 
@@ -73,12 +72,15 @@ class SpectralEstimate:
 
 
 def cw_upper(mp: HomogeneousMap, u: ConeVector, k: int = 1) -> float:
-    """(least alpha with B^k u <= alpha^k u)^(1), i.e. the k-step max-ratio bound.
+    """The k-step max-ratio bound: the least alpha with B^k u <= alpha^k u.
 
-    Returns +inf when B^k u escapes the support of u (valid but vacuous).
+    It bounds the radius from above only when u > 0; for any other u it is
+    +inf (valid but vacuous).
     """
     if k < 1:
         raise ValueError("power k must be >= 1")
+    if not np.all(u.entries > 0):
+        return math.inf
     ratio = u_norm(power_apply(mp, u, k), u)
     return ratio ** (1.0 / k)
 
@@ -199,20 +201,14 @@ class _BracketEngine:
             return True
         return (self.best_upper - self.best_lower) <= tol * max(1.0, self.best_lower)
 
-    def window_value(self) -> float:
-        if self.dead:
-            return 0.0
-        if not self.logs:
-            return 0.0
-        tail = self.logs[-_WINDOW:]
-        return math.exp(sum(tail) / len(tail))
-
-    def estimate(self, value: float, converged: bool) -> SpectralEstimate:
+    def estimate(self, converged: bool) -> SpectralEstimate:
+        """The outward-rounded bracket; the point value is its midpoint, or
+        the lower bound while the upper one is infinite."""
         lo, hi = _outward(self.best_lower, self.best_upper, self.space.dim)
         if self.dead:
             lo, hi = 0.0, 0.0
         return SpectralEstimate(
-            value=value,
+            value=0.5 * (lo + hi) if math.isfinite(hi) else lo,
             cw_lower=lo,
             cw_upper=hi,
             iterations=self.iterations,
@@ -222,33 +218,6 @@ class _BracketEngine:
         )
 
 
-def radius_power_quotient(mp: HomogeneousMap, u: ConeVector, max_iter: int = 10000,
-                          tol: float = 1e-9) -> SpectralEstimate:
-    """Radius via the limit of ||B^n u||^(1/n) along a renormalized orbit.
-
-    The point value is the trailing-window Cesaro mean of the step log norms;
-    the run is declared converged once the certified bracket has closed to
-    `tol` and the window value agrees with the bracket midpoint.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    eng = _BracketEngine(mp, u)
-    for _ in range(max_iter):
-        eng.step()
-        if eng.dead:
-            return eng.estimate(value=0.0, converged=True)
-        if eng.bracket_closed(tol):
-            val = eng.window_value()
-            mid = 0.5 * (eng.best_lower + eng.best_upper)
-            if abs(val - mid) <= 0.25 * tol * max(1.0, mid):
-                est = eng.estimate(value=val, converged=True)
-                # the window mean may sit a rounding hair outside a bracket
-                # far tighter than tol; the certified bracket wins
-                est.value = min(max(est.value, est.cw_lower), est.cw_upper)
-                return est
-    return eng.estimate(value=eng.window_value(), converged=False)
-
-
 def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
                    max_iter: int = 10000) -> SpectralEstimate:
     """Certified Collatz-Wielandt bracket; the point value is its midpoint.
@@ -256,7 +225,7 @@ def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
     Requires a strictly positive start vector so that regularized upper
     probes exist.  Convergence is declared on bracket width only.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if not np.all(u.entries > 0):
         raise DegenerateBoundError("radius_bracket requires a strictly positive start vector")
@@ -264,26 +233,8 @@ def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
     for _ in range(max_iter):
         eng.step()
         if eng.bracket_closed(tol):
-            est = eng.estimate(value=0.0, converged=True)
-            est.value = 0.5 * (est.cw_lower + est.cw_upper) if not eng.dead else 0.0
-            return est
-    est = eng.estimate(value=0.0, converged=False)
-    if math.isfinite(est.cw_upper):
-        est.value = 0.5 * (est.cw_lower + est.cw_upper)
-    else:
-        est.value = est.cw_lower
-    return est
-
-
-@dataclass
-class ResolventResult:
-    """Truncated left-resolvent sum with its truncation diagnostics."""
-
-    vector: ConeVector
-    terms: int
-    tail_bound: float
-    lambda_used: float
-    trunc_tol: float
+            return eng.estimate(converged=True)
+    return eng.estimate(converged=False)
 
 
 @dataclass
@@ -301,33 +252,24 @@ class ResolventBlock:
         """Series terms over all columns."""
         return int(self.column_terms.sum())
 
-    def column(self, j: int) -> ResolventResult:
-        return ResolventResult(vector=ConeVector(self.vectors[:, j]),
-                               terms=int(self.column_terms[j]),
-                               tail_bound=float(self.tail_bounds[j]),
-                               lambda_used=self.lambda_used, trunc_tol=self.trunc_tol)
 
-
-def resolvent_series(mp: HomogeneousMap, lam: float, x,
-                     trunc_tol: float = 1e-10, max_terms: int = 100000):
+def resolvent_series(mp: HomogeneousMap, lam: float, x: np.ndarray,
+                     trunc_tol: float = 1e-10, max_terms: int = 100000) -> ResolventBlock:
     """The truncated series itself, with no admissibility gate.
 
-    `x` is a ConeVector, giving a ResolventResult, or a nonnegative (n, k)
-    block, giving a ResolventBlock.  The columns of a block are independent
-    series run side by side: each keeps its own stop rule, ratio and tail
-    bound, and leaves the evaluated block once it has converged, so it takes
-    exactly the terms it would take alone.  A ConeVector is the one-column
-    case.
+    `x` is a nonnegative (n, k) block.  Its columns are independent series
+    run side by side: each keeps its own stop rule, ratio and tail bound, and
+    leaves the evaluated block once it has converged, so it takes exactly
+    the terms it would take alone.
 
     Callers must have certified lam > radius on their own (resolvent_apply
     does it with a quick bracket run).
     """
-    if trunc_tol <= 0:
+    if not trunc_tol > 0:
         raise ValueError("trunc_tol must be positive")
-    if lam <= 0:
+    if not lam > 0:
         raise SpectralDomainError(f"resolvent parameter must be positive, got {lam}")
-    one = isinstance(x, ConeVector)
-    block = x.entries[:, None] if one else np.asarray(x, dtype=float)
+    block = np.asarray(x, dtype=float)
     if block.ndim != 2 or block.shape[0] != mp.space.dim:
         raise DimensionError(f"expected a ({mp.space.dim}, k) block, got shape {block.shape}")
     if not np.all(np.isfinite(block)) or np.any(block < 0):
@@ -350,9 +292,8 @@ def resolvent_series(mp: HomogeneousMap, lam: float, x,
         geometric = (ratio > 0.0) & (ratio < 1.0)
         tail[geometric] = prev[geometric] * ratio[geometric] / (1.0 - ratio[geometric])
         tail[active] = math.inf     # columns cut off at max_terms
-        out = ResolventBlock(vectors=acc, column_terms=terms, tail_bounds=tail,
-                             lambda_used=lam, trunc_tol=trunc_tol)
-        return out.column(0) if one else out
+        return ResolventBlock(vectors=acc, column_terms=terms, tail_bounds=tail,
+                              lambda_used=lam, trunc_tol=trunc_tol)
 
     while active.size:
         if count >= max_terms:
@@ -373,15 +314,16 @@ def resolvent_series(mp: HomogeneousMap, lam: float, x,
 
 
 def resolvent_apply(mp: HomogeneousMap, lam: float, x: ConeVector,
-                    trunc_tol: float = 1e-10, max_terms: int = 100000) -> ResolventResult:
-    """Partial sums of sum_n lam^(-n-1) B^n x, truncated at term norm < trunc_tol.
+                    trunc_tol: float = 1e-10, max_terms: int = 100000) -> ResolventBlock:
+    """Partial sums of sum_n lam^(-n-1) B^n x, truncated at term norm < trunc_tol,
+    as a one-column block.
 
     The parameter must exceed the certified lower radius bound from a short
     bracket run (at most 50 steps); the series acts as a left resolvent,
     R(Bx) = lam * R(x) - x, up to the reported tail bound.
     """
     gate = radius_bracket(mp, ConeVector(np.ones(mp.space.dim)), tol=1e-12, max_iter=50)
-    if lam <= gate.cw_lower:
+    if not lam > gate.cw_lower:
         raise SpectralDomainError(
-            f"lambda = {lam} is at or below the certified radius lower bound {gate.cw_lower}")
-    return resolvent_series(mp, lam, x, trunc_tol, max_terms)
+            f"lambda = {lam} is not above the certified radius lower bound {gate.cw_lower}")
+    return resolvent_series(mp, lam, x.entries[:, None], trunc_tol, max_terms)

@@ -276,14 +276,6 @@ class MatingFunction:
                           _per_cell(self.beta2, males) * males)
 
 
-def mating_value(mating: MatingFunction, cell: int, x1: float, x2: float) -> float:
-    """Offspring produced at one cell from x1 females and x2 males."""
-    if x1 < 0 or x2 < 0:
-        raise ValueError("sex densities must be nonnegative")
-    n = mating.n_cells
-    return float(mating.apply(np.full(n, float(x1)), np.full(n, float(x2)))[cell])
-
-
 @dataclass(frozen=True)
 class TwoSexModel:
     """Grid, kernels, mating function, and the order-bound certificate u."""
@@ -314,9 +306,6 @@ class TwoSexModel:
     @property
     def space(self) -> ConeSpace:
         return ConeSpace(self.grid.n_cells, NormKind.WEIGHTED, self.grid.cell_weights)
-
-    def population_mass(self, f: ConeVector) -> float:
-        return float(self.grid.cell_weights @ f.entries)
 
     def as_map(self) -> HomogeneousMap:
         def evaluator(x, _model=self):
@@ -556,18 +545,16 @@ def simulate(model: TwoSexModel, f0: ConeVector, years: int) -> Trajectory:
 
     The running growth factor is checked against the rigorous chain bound
     gamma_n <= alpha * (||u|| / alpha)^(1/n) with alpha the one-step
-    max-ratio bound at u, valid whenever u is strictly positive.
+    max-ratio bound at u (+inf, so no check, unless u is strictly positive).
     """
     if years < 1:
         raise ValueError("years must be >= 1")
     mp = model.as_map()
     space = model.space
     u = model.order_bound
-    alpha = None
-    if not u.is_zero() and np.all(u.entries > 0):
-        alpha = cw_upper(mp, u, 1)
+    alpha = cw_upper(mp, u, 1)
 
-    mass0 = model.population_mass(f0)
+    mass0 = float(model.grid.cell_weights @ f0.entries)
     log_mass = [math.log(mass0) if mass0 > 0 else -math.inf]
     # renormalized storage: each row carries unit mass, log_mass the scale;
     # rows after a die-out stay zero
@@ -591,7 +578,7 @@ def simulate(model: TwoSexModel, f0: ConeVector, years: int) -> Trajectory:
         log_mass.append(cum)
         gamma = math.exp((cum - log_mass[0]) / year)
         gammas.append(gamma)
-        if alpha is not None and alpha > 0 and math.isfinite(alpha):
+        if alpha > 0 and math.isfinite(alpha):
             bound = alpha * (norm_u / alpha) ** (1.0 / year)
             if gamma > bound * (1.0 + 1e-9):
                 raise ModelContractError(

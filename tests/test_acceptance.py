@@ -20,7 +20,6 @@ from conerad import (
     linear_radius_exact,
     psi_hull,
     radius_bracket,
-    radius_power_quotient,
     resolvent_apply,
     simulate,
     solve_eigenvector_perturbation,
@@ -95,17 +94,21 @@ def test_c01_linear_oracle_equality():
 
 
 def test_c02_power_quotient_laws():
+    # r(B) = lim ||B^n||^(1/n) gives r(alpha B) = alpha r(B) and r(B^2) = r(B)^2;
+    # both are checked on the midpoints of converged certified brackets
     worst_scale = worst_power = 0.0
     for name, mp in zoo_maps():
         u = ConeVector(np.ones(mp.space.dim))
-        base = radius_power_quotient(mp, u, tol=1e-11, max_iter=30000)
+        base = radius_bracket(mp, u, tol=1e-11, max_iter=30000)
+        assert base.converged, f"{name}: bracket did not close"
         for alpha in (0.5, 2.0, 10.0):
-            est = radius_power_quotient(scaled_map(mp, alpha), u, tol=1e-11,
-                                        max_iter=30000)
+            est = radius_bracket(scaled_map(mp, alpha), u, tol=1e-11, max_iter=30000)
+            assert est.converged, f"{name}*{alpha}: bracket did not close"
             err = abs(est.value - alpha * base.value) / max(1.0, alpha * base.value)
             worst_scale = max(worst_scale, err)
             assert err <= 1e-10, f"{name}: scaling law off by {err}"
-        sq = radius_power_quotient(squared_map(mp), u, tol=1e-11, max_iter=30000)
+        sq = radius_bracket(squared_map(mp), u, tol=1e-11, max_iter=30000)
+        assert sq.converged, f"{name}^2: bracket did not close"
         err = abs(sq.value - base.value ** 2) / max(1.0, base.value ** 2)
         worst_power = max(worst_power, err)
         assert err <= 1e-8, f"{name}: power law off by {err}"
@@ -174,8 +177,8 @@ def test_c05_left_resolvent_identity():
         lam = float(rng.uniform(1.1, 3.0)) * max(upper, 1e-6)
         x = ConeVector(np.abs(rng.standard_normal(n)))
         bx = ConeVector(mp.raw(x.entries))
-        lhs = resolvent_apply(mp, lam, bx, trunc_tol).vector.entries
-        rhs = lam * resolvent_apply(mp, lam, x, trunc_tol).vector.entries - x.entries
+        lhs = resolvent_apply(mp, lam, bx, trunc_tol).vectors[:, 0]
+        rhs = lam * resolvent_apply(mp, lam, x, trunc_tol).vectors[:, 0] - x.entries
         defect = mp.space.norm(lhs - rhs)
         worst = max(worst, defect)
         assert defect <= 10.0 * trunc_tol, f"identity defect {defect}"

@@ -100,6 +100,8 @@ def test_compare_default_tolerance_is_zero(digests, tmp_path):
 
 
 def test_digest_records_each_command(digests, tmp_path, monkeypatch):
+    import os
+
     from conerad.homog_map import HomogeneousMap
 
     fake = types.ModuleType("workloads")
@@ -109,16 +111,22 @@ def test_digest_records_each_command(digests, tmp_path, monkeypatch):
         {"command": c, "input": matrix, "extra": {}} for c in ("radius", "eigen")]}
     fake.known_defects = lambda name, seed: []
     monkeypatch.setitem(sys.modules, "workloads", fake)
-    # digest counts map columns by patching raw and pins BLAS threads
-    monkeypatch.setattr(HomogeneousMap, "raw", HomogeneousMap.raw)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    # digest counts map columns by patching raw, pins BLAS threads and
+    # prepends to sys.path while it runs, and restores all three on return
+    raw, path = HomogeneousMap.raw, list(sys.path)
+    env = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     src = str(_PATH.parent.parent / "src")
     report = digests.digest(src, 1, tmp_path / "kept")
     assert {k: op["command"] for k, op in report["ops"].items()} == {
         "linear-mix/op0": "radius", "linear-mix/op1": "eigen"}
     assert all(op["code"] == 0 for op in report["ops"].values())
+    assert HomogeneousMap.raw is raw
+    assert sys.path == path
+    assert {var: os.environ.get(var) for var in env} == env
+    # a second run in the same process counts the same columns
+    again = digests.digest(src, 1, None)
+    assert again["map_columns"] == report["map_columns"]
+    assert report["map_columns"]["linear-mix"] > 0
 
 
 def _kept_ops(root: Path, ops: dict) -> Path:

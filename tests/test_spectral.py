@@ -1,4 +1,4 @@
-"""Radius estimators: power quotient, CW bounds, bracket, left resolvent."""
+"""Radius estimation: CW bounds, the certified bracket, the left resolvent."""
 
 from __future__ import annotations
 
@@ -13,11 +13,11 @@ from conerad import (
     build_model,
     cw_lower,
     cw_upper,
+    estimate_eigenfunctional,
     from_callable,
     from_matrix,
     linear_radius_exact,
     radius_bracket,
-    radius_power_quotient,
     resolvent_apply,
     resolvent_series,
 )
@@ -144,36 +144,6 @@ class TestBracketReference:
             assert bits(est.log_norm_trace) == bits(logs)
 
 
-class TestPowerQuotient:
-    def test_dominant_diagonal(self, diag21):
-        est = radius_power_quotient(diag21, ONES2, tol=1e-9)
-        assert est.converged
-        assert est.value == pytest.approx(2.0, abs=2e-9)
-
-    def test_isometric_orbit(self, swap):
-        est = radius_power_quotient(swap, ONES2, tol=1e-10)
-        assert est.converged
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetric_two_patch_quarter(self, two_patch_model):
-        est = radius_power_quotient(two_patch_model.as_map(), ONES2, tol=1e-10)
-        assert est.converged
-        assert est.value == pytest.approx(0.25, abs=1e-10)
-
-    def test_orbit_death_returns_zero(self):
-        est = radius_power_quotient(from_matrix([[0.0, 1.0], [0.0, 0.0]]), ONES2)
-        assert est.converged and est.value == 0.0
-        assert est.cw_lower == 0.0 and est.cw_upper == 0.0
-
-    def test_zero_start_rejected(self, diag21):
-        with pytest.raises(DegenerateBoundError):
-            radius_power_quotient(diag21, vec(0, 0))
-
-    def test_trace_recorded(self, diag21):
-        est = radius_power_quotient(diag21, ONES2, tol=1e-9)
-        assert len(est.log_norm_trace) == est.iterations
-
-
 class TestCwBounds:
     def test_upper_diagonal(self, diag21):
         assert cw_upper(diag21, ONES2, 1) == pytest.approx(2.0, abs=1e-15)
@@ -186,6 +156,14 @@ class TestCwBounds:
 
     def test_upper_support_escape_is_vacuous(self, swap):
         assert cw_upper(swap, vec(1, 0), 1) == float("inf")
+
+    def test_upper_vacuous_unless_u_positive(self):
+        # B u = u at u = (1, 0), but the radius is 5: a max ratio bounds the
+        # radius only from a strictly positive u
+        diag15 = from_matrix(np.diag([1.0, 5.0]))
+        assert cw_upper(diag15, vec(1, 0), 1) == float("inf")
+        assert cw_upper(diag15, vec(1, 0), 3) == float("inf")
+        assert cw_upper(diag15, ONES2, 1) == pytest.approx(5.0, abs=1e-15)
 
     def test_lower_eigenvector_and_uniform(self, diag21):
         assert cw_lower(diag21, vec(1, 0), 1) == 2.0
@@ -229,6 +207,20 @@ class TestRadiusBracket:
         assert est.converged
         assert est.value == pytest.approx(0.25, abs=1e-10)
 
+    def test_isometric_orbit(self, swap):
+        est = radius_bracket(swap, ONES2, tol=1e-10)
+        assert est.converged
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_orbit_death_returns_zero(self):
+        est = radius_bracket(from_matrix([[0.0, 1.0], [0.0, 0.0]]), ONES2)
+        assert est.converged and est.value == 0.0
+        assert est.cw_lower == 0.0 and est.cw_upper == 0.0
+
+    def test_trace_recorded(self, diag21):
+        est = radius_bracket(diag21, ONES2, tol=1e-9)
+        assert len(est.log_norm_trace) == est.iterations
+
     def test_two_evaluations_per_iteration_on_positive_matrix(self, rng):
         # B(y) is evaluated once, as the untruncated lower probe, and the
         # next power step reuses it; the regularized upper probe is the
@@ -248,8 +240,9 @@ class TestRadiusBracket:
         assert est.iterations < len(calls) < 1 + 2 * est.iterations
 
     def test_requires_strictly_positive_start(self, diag21):
-        with pytest.raises(DegenerateBoundError):
-            radius_bracket(diag21, vec(1, 0))
+        for start in (vec(1, 0), vec(0, 0)):
+            with pytest.raises(DegenerateBoundError):
+                radius_bracket(diag21, start)
 
     def test_unconverged_run_is_honest(self, rng):
         # With a tiny iteration budget the estimate must say so while the
@@ -375,19 +368,20 @@ class TestRadiusBracket:
 class TestResolvent:
     def test_diagonal_geometric_series(self, diag21):
         res = resolvent_apply(diag21, 4.0, vec(1, 0), trunc_tol=1e-12)
-        assert res.vector.entries[0] == pytest.approx(0.5, abs=1e-11)
-        assert res.vector.entries[1] == 0.0
+        assert res.vectors.shape == (2, 1)
+        assert res.vectors[0, 0] == pytest.approx(0.5, abs=1e-11)
+        assert res.vectors[1, 0] == 0.0
 
     def test_identity_map(self):
         mp = from_matrix(np.eye(2))
         res = resolvent_apply(mp, 2.0, vec(1, 1), trunc_tol=1e-12)
-        assert np.allclose(res.vector.entries, [1.0, 1.0], atol=1e-11)
+        assert np.allclose(res.vectors[:, 0], [1.0, 1.0], atol=1e-11)
 
     def test_left_resolvent_identity_instance(self, diag21):
         e1 = vec(1, 0)
         lhs = resolvent_apply(diag21, 4.0, ConeVector(diag21.matrix @ e1.entries),
-                              trunc_tol=1e-12).vector.entries
-        rhs = 4.0 * resolvent_apply(diag21, 4.0, e1, trunc_tol=1e-12).vector.entries \
+                              trunc_tol=1e-12).vectors[:, 0]
+        rhs = 4.0 * resolvent_apply(diag21, 4.0, e1, trunc_tol=1e-12).vectors[:, 0] \
             - e1.entries
         assert np.allclose(lhs, rhs, atol=1e-11)
         assert np.allclose(rhs, [1.0, 0.0], atol=1e-10)
@@ -402,8 +396,8 @@ class TestResolvent:
             x = ConeVector(np.abs(rng.standard_normal(n)))
             tol = 1e-10
             lhs = resolvent_apply(mp, lam, ConeVector(mat @ x.entries), trunc_tol=tol)
-            rhs = lam * resolvent_apply(mp, lam, x, trunc_tol=tol).vector.entries - x.entries
-            assert mp.space.norm(lhs.vector.entries - rhs) <= 10 * tol
+            rhs = lam * resolvent_apply(mp, lam, x, trunc_tol=tol).vectors[:, 0] - x.entries
+            assert mp.space.norm(lhs.vectors[:, 0] - rhs) <= 10 * tol
 
     def test_lambda_below_radius_rejected(self, diag21):
         with pytest.raises(SpectralDomainError):
@@ -434,7 +428,7 @@ class TestResolvent:
             x = ConeVector(np.ones(n))
             xstar = np.ones(n)
             lams = [r * (1 + d) for d in (0.5, 0.2, 0.05, 0.01, 1e-3)]
-            vals = [float(xstar @ resolvent_apply(mp, lam, x, trunc_tol=1e-12).vector.entries)
+            vals = [float(xstar @ resolvent_apply(mp, lam, x, trunc_tol=1e-12).vectors[:, 0])
                     for lam in lams]
             assert all(b > a for a, b in zip(vals, vals[1:]))
             assert vals[-1] > 100 * vals[0]
@@ -454,10 +448,10 @@ class TestResolventBlock:
         res = resolvent_series(mp, lam, block, trunc_tol=1e-10)
         assert len(set(res.column_terms.tolist())) > 2
         for j in range(block.shape[1]):
-            one = resolvent_series(mp, lam, ConeVector(block[:, j]), trunc_tol=1e-10)
+            one = resolvent_series(mp, lam, block[:, j:j + 1], trunc_tol=1e-10)
             assert res.column_terms[j] == one.terms
-            assert np.allclose(res.vectors[:, j], one.vector.entries, rtol=1e-13, atol=0.0)
-            assert res.tail_bounds[j] == pytest.approx(one.tail_bound, rel=1e-9, abs=1e-300)
+            assert np.allclose(res.vectors[:, j], one.vectors[:, 0], rtol=1e-13, atol=0.0)
+            assert res.tail_bounds[j] == pytest.approx(one.tail_bounds[0], rel=1e-9, abs=1e-300)
         assert res.terms == int(res.column_terms.sum())
 
     def test_cut_off_column_leaves_others_finished(self, diag21):
@@ -468,6 +462,29 @@ class TestResolventBlock:
         part = exc.value.partial
         assert part.column_terms[0] == 50 and part.tail_bounds[0] == math.inf
         assert part.column_terms[1] < 50 and math.isfinite(part.tail_bounds[1])
+
+
+NAN = float("nan")
+DIAG21 = from_matrix(np.diag([2.0, 1.0]))
+
+
+class TestNanGuards:
+    # NaN fails every comparison, so a guard written as x <= 0 lets it
+    # through: the series stopped after one term with a finite tail bound,
+    # the vectors and the eigenfunctional came out NaN, and the bracket ran
+    # to max_iter
+    @pytest.mark.parametrize("call, error", [
+        (lambda: resolvent_series(DIAG21, 4.0, np.ones((2, 1)), trunc_tol=NAN), ValueError),
+        (lambda: resolvent_series(DIAG21, NAN, np.ones((2, 1))), SpectralDomainError),
+        (lambda: resolvent_apply(DIAG21, NAN, ONES2), SpectralDomainError),
+        (lambda: estimate_eigenfunctional(DIAG21, ONES2, ONES2, lambda_schedule=[NAN]),
+         SpectralDomainError),
+        (lambda: radius_bracket(DIAG21, ONES2, tol=NAN, max_iter=20), ValueError),
+    ], ids=["series-trunc_tol", "series-lam", "apply-lam", "functional-schedule",
+            "bracket-tol"])
+    def test_nan_parameter_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestOtherNormsAndScales:

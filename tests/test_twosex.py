@@ -16,7 +16,6 @@ from conerad import (
     TwoSexModel,
     assess_persistence,
     build_model,
-    mating_value,
     radius_bracket,
     simulate,
     step_next_year,
@@ -55,13 +54,13 @@ class TestGrid:
 class TestMating:
     def test_harmonic_values(self):
         m = MatingFunction(MatingKind.HARMONIC_MEAN, beta=np.array([1.0]))
-        assert mating_value(m, 0, 1.0, 1.0) == 0.5
-        assert mating_value(m, 0, 0.0, 0.0) == 0.0
+        assert m.apply(np.array([1.0]), np.array([1.0]))[0] == 0.5
+        assert m.apply(np.array([0.0]), np.array([0.0]))[0] == 0.0
 
     def test_min_rate_values(self):
         m = MatingFunction(MatingKind.MIN_RATE, beta1=np.array([1.0]),
                            beta2=np.array([1.0]))
-        assert mating_value(m, 0, 2.0, 3.0) == 2.0
+        assert m.apply(np.array([2.0]), np.array([3.0]))[0] == 2.0
 
     def test_psi_field(self):
         m = MatingFunction(MatingKind.HARMONIC_MEAN, beta=np.array([2.0, 4.0]))
