@@ -41,8 +41,6 @@ from .eigenproblem import (
     EigenResult,
     EigenfunctionalEstimate,
     estimate_eigenfunctional,
-    reduce_power_functional,
-    refine_eigenvector_monotone,
     solve_eigenvector_perturbation,
     solve_subeigenvector_min,
 )
@@ -69,8 +67,7 @@ __all__ = [
     "ResolventBlock", "SpectralEstimate", "cw_lower", "cw_upper",
     "radius_bracket", "resolvent_apply", "resolvent_series",
     "EigenMode", "EigenResult", "EigenfunctionalEstimate",
-    "estimate_eigenfunctional", "reduce_power_functional",
-    "refine_eigenvector_monotone", "solve_eigenvector_perturbation",
+    "estimate_eigenfunctional", "solve_eigenvector_perturbation",
     "solve_subeigenvector_min",
     "MatingFunction", "MatingKind", "MigrationKernel", "SpatialGrid",
     "TwoSexModel", "assess_persistence", "build_model",

@@ -236,7 +236,7 @@ def _run_radius(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
 def _write_eigen_trace(emit: _Emitter, trace, residual: str) -> None:
     rows = [[i, repr(eps), repr(lam), ""] for i, (eps, lam) in enumerate(trace)]
     if rows:
-        rows[-1][3] = residual  # residual is measured at the final stage
+        rows[-1][3] = residual  # residual is measured at the end of the stage
     emit.write_csv("trace.csv", ["step", "eps_or_k", "lambda", "residual"], rows)
 
 
@@ -246,13 +246,9 @@ def _run_eigen(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
         res = solve_eigenvector_perturbation(mp, u, inner_tol=cfg.tolerances["inner_tol"],
                                              max_inner=cfg.max_iter)
     except InnerIterationError as exc:
-        # partial outputs: the stages completed before the inner iteration stalled
-        emit.write_json("result.json", {
-            "error": str(exc),
-            "trace": [[float(a), float(b)] for a, b in exc.trace],
-            "seed": cfg.seed,
-        })
-        _write_eigen_trace(emit, exc.trace, "")
+        # partial outputs: the one stage did not end, so its trace is empty
+        emit.write_json("result.json", {"error": str(exc), "trace": [], "seed": cfg.seed})
+        _write_eigen_trace(emit, [], "")
         return 2
     payload = res.to_json()
     payload["seed"] = cfg.seed

@@ -2,10 +2,10 @@
 
 Three constructive schemes:
 
-* a continuation over shrinking perturbations B + eps * psi(.) * u, each
-  solved by a normalized fixed-point iteration (eigenvectors),
+* one shifted stage of normalized fixed-point steps on B_eps + c I, with
+  B_eps = B + eps * psi(.) * u and eps one ulp of B(u_hat) (eigenvectors),
 * the decreasing lattice iteration x_k = min(B x_{k-1}/r + 2^-k u, u)
-  producing sub-eigenvectors, refined by a nondecreasing orbit iteration,
+  producing sub-eigenvectors,
 * truncated-resolvent functionals x -> x* . R_lam(x), normalized by a
   sampled operator norm (eigenfunctionals).
 """
@@ -23,13 +23,11 @@ from .errors import (
     DegenerateBoundError,
     InnerIterationError,
     MapContractError,
-    PreconditionError,
-    ScaleError,
     SpectralDomainError,
     ZeroLimitError,
 )
 from .homog_map import HomogeneousMap, perturb, unit_cone_probes
-from .spectral import radius_bracket, resolvent_series
+from .spectral import _cw_ratios, _outward, radius_bracket, resolvent_series
 
 _MONOTONE_SLACK = 1e-12  # relative slack absorbing evaluator roundoff
 # A jump with ratio mu leaves |mu_true - mu| / (mu (1 - mu)) of the real mode
@@ -48,20 +46,27 @@ class EigenMode(enum.Enum):
 
 @dataclass
 class EigenResult:
-    """Eigenpair (or sub-eigenpair) with the trace that produced it."""
+    """Eigenpair (or sub-eigenpair) with the trace that produced it.
+
+    [cw_lower, cw_upper] is the outward-rounded Collatz-Wielandt bracket of
+    the vector itself, a certified enclosure of the radius; it is [0, inf]
+    where the solver computes none.
+    """
 
     vector: ConeVector          # normalized so psi(vector) = 1
     lam: float
     residual: float             # ||B(v) - lam v||
     mode: EigenMode
     trace: list = field(default_factory=list)  # (eps_or_k, lambda) pairs
-    lam_raw: float | None = None
+    cw_lower: float = 0.0
+    cw_upper: float = math.inf
 
     def to_json(self) -> dict:
         return {
             "vector": self.vector.to_json(),
             "lambda": self.lam,
-            "lambda_raw": self.lam_raw,
+            "cw_lower": self.cw_lower,
+            "cw_upper": self.cw_upper,
             "residual": self.residual,
             "mode": self.mode.value,
             "trace": [[float(a), float(b)] for a, b in self.trace],
@@ -78,90 +83,82 @@ def _psi_normalize(space: ConeSpace, v: np.ndarray) -> np.ndarray:
 
 
 def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
-                                   eps_schedule=None, inner_tol: float = 1e-13,
+                                   inner_tol: float = 1e-13,
                                    max_inner: int = 20000) -> EigenResult:
-    """Eigenvector by continuation over B_eps = B + eps * psi(.) * u, eps -> 0.
+    """Eigenvector from one shifted stage on B_eps + c I, B_eps = B + eps * psi(.) * u.
 
-    Each stage runs plain steps w = B_eps(v) / psi(B_eps(v)), warm-started
-    from the previous stage, until a step moves the iterate by less than
-    inner_tol.  Between plain steps it may take an Aitken jump: with
-    d = w - v and the step ratio mu = (d . d_prev) / (d_prev . d_prev),
-    two successive ratios in (0, 1) that agree to 1e-2 * mu * (1 - mu),
-    with d parallel to d_prev to ||d - mu d_prev|| <= 0.1 (1 - mu) ||d||,
-    move w to normalize(max(w + mu / (1 - mu) * d, 0)), which removes the
-    real error mode of ratio mu, and restart the ratio history.  A jump
-    costs no evaluation (max_inner counts plain steps).  A mode that turns
-    the step by an angle theta fails the parallel test unless the jump
-    shrinks it at least tenfold, and mu <= 0 never jumps.  The stage value
-    lam_eps = psi(B_eps(v)) is nonincreasing along the schedule; the
-    returned lam is the unperturbed Rayleigh value psi(B(v)) at the final
-    iterate (the raw perturbed values stay in the trace).
+    Both constants come from the image B(u_hat) of u_hat = u / psi(u), which
+    also checks that B does not annihilate the cone: c = psi(B(u_hat)) and
+    eps = 2^-52 * c / psi(u), one ulp of that image in the direction u.  The
+    shift keeps the eigenvectors, moves the radius to r + c and removes any
+    periodicity; the eps term keeps B_eps strictly increasing, so every step
+    lands in the open cone, and moves the eigenvector by rounding level only.
+
+    The stage runs plain steps w = normalize(B_eps(v) + c v) from u_hat until
+    a step moves the iterate by less than inner_tol.  Between plain steps it
+    may take an Aitken jump: with d = w - v and the step ratio
+    mu = (d . d_prev) / (d_prev . d_prev), two successive ratios in (0, 1)
+    that agree to 1e-2 * mu * (1 - mu), with d parallel to d_prev to
+    ||d - mu d_prev|| <= 0.1 (1 - mu) ||d||, move w to
+    normalize(max(w + mu / (1 - mu) * d, 0)), which removes the real error
+    mode of ratio mu, and restart the ratio history.  A jump costs no
+    evaluation (max_inner counts plain steps).  A mode that turns the step
+    by an angle theta fails the parallel test unless the jump shrinks it at
+    least tenfold, and mu <= 0 never jumps.
+
+    The returned lam is the Rayleigh value psi(B(v)) of the unperturbed map
+    at the final iterate, the trace is the one row (eps, lam), and
+    [cw_lower, cw_upper] is the Collatz-Wielandt bracket of (v, B(v)).
     """
     space = mp.space
     if u.dim != space.dim or not np.all(u.entries > 0):
         raise DegenerateBoundError("perturbation direction u must be strictly positive")
-    if eps_schedule is None:
-        eps_schedule = [10.0 ** (-n) for n in range(1, 9)]
-    eps_schedule = [float(e) for e in eps_schedule]
-    if any(e <= 0 for e in eps_schedule) or any(
-            b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        raise ValueError("eps_schedule must be positive and strictly decreasing")
     if not inner_tol > 0:
         raise ValueError("inner_tol must be positive")
 
     v = _psi_normalize(space, u.entries)
-    if not mp.raw(v).any():
+    bv = mp.raw(v)
+    if not bv.any():
         # B annihilates a strictly positive vector, hence the whole cone.
         return EigenResult(vector=ConeVector(v), lam=0.0, residual=0.0,
-                           mode=EigenMode.SUB_EIGEN, trace=[], lam_raw=0.0)
-
-    trace: list[tuple[float, float]] = []
-    lam_prev = math.inf
-    lam_raw = math.nan
-    for eps in eps_schedule:
-        pert = perturb(mp, eps, u)
-        d_prev = mu_prev = None
-        for _ in range(max_inner):
-            w = _psi_normalize(space, pert.raw(v))
-            d = w - v
-            if space.norm(d) < inner_tol:
-                v = w
-                break
-            mu = None
-            if d_prev is not None:
-                # Euclidean step ratio on steps scaled by max|d_prev|, which
-                # cannot underflow whatever the scale of the norm (p . p >= 1).
-                scale = np.abs(d_prev).max()
-                p, q = d_prev / scale, d / scale
-                mu = float(q @ p) / float(p @ p)
-                if (mu_prev is not None and 0.0 < mu < 1.0
-                        and abs(mu - mu_prev) <= _AITKEN_SETTLED * mu * (1.0 - mu)
-                        and np.linalg.norm(q - mu * p)
-                        <= _AITKEN_PARALLEL * (1.0 - mu) * np.linalg.norm(q)):
-                    # Aitken jump: remove the settled real error mode of ratio mu.
-                    w = _psi_normalize(space, np.maximum(w + (mu / (1.0 - mu)) * d, 0.0))
-                    d = mu = None
-            d_prev, mu_prev = d, mu
+                           mode=EigenMode.SUB_EIGEN, cw_lower=0.0, cw_upper=0.0)
+    c = space.norm(bv)
+    eps = 2.0 ** -52 * c / space.norm(u.entries)
+    pert = perturb(mp, eps, u)
+    d_prev = mu_prev = None
+    for _ in range(max_inner):
+        w = _psi_normalize(space, pert.raw(v) + c * v)
+        d = w - v
+        if space.norm(d) < inner_tol:
             v = w
-        else:
-            raise InnerIterationError(
-                f"inner iteration did not settle within {max_inner} steps at eps={eps}",
-                trace=trace)
-        lam_raw = psi_hull(space, pert.raw(v))
-        slack = 100.0 * inner_tol * max(1.0, lam_raw)
-        if lam_raw > lam_prev + slack:
-            raise MapContractError(
-                f"stage value increased along the schedule ({lam_prev} -> {lam_raw}); "
-                "map is not order preserving")
-        lam_prev = lam_raw
-        trace.append((eps, lam_raw))
+            break
+        mu = None
+        if d_prev is not None:
+            # Euclidean step ratio on steps scaled by max|d_prev|, which
+            # cannot underflow whatever the scale of the norm (p . p >= 1).
+            scale = np.abs(d_prev).max()
+            p, q = d_prev / scale, d / scale
+            mu = float(q @ p) / float(p @ p)
+            if (mu_prev is not None and 0.0 < mu < 1.0
+                    and abs(mu - mu_prev) <= _AITKEN_SETTLED * mu * (1.0 - mu)
+                    and np.linalg.norm(q - mu * p)
+                    <= _AITKEN_PARALLEL * (1.0 - mu) * np.linalg.norm(q)):
+                # Aitken jump: remove the settled real error mode of ratio mu.
+                w = _psi_normalize(space, np.maximum(w + (mu / (1.0 - mu)) * d, 0.0))
+                d = mu = None
+        d_prev, mu_prev = d, mu
+        v = w
+    else:
+        raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
 
     bv = mp.raw(v)
     lam = psi_hull(space, bv)
     residual = space.norm(bv - lam * v)
     mode = EigenMode.EXACT if residual <= 100.0 * inner_tol * max(1.0, lam) else EigenMode.SUB_EIGEN
-    return EigenResult(vector=ConeVector(v), lam=lam, residual=residual,
-                       mode=mode, trace=trace, lam_raw=lam_raw)
+    lower, upper = _cw_ratios(v[:, None], bv[:, None])
+    lo, hi = _outward(float(lower[0]), float(upper[0]), space.dim)
+    return EigenResult(vector=ConeVector(v), lam=lam, residual=residual, mode=mode,
+                       trace=[(eps, lam)], cw_lower=lo, cw_upper=hi)
 
 
 def solve_subeigenvector_min(mp: HomogeneousMap, u: ConeVector, r_est: float,
@@ -211,51 +208,6 @@ def solve_subeigenvector_min(mp: HomogeneousMap, u: ConeVector, r_est: float,
     vec = ConeVector(_psi_normalize(space, x))
     return EigenResult(vector=vec, lam=r_est, residual=max(violation, 0.0) / psi_hull(space, x),
                        mode=EigenMode.SUB_EIGEN, trace=trace)
-
-
-def refine_eigenvector_monotone(mp: HomogeneousMap, x0: ConeVector, u: ConeVector,
-                                r_est: float, tol: float = 1e-12,
-                                max_iter: int = 5000) -> EigenResult:
-    """Upgrade a sub-eigenvector to an eigenvector by iterating x <- B(x)/r_est.
-
-    Starting from B(x0) >= r_est * x0 - tol the orbit is entrywise
-    nondecreasing and stays u-bounded; its limit is a fixed point of B/r_est.
-    """
-    if r_est <= 0:
-        raise ValueError("r_est must be positive")
-    space = mp.space
-    x = x0.entries.copy()
-    bx = mp.raw(x)
-    if float(np.max(r_est * x - bx)) > tol * max(1.0, r_est):
-        raise PreconditionError("x0 is not a sub-eigenvector at rate r_est within tol")
-    c0 = u_norm(x0, u)
-    if not math.isfinite(c0):
-        raise PreconditionError("x0 is not bounded by any multiple of u")
-
-    trace: list[tuple[float, float]] = []
-    converged = False
-    for k in range(1, max_iter + 1):
-        nxt = bx / r_est
-        drop = float(np.max(x - nxt))
-        if drop > _MONOTONE_SLACK * max(1.0, float(np.max(x))):
-            raise PreconditionError(
-                "orbit stopped increasing; x0 was not a sub-eigenvector of this map")
-        bound = u_norm(ConeVector(np.maximum(nxt, 0.0)), u)
-        if not math.isfinite(bound) or bound > 1e9 * max(1.0, c0):
-            raise ScaleError("orbit diverges in the order norm; r_est underestimates the radius")
-        delta = space.norm(nxt - x)
-        x = nxt
-        bx = mp.raw(x)
-        trace.append((float(k), psi_hull(space, x)))
-        if delta <= tol:
-            converged = True
-            break
-    v = _psi_normalize(space, x)
-    bv = mp.raw(v)
-    residual = space.norm(bv - r_est * v)
-    mode = EigenMode.EXACT if converged else EigenMode.SUB_EIGEN
-    return EigenResult(vector=ConeVector(v), lam=r_est, residual=residual,
-                       mode=mode, trace=trace)
 
 
 @dataclass
@@ -336,27 +288,3 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
                                    normalizer=normalizer, evaluator=evaluator,
                                    defect_max=defect, radius_used=r)
 
-
-def reduce_power_functional(psi_p, mp: HomogeneousMap, r: float, p: int):
-    """Turn a functional with psi(B^p x) = r^p psi(x) into one for B itself.
-
-    Returns phi(x) = sum_{k<p} r^-k psi(B^k x), which satisfies
-    phi(B x) = r phi(x) whenever psi satisfies the p-step relation.
-    """
-    if p < 1:
-        raise ValueError("power p must be >= 1")
-    if r <= 0:
-        raise ValueError("rate r must be positive")
-    if p == 1:
-        return psi_p
-
-    def phi(x: ConeVector) -> float:
-        acc = 0.0
-        cur = x
-        for k in range(p):
-            acc += (r ** -k) * psi_p(cur)
-            if k + 1 < p:
-                cur = ConeVector(mp.raw(cur.entries))
-        return acc
-
-    return phi

@@ -36,25 +36,12 @@ class TruncationError(ConeRadError):
 
 
 class InnerIterationError(ConeRadError):
-    """An inner fixed-point iteration failed to settle. Carries the trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace if trace is not None else []
+    """An inner fixed-point iteration failed to settle."""
 
 
 class ZeroLimitError(ConeRadError):
     """The decreasing min-iteration collapsed to zero, certifying that the
     trial rate exceeds the cone spectral radius."""
-
-
-class ScaleError(ConeRadError):
-    """Monotone refinement diverged in the order norm: the trial rate
-    underestimates the spectral radius."""
-
-
-class PreconditionError(ConeRadError):
-    """An input vector fails a documented precondition of the solver."""
 
 
 class KernelMassError(ConeRadError):

@@ -16,21 +16,18 @@ from conerad import (
     perturb,
     psi_hull,
     radius_bracket,
-    reduce_power_functional,
-    refine_eigenvector_monotone,
     solve_eigenvector_perturbation,
     solve_subeigenvector_min,
 )
 from conerad.errors import (
     DegenerateBoundError,
     InnerIterationError,
-    PreconditionError,
-    ScaleError,
     SpectralDomainError,
     ZeroLimitError,
 )
 
 from conerad.eigenproblem import _psi_normalize
+from conerad.oracle import linear_radius_exact
 
 from conftest import counting_map
 
@@ -42,66 +39,51 @@ def vec(*vals):
 ONES2 = ConeVector(np.ones(2))
 
 
-def plain_continuation(mp, u, inner_tol, max_inner=20000):
-    """The continuation without jumps: plain normalized power steps in every
-    stage; returns (vector, lam, residual, trace)."""
+def reference_stage(mp, u, inner_tol, jumps=True, max_inner=20000):
+    """solve_eigenvector_perturbation's stage with every iterate normalized
+    by psi_hull: c = psi(B(u_hat)) and eps = 2^-52 c / psi(u), plain steps
+    w = normalize(B_eps(v) + c v) from u_hat with d = w - v, and, when jumps
+    is set, after two successive step ratios mu = d.d_prev / d_prev.d_prev
+    in (0, 1) that agree to 1e-2 * mu * (1 - mu) with
+    ||d - mu d_prev|| <= 0.1 (1 - mu) ||d||, the jump w <- w + mu / (1 - mu) * d
+    clipped at 0.  Returns (vector, lam, residual, trace)."""
     space = mp.space
     v = u.entries / psi_hull(space, u.entries)
-    trace = []
-    for eps in [10.0 ** (-n) for n in range(1, 9)]:
-        pert = perturb(mp, eps, u)
-        for _ in range(max_inner):
-            w = pert.raw(v)
-            w = w / psi_hull(space, w)
-            delta = space.norm(w - v)
+    c = psi_hull(space, mp.raw(v))
+    eps = 2.0 ** -52 * c / psi_hull(space, u.entries)
+    pert = perturb(mp, eps, u)
+    d_prev = mu_prev = None
+    for _ in range(max_inner):
+        w = pert.raw(v) + c * v
+        w = w / psi_hull(space, w)
+        d = w - v
+        if space.norm(d) < inner_tol:
             v = w
-            if delta < inner_tol:
-                break
-        else:
-            raise InnerIterationError(f"no settling at eps={eps}", trace=trace)
-        trace.append((eps, psi_hull(space, pert.raw(v))))
+            break
+        mu = None
+        if jumps and d_prev is not None:
+            scale = np.abs(d_prev).max()
+            p, q = d_prev / scale, d / scale
+            mu = float(q @ p) / float(p @ p)
+            if (mu_prev is not None and 0.0 < mu < 1.0
+                    and abs(mu - mu_prev) <= 1e-2 * mu * (1.0 - mu)
+                    and np.linalg.norm(q - mu * p)
+                    <= 0.1 * (1.0 - mu) * np.linalg.norm(q)):
+                w = np.maximum(w + (mu / (1.0 - mu)) * d, 0.0)
+                w = w / psi_hull(space, w)
+                d = mu = None
+        d_prev, mu_prev = d, mu
+        v = w
+    else:
+        raise InnerIterationError(f"no settling within {max_inner} steps")
     bv = mp.raw(v)
     lam = psi_hull(space, bv)
-    return v, lam, space.norm(bv - lam * v), trace
+    return v, lam, space.norm(bv - lam * v), [(eps, lam)]
 
 
-def reference_continuation(mp, u, inner_tol):
-    """solve_eigenvector_perturbation's continuation with every iterate
-    normalized by psi_hull: plain steps d = w - v, and after two successive
-    step ratios mu = d.d_prev / d_prev.d_prev in (0, 1) that agree to
-    1e-2 * mu * (1 - mu), the jump w <- w + mu / (1 - mu) * d clipped at 0.
-    Returns (vector, lam, residual, trace)."""
-    space = mp.space
-    v = u.entries / psi_hull(space, u.entries)
-    trace = []
-    for eps in [10.0 ** (-n) for n in range(1, 9)]:
-        pert = perturb(mp, eps, u)
-        d_prev = mu_prev = None
-        while True:
-            w = pert.raw(v)
-            w = w / psi_hull(space, w)
-            d = w - v
-            if space.norm(d) < inner_tol:
-                v = w
-                break
-            mu = None
-            if d_prev is not None:
-                scale = np.abs(d_prev).max()
-                p, q = d_prev / scale, d / scale
-                mu = float(q @ p) / float(p @ p)
-                if (mu_prev is not None and 0.0 < mu < 1.0
-                        and abs(mu - mu_prev) <= 1e-2 * mu * (1.0 - mu)
-                        and np.linalg.norm(q - mu * p)
-                        <= 0.1 * (1.0 - mu) * np.linalg.norm(q)):
-                    w = np.maximum(w + (mu / (1.0 - mu)) * d, 0.0)
-                    w = w / psi_hull(space, w)
-                    d = mu = None
-            d_prev, mu_prev = d, mu
-            v = w
-        trace.append((eps, psi_hull(space, pert.raw(v))))
-    bv = mp.raw(v)
-    lam = psi_hull(space, bv)
-    return v, lam, space.norm(bv - lam * v), trace
+def plain_stage(mp, u, inner_tol, max_inner=20000):
+    """The stage without jumps: plain shifted normalized power steps."""
+    return reference_stage(mp, u, inner_tol, jumps=False, max_inner=max_inner)
 
 
 def block_triangular(rng, n=8):
@@ -146,10 +128,9 @@ class TestContinuationReference:
         mp = continuation_case(case, rng, gaussian_model)
         u = ConeVector(rng.uniform(0.5, 1.5, mp.space.dim))
         res = solve_eigenvector_perturbation(mp, u, inner_tol=1e-13)
-        v, lam, residual, trace = reference_continuation(mp, u, 1e-13)
+        v, lam, residual, trace = reference_stage(mp, u, 1e-13)
         assert np.array_equal(res.vector.entries, v)
         assert (res.lam, res.residual, res.trace) == (lam, residual, trace)
-        assert res.lam_raw == trace[-1][1]
 
     @pytest.mark.parametrize("case", ["l1", "linf", "weighted", "two_sex",
                                       "block_triangular", "upper_triangular"])
@@ -157,19 +138,17 @@ class TestContinuationReference:
         mp = continuation_case(case, rng, gaussian_model)
         u = ConeVector(rng.uniform(0.5, 1.5, mp.space.dim))
         res = solve_eigenvector_perturbation(mp, u)
-        v, lam, _, trace = plain_continuation(mp, u, 1e-13)
+        v, lam, _, trace = plain_stage(mp, u, 1e-13)
         assert mp.space.norm(res.vector.entries - v) <= 1e-11
         assert res.lam == pytest.approx(lam, rel=1e-12, abs=0)
         assert [e for e, _ in res.trace] == [e for e, _ in trace]
-        for (_, got), (_, want) in zip(res.trace, trace):
-            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_block_triangular_perron_vector(self, rng):
+        # The Perron vector of B itself vanishes on the lower block; the eps
+        # term moves the solver's vector by rounding level only.
         m = block_triangular(rng)
-        u = ConeVector(np.ones(8))
-        res = solve_eigenvector_perturbation(from_matrix(m), u)
-        p = perron_vector(m + 1e-8 * np.outer(u.entries, np.ones(8)))
-        assert np.abs(res.vector.entries - p).sum() <= 1e-11
+        res = solve_eigenvector_perturbation(from_matrix(m), ConeVector(np.ones(8)))
+        assert np.abs(res.vector.entries - perron_vector(m)).sum() <= 1e-11
 
     def test_half_the_evaluations_of_the_plain_loop(self, gaussian_model):
         mp = gaussian_model.as_map()
@@ -177,42 +156,41 @@ class TestContinuationReference:
         solver_map, solver_calls = counting_map(mp)
         plain_map, plain_calls = counting_map(mp)
         solve_eigenvector_perturbation(solver_map, u)
-        plain_continuation(plain_map, u, 1e-13)
+        plain_stage(plain_map, u, 1e-13)
         assert 2 * len(solver_calls) <= len(plain_calls)
 
     def test_rotating_mode_does_not_jump(self, rng):
         # 0.7 I + 0.3 P with P the 20-cycle: the slowest error modes are the
-        # pair 0.7 + 0.3 exp(+-2 pi i / 20), which turns the step by about
-        # 5.4 degrees at a constant ratio mu > 0; a jump on it would grow it.
-        # The stage must settle exactly as the plain loop does.
+        # pair 0.7 + 0.3 exp(+-2 pi i / 20), which turns the step at a
+        # constant ratio mu > 0 (the shift c I keeps it turning); a jump on
+        # it would grow it.  The stage must settle exactly as the plain loop.
         n = 20
         m = 0.7 * np.eye(n) + 0.3 * np.roll(np.eye(n), 1, axis=0)
         u = ConeVector(rng.uniform(0.5, 1.5, n))
         solver_map, solver_calls = counting_map(m)
         plain_map, plain_calls = counting_map(m)
         res = solve_eigenvector_perturbation(solver_map, u)
-        v, lam, _, _ = plain_continuation(plain_map, u, 1e-13)
+        v, lam, _, _ = plain_stage(plain_map, u, 1e-13)
         assert np.abs(res.vector.entries - v).sum() <= 1e-11
         assert res.lam == pytest.approx(lam, rel=1e-12, abs=0)
-        # the solver's one extra evaluation checks that B does not annihilate u
-        assert len(solver_calls) <= len(plain_calls) + 1
+        assert len(solver_calls) <= len(plain_calls)
 
-    @pytest.mark.parametrize("period", [5, 8, 12])
-    def test_block_cyclic_stalls_as_plain_loop(self, rng, period):
+    @pytest.mark.parametrize("period", [2, 3, 5, 8, 12])
+    def test_block_cyclic_settles(self, rng, period):
+        # B has `period` eigenvalues on its spectral circle, so plain steps
+        # on B rotate forever; on B + c I only r + c is on the circle.
         k = 3
         m = np.zeros((period * k, period * k))
         for i in range(period):
             j = (i + 1) % period
             m[j * k:(j + 1) * k, i * k:(i + 1) * k] = rng.uniform(0.1, 1.0, size=(k, k))
-        u = ConeVector(rng.uniform(0.5, 1.5, period * k))
-        solver_map, solver_calls = counting_map(m)
-        plain_map, plain_calls = counting_map(m)
-        with pytest.raises(InnerIterationError) as solver:
-            solve_eigenvector_perturbation(solver_map, u, max_inner=2000)
-        with pytest.raises(InnerIterationError) as plain:
-            plain_continuation(plain_map, u, 1e-13, max_inner=2000)
-        assert solver.value.trace == plain.value.trace
-        assert len(solver_calls) == len(plain_calls) + 1
+        res = solve_eigenvector_perturbation(
+            from_matrix(m), ConeVector(rng.uniform(0.5, 1.5, period * k)))
+        assert res.mode is EigenMode.EXACT
+        assert res.residual <= 1e-12 * res.lam
+        assert np.abs(res.vector.entries - perron_vector(m)).sum() <= 1e-11
+        ref = linear_radius_exact(m)
+        assert res.cw_lower - ref.accuracy <= ref.value <= res.cw_upper + ref.accuracy
 
     def test_huge_weights_match_plain_loop(self, rng):
         # Iterates of norm 1 have entries near 1e-200: the step ratio must
@@ -221,7 +199,7 @@ class TestContinuationReference:
         mp = from_matrix(block_triangular(rng), space=space)
         u = ConeVector(np.full(8, 1e-200))
         res = solve_eigenvector_perturbation(mp, u)
-        v, lam, _, _ = plain_continuation(mp, u, 1e-13)
+        v, lam, _, _ = plain_stage(mp, u, 1e-13)
         assert space.norm(res.vector.entries - v) <= 1e-11
         assert res.lam == pytest.approx(lam, rel=1e-12, abs=0)
 
@@ -233,7 +211,7 @@ class TestContinuationReference:
         solver_map, solver_calls = counting_map(mp)
         plain_map, plain_calls = counting_map(mp)
         res = solve_eigenvector_perturbation(solver_map, u)
-        v, _, _, _ = plain_continuation(plain_map, u, 1e-13)
+        v, _, _, _ = plain_stage(plain_map, u, 1e-13)
         assert np.abs(res.vector.entries - v).sum() <= 1e-11
         assert len(solver_calls) < len(plain_calls)
 
@@ -247,12 +225,11 @@ class TestContinuationReference:
         m = upper_triangular(rng, n=5, second=second)
         u = ConeVector(np.ones(5))
         solver_map, solver_calls = counting_map(m)
-        plain_map, plain_calls = counting_map(m)
         res = solve_eigenvector_perturbation(solver_map, u)
-        plain_continuation(plain_map, u, 1e-13)
-        p = perron_vector(m + 1e-8 * np.outer(u.entries, np.ones(5)))
-        assert np.abs(res.vector.entries - p).sum() <= 2e-13 / (1.0 - second)
-        assert 10 * len(solver_calls) < len(plain_calls)
+        assert np.abs(res.vector.entries - perron_vector(m)).sum() <= 2e-13 / (1.0 - second)
+        # plain steps do not settle in ten times the solver's evaluations
+        with pytest.raises(InnerIterationError):
+            plain_stage(from_matrix(m), u, 1e-13, max_inner=10 * len(solver_calls))
 
     def test_zero_vector_not_normalized(self):
         with pytest.raises(DegenerateBoundError, match="zero vector"):
@@ -261,30 +238,29 @@ class TestContinuationReference:
 
 class TestPerturbationSolver:
     def test_diagonal_converges_to_dominant_ray(self, diag21):
-        res = solve_eigenvector_perturbation(
-            diag21, ONES2, eps_schedule=[10.0 ** -n for n in range(1, 11)])
-        assert res.lam == pytest.approx(2.0, abs=1e-8)
-        assert res.vector.entries[0] == pytest.approx(1.0, abs=1e-8)
-        assert res.vector.entries[1] == pytest.approx(0.0, abs=1e-8)
-        assert res.residual <= 1e-8
+        res = solve_eigenvector_perturbation(diag21, ONES2)
+        assert res.lam == pytest.approx(2.0, abs=1e-12)
+        assert res.vector.entries[0] == pytest.approx(1.0, abs=1e-12)
+        assert res.vector.entries[1] == pytest.approx(0.0, abs=1e-12)
+        assert res.residual <= 1e-12
 
     def test_scaled_identity(self):
         res = solve_eigenvector_perturbation(from_matrix(3.0 * np.eye(2)), ONES2)
-        assert res.lam == pytest.approx(3.0, abs=1e-9)
+        assert res.lam == pytest.approx(3.0, abs=1e-12)
         assert np.allclose(res.vector.entries, [0.5, 0.5], atol=1e-12)
-        # raw stage values carry the eps * psi(u) shift exactly
-        for eps, lam_raw in res.trace:
-            assert lam_raw == pytest.approx(3.0 + eps * 2.0, rel=1e-10)
+        # c = psi(B(u / psi(u))) = 3 and eps = 2^-52 c / psi(u)
+        assert res.trace == [(2.0 ** -52 * 1.5, res.lam)]
 
-    def test_stage_values_nonincreasing_and_above_lower_bound(self, rng):
-        mp = from_matrix(rng.uniform(0.1, 1.0, size=(5, 5)))
-        u = ConeVector(np.ones(5))
-        res = solve_eigenvector_perturbation(mp, u)
-        lams = [lam for _, lam in res.trace]
-        for a, b in zip(lams, lams[1:]):
-            assert b <= a + 1e-10 * max(1.0, a)
-        floor = radius_bracket(mp, u, tol=1e-9).cw_lower
-        assert res.lam >= floor - 1e-8
+    @pytest.mark.parametrize("case", ["l1", "linf", "weighted"])
+    def test_lambda_inside_own_bracket(self, rng, gaussian_model, case):
+        mp = continuation_case(case, rng, gaussian_model)
+        res = solve_eigenvector_perturbation(mp, ConeVector(np.ones(mp.space.dim)))
+        assert res.cw_lower <= res.lam <= res.cw_upper
+        assert res.cw_upper - res.cw_lower <= 1e-11 * res.lam
+        ref = linear_radius_exact(mp.matrix)
+        assert res.cw_lower - ref.accuracy <= ref.value <= res.cw_upper + ref.accuracy
+        json = res.to_json()
+        assert (json["cw_lower"], json["cw_upper"]) == (res.cw_lower, res.cw_upper)
 
     def test_two_patch_uniform_eigenvector(self, two_patch_model):
         res = solve_eigenvector_perturbation(two_patch_model.as_map(), ONES2)
@@ -294,8 +270,7 @@ class TestPerturbationSolver:
     def test_matches_bracket_value(self, rng):
         mp = from_matrix(rng.uniform(0.1, 1.0, size=(6, 6)))
         u = ConeVector(np.ones(6))
-        res = solve_eigenvector_perturbation(
-            mp, u, eps_schedule=[10.0 ** -n for n in range(1, 11)])
+        res = solve_eigenvector_perturbation(mp, u)
         est = radius_bracket(mp, u, tol=1e-10)
         assert res.lam == pytest.approx(est.value, abs=1e-8)
 
@@ -303,14 +278,11 @@ class TestPerturbationSolver:
         res = solve_eigenvector_perturbation(from_matrix(np.zeros((2, 2))), ONES2)
         assert res.lam == 0.0
         assert res.mode is EigenMode.SUB_EIGEN
+        assert (res.cw_lower, res.cw_upper, res.trace) == (0.0, 0.0, [])
 
     def test_requires_strictly_positive_direction(self, diag21):
         with pytest.raises(DegenerateBoundError):
             solve_eigenvector_perturbation(diag21, vec(1, 0))
-
-    def test_rejects_bad_schedule(self, diag21):
-        with pytest.raises(ValueError):
-            solve_eigenvector_perturbation(diag21, ONES2, eps_schedule=[1e-2, 1e-1])
 
     @pytest.mark.parametrize("inner_tol", [0.0, -1e-13])
     def test_rejects_nonpositive_inner_tol(self, diag21, inner_tol):
@@ -320,7 +292,6 @@ class TestPerturbationSolver:
     def test_perturbed_fixed_point_independent_of_start(self, rng):
         # For fixed eps the normalized fixed point is unique: iterations
         # from unrelated starts agree to machine precision.
-        from conerad import perturb
         mp = from_matrix(rng.uniform(0.1, 1.0, size=(4, 4)))
         pert = perturb(mp, 0.5, ConeVector(np.ones(4)))
         limits = []
@@ -336,7 +307,7 @@ class TestPerturbationSolver:
 
     def test_inner_iteration_budget_exhausted(self, rng):
         mp = from_matrix(rng.uniform(0.1, 1.0, size=(5, 5)))
-        with pytest.raises(InnerIterationError):
+        with pytest.raises(InnerIterationError, match="within 1 steps"):
             solve_eigenvector_perturbation(mp, ConeVector(np.ones(5)),
                                            inner_tol=1e-15, max_inner=1)
 
@@ -367,38 +338,6 @@ class TestMinIteration:
     def test_not_u_bounded_rejected(self, swap):
         with pytest.raises(DegenerateBoundError):
             solve_subeigenvector_min(swap, vec(1, 0), r_est=1.0)
-
-
-class TestMonotoneRefinement:
-    def test_exact_eigenvector_is_fixed(self, diag21):
-        res = refine_eigenvector_monotone(diag21, vec(1, 0), ONES2, r_est=2.0)
-        assert res.mode is EigenMode.EXACT
-        assert res.residual <= 1e-14
-        assert np.allclose(res.vector.entries, [1.0, 0.0])
-
-    def test_identity_returns_start(self, rng):
-        x0 = ConeVector(rng.random(3) + 0.1)
-        res = refine_eigenvector_monotone(from_matrix(np.eye(3)), x0,
-                                          ConeVector(np.ones(3)), r_est=1.0)
-        assert np.allclose(res.vector.entries, x0.entries / x0.entries.sum())
-        assert res.residual <= 1e-14
-
-    def test_two_sex_pipeline(self, two_patch_model):
-        mp = two_patch_model.as_map()
-        sub = solve_subeigenvector_min(mp, two_patch_model.order_bound, r_est=0.25)
-        res = refine_eigenvector_monotone(mp, sub.vector, two_patch_model.order_bound,
-                                          r_est=0.25, tol=1e-13)
-        assert res.residual <= 1e-10
-        assert res.vector.entries[0] == pytest.approx(res.vector.entries[1], rel=1e-9)
-
-    def test_bad_start_rejected(self, diag21):
-        with pytest.raises(PreconditionError):
-            refine_eigenvector_monotone(diag21, vec(0, 1), ONES2, r_est=2.0)
-
-    def test_underestimated_rate_diverges(self, diag21):
-        with pytest.raises(ScaleError):
-            refine_eigenvector_monotone(diag21, vec(1, 0), ONES2, r_est=0.05,
-                                        tol=1e-16, max_iter=2000)
 
 
 class TestEigenfunctional:
@@ -488,24 +427,3 @@ class TestEigenfunctional:
         with pytest.raises(SpectralDomainError):
             estimate_eigenfunctional(diag21, ONES2, ONES2, lambda_schedule=[3.0, 1.5])
 
-
-class TestPowerReduction:
-    def test_p1_unchanged(self, diag21):
-        psi = lambda v: float(v.entries[0])
-        assert reduce_power_functional(psi, diag21, r=2.0, p=1) is psi
-
-    def test_swap_power_two(self, swap):
-        psi = lambda v: float(v.entries[0])
-        phi = reduce_power_functional(psi, swap, r=1.0, p=2)
-        x = vec(0.3, 0.9)
-        assert phi(x) == pytest.approx(1.2)
-        bx = ConeVector(swap.matrix @ x.entries)
-        assert phi(bx) == pytest.approx(phi(x), rel=1e-12)
-
-    def test_diagonal_power_two(self, diag21):
-        psi = lambda v: float(v.entries[0])
-        phi = reduce_power_functional(psi, diag21, r=2.0, p=2)
-        x = vec(1.0, 5.0)
-        assert phi(x) == pytest.approx(2.0)  # x1 * (1 + 2/2)
-        bx = ConeVector(diag21.matrix @ x.entries)
-        assert phi(bx) == pytest.approx(2.0 * phi(x), rel=1e-12)

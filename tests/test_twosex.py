@@ -414,6 +414,19 @@ class TestPersistence:
         assert len(report.gamma_probes) == 2
         assert report.gamma_probes[0].gamma == pytest.approx(0.25, rel=1e-10)
 
+    @pytest.mark.parametrize("n_cells, sigma, beta", [
+        (20, 0.03, 3.0), (40, 0.05, 12.0), (60, 0.1, 12.0)])
+    def test_eigenvalue_inside_radius_bracket(self, n_cells, sigma, beta):
+        # The eigenpair of B itself, not of a perturbation of B: its value
+        # lies in the certified radius bracket, and its own Collatz-Wielandt
+        # bracket meets that one.
+        report = assess_persistence(build_model(
+            gaussian_config(n_cells=n_cells, sigma=sigma, beta=beta)))
+        radius, eigen = report.radius, report.eigen
+        assert radius.cw_lower <= eigen.lam <= radius.cw_upper
+        assert eigen.cw_lower <= eigen.lam <= eigen.cw_upper
+        assert max(radius.cw_lower, eigen.cw_lower) <= min(radius.cw_upper, eigen.cw_upper)
+
     def test_rectangle_grid_min_rate_model(self):
         cfg = {
             "grid": {"kind": "rectangle2d", "bounds": [[0.0, 1.0], [0.0, 1.0]],
