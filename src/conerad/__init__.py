@@ -18,22 +18,16 @@ from .cone import (
 from .homog_map import (
     HomogeneousMap,
     MapFlag,
-    OperatorNormEstimate,
-    evaluate,
     from_callable,
     from_matrix,
-    op_norm_plus,
     perturb,
-    power_apply,
     verify_properties,
 )
 from .spectral import (
     ResolventBlock,
     SpectralEstimate,
-    cw_lower,
     cw_upper,
     radius_bracket,
-    resolvent_apply,
     resolvent_series,
 )
 from .eigenproblem import (
@@ -53,7 +47,6 @@ from .twosex import (
     assess_persistence,
     build_model,
     simulate,
-    step_next_year,
 )
 from .oracle import OracleReport, brute_force_bracket, linear_radius_exact
 from . import errors
@@ -61,17 +54,16 @@ from . import errors
 __all__ = [
     "ConeSpace", "ConeVector", "NormKind", "diamond_norm", "leq",
     "lower_ratio", "meet", "psi_hull", "u_norm",
-    "HomogeneousMap", "MapFlag", "OperatorNormEstimate", "evaluate",
-    "from_callable", "from_matrix", "op_norm_plus", "perturb",
-    "power_apply", "verify_properties",
-    "ResolventBlock", "SpectralEstimate", "cw_lower", "cw_upper",
-    "radius_bracket", "resolvent_apply", "resolvent_series",
+    "HomogeneousMap", "MapFlag", "from_callable", "from_matrix", "perturb",
+    "verify_properties",
+    "ResolventBlock", "SpectralEstimate", "cw_upper", "radius_bracket",
+    "resolvent_series",
     "EigenMode", "EigenResult", "EigenfunctionalEstimate",
     "estimate_eigenfunctional", "solve_eigenvector_perturbation",
     "solve_subeigenvector_min",
     "MatingFunction", "MatingKind", "MigrationKernel", "SpatialGrid",
     "TwoSexModel", "assess_persistence", "build_model",
-    "simulate", "step_next_year",
+    "simulate",
     "OracleReport", "brute_force_bracket", "linear_radius_exact",
     "errors",
 ]

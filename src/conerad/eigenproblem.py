@@ -95,10 +95,11 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     lands in the open cone, and moves the eigenvector by rounding level only.
 
     The stage runs plain steps w = normalize(B_eps(v) + c v) from u_hat until
-    a step moves the iterate by less than inner_tol.  Between plain steps it
-    may take an Aitken jump: with d = w - v and the step ratio
-    mu = (d . d_prev) / (d_prev . d_prev), two successive ratios in (0, 1)
-    that agree to 1e-2 * mu * (1 - mu), with d parallel to d_prev to
+    a step moves the iterate by less than inner_tol; the first step takes
+    B_eps(u_hat) from B(u_hat) instead of evaluating u_hat again.  Between
+    plain steps it may take an Aitken jump: with d = w - v and the step
+    ratio mu = (d . d_prev) / (d_prev . d_prev), two successive ratios in
+    (0, 1) that agree to 1e-2 * mu * (1 - mu), with d parallel to d_prev to
     ||d - mu d_prev|| <= 0.1 (1 - mu) ||d||, move w to
     normalize(max(w + mu / (1 - mu) * d, 0)), which removes the real error
     mode of ratio mu, and restart the ratio history.  A jump costs no
@@ -125,9 +126,11 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     c = space.norm(bv)
     eps = 2.0 ** -52 * c / space.norm(u.entries)
     pert = perturb(mp, eps, u)
+    # B_eps(u_hat) by perturb's own arithmetic on B(u_hat): no second evaluation
+    bv_eps = bv + u.entries * (eps * space.norm(v))
     d_prev = mu_prev = None
     for _ in range(max_inner):
-        w = _psi_normalize(space, pert.raw(v) + c * v)
+        w = _psi_normalize(space, bv_eps + c * v)
         d = w - v
         if space.norm(d) < inner_tol:
             v = w
@@ -148,6 +151,7 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
                 d = mu = None
         d_prev, mu_prev = d, mu
         v = w
+        bv_eps = pert.raw(v)
     else:
         raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
 
@@ -235,14 +239,15 @@ class EigenfunctionalEstimate:
 
 
 def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVector,
-                             lambda_schedule=None, trunc_tol: float = 1e-10,
+                             lam: float | None = None, trunc_tol: float = 1e-10,
                              normalizer_samples: int = 256, seed: int = 0) -> EigenfunctionalEstimate:
     """Eigenfunctional from truncated resolvents: phi(x) = x* . R_lam(x) / N.
 
-    Every schedule entry must sit above the current upper radius estimate;
-    the evaluator is built from the last (smallest) entry.  N is a sampled
-    sup of the unnormalized functional over the unit cone sphere, and the
-    reported defect is max |phi(Bx) - r phi(x)| over the sample points.
+    lam must sit above the upper radius estimate; it defaults to 1.2 times
+    that estimate, or to 1.2e-6 when the estimate is smaller.  N is a
+    sampled sup of the unnormalized functional over the unit cone sphere,
+    and the reported defect is max |phi(Bx) - r phi(x)| over the sample
+    points.
     """
     space = mp.space
     if xstar.dim != space.dim or xstar.is_zero():
@@ -252,18 +257,10 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
 
     est = radius_bracket(mp, u, tol=1e-10, max_iter=10000)
     upper = est.cw_upper if math.isfinite(est.cw_upper) else est.value
-    if lambda_schedule is None:
-        base = max(upper, 1e-6)
-        lambda_schedule = [base * (1.0 + s) for s in (0.5, 0.3, 0.2)]
-    lambda_schedule = [float(l) for l in lambda_schedule]
-    if any(b >= a for a, b in zip(lambda_schedule, lambda_schedule[1:])):
-        raise ValueError("lambda_schedule must be strictly decreasing")
-    for lam in lambda_schedule:
-        if not lam > upper:
-            raise SpectralDomainError(
-                f"schedule entry {lam} is not above the upper radius estimate {upper}")
-
-    lam = lambda_schedule[-1]
+    lam = 1.2 * max(upper, 1e-6) if lam is None else float(lam)
+    if not lam > upper:
+        raise SpectralDomainError(
+            f"lambda {lam} is not above the upper radius estimate {upper}")
     xs = xstar.entries
 
     # lam > cw_upper >= radius was certified above, so the bare series is safe;

@@ -1,10 +1,10 @@
 """Bounded homogeneous maps on the cone: evaluation, combinators, checks.
 
 A map is stored as a raw evaluator on ndarrays together with structure
-flags.  Linear maps carry their frozen matrix and evaluate it, which lets
-several downstream operations stay exact (operator norms, rank-one
-perturbations).  ``HomogeneousMap.raw`` checks every map value against the
-cone contract once; solvers do not check it again.
+flags.  Linear maps carry their frozen matrix and evaluate it, which keeps
+a rank-one perturbation of a linear map linear.  ``HomogeneousMap.raw``
+checks every map value against the cone contract once; solvers do not
+check it again.
 
 Evaluator contract: an evaluator takes a vector of shape (n,) or a column
 block of shape (n, k) and returns an array of the same shape; for a block,
@@ -29,16 +29,13 @@ class MapFlag(enum.Flag):
     NONE = 0
     LINEAR = enum.auto()
     SUPERADDITIVE = enum.auto()
-    STRICTLY_INCREASING = enum.auto()
 
 
 @dataclass(frozen=True)
 class HomogeneousMap:
     """Evaluatable map of the cone into itself, homogeneous of degree one.
 
-    A LINEAR map may leave out its evaluator: it then evaluates its own
-    frozen matrix.  An evaluator given together with a matrix is probed
-    against it once, at construction.
+    A LINEAR map evaluates its own frozen matrix and takes no evaluator.
     """
 
     space: ConeSpace
@@ -49,6 +46,8 @@ class HomogeneousMap:
 
     def __post_init__(self):
         if self.flags & MapFlag.LINEAR:
+            if self.evaluator is not None:
+                raise ValueError("a linear map evaluates its matrix and takes no evaluator")
             if self.matrix is None:
                 raise ValueError("linear maps must carry their matrix")
             m = np.asarray(self.matrix, dtype=float)
@@ -62,10 +61,7 @@ class HomogeneousMap:
                 m = m.copy()
                 m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
-            if self.evaluator is None:
-                object.__setattr__(self, "evaluator", m.__matmul__)
-            else:
-                _check_linear_agreement(self)
+            object.__setattr__(self, "evaluator", m.__matmul__)
         elif self.matrix is not None:
             raise ValueError("matrix is only meaningful with the LINEAR flag")
         elif self.evaluator is None:
@@ -88,19 +84,6 @@ class HomogeneousMap:
                 raise MapContractError(f"{self.name}: evaluator produced NaN/Inf")
             raise MapContractError(f"{self.name}: evaluator left the cone")
         return out
-
-
-def _check_linear_agreement(mp: HomogeneousMap, tol: float = 1e-12) -> None:
-    # Probe a few vectors; a declared-linear evaluator must match its matrix.
-    rng = np.random.default_rng(0)
-    n = mp.space.dim
-    probes = [np.ones(n)] + [rng.random(n) for _ in range(2)]
-    for p in probes:
-        got = np.asarray(mp.evaluator(p), dtype=float)
-        want = mp.matrix @ p
-        scale = max(1.0, float(np.max(np.abs(want))))
-        if np.max(np.abs(got - want)) > tol * scale:
-            raise MapContractError(f"{mp.name}: evaluator disagrees with matrix")
 
 
 def from_matrix(matrix, space: ConeSpace | None = None, name: str = "linear") -> HomogeneousMap:
@@ -126,22 +109,6 @@ def from_callable(space: ConeSpace, fn, flags: MapFlag = MapFlag.NONE,
     return HomogeneousMap(space=space, evaluator=evaluator, flags=flags, name=name)
 
 
-def evaluate(mp: HomogeneousMap, x: ConeVector) -> ConeVector:
-    if x.dim != mp.space.dim:
-        raise DimensionError(f"vector dim {x.dim} does not match map dim {mp.space.dim}")
-    return ConeVector(mp.raw(x.entries))
-
-
-def power_apply(mp: HomogeneousMap, x: ConeVector, n: int) -> ConeVector:
-    """n-fold application; n = 0 is the identity."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    out = x
-    for _ in range(n):
-        out = evaluate(mp, out)
-    return out
-
-
 def _psi_weight_vector(space: ConeSpace) -> np.ndarray | None:
     """Weight vector w with psi(x) = w . x on the cone, or None for LInf."""
     if space.norm_kind is NormKind.L1:
@@ -151,8 +118,7 @@ def _psi_weight_vector(space: ConeSpace) -> np.ndarray | None:
     return None
 
 
-def perturb(mp: HomogeneousMap, eps: float, u: ConeVector,
-            space: ConeSpace | None = None) -> HomogeneousMap:
+def perturb(mp: HomogeneousMap, eps: float, u: ConeVector) -> HomogeneousMap:
     """The map x -> B(x) + eps * psi(x) * u with psi the cone-restricted norm.
 
     The result dominates eps*psi(x)*u, so it sends nonzero vectors to
@@ -162,41 +128,30 @@ def perturb(mp: HomogeneousMap, eps: float, u: ConeVector,
     """
     if eps <= 0:
         raise ValueError("perturbation strength eps must be positive")
-    sp = space if space is not None else mp.space
-    if u.dim != sp.dim:
+    space = mp.space
+    if u.dim != space.dim:
         raise DimensionError("perturbation direction dimension mismatch")
     if u.is_zero():
         raise DegenerateBoundError("perturbation direction u must be nonzero")
 
-    flags = MapFlag.STRICTLY_INCREASING
-    w = _psi_weight_vector(sp)
-    if w is not None and (mp.flags & MapFlag.SUPERADDITIVE):
-        flags |= MapFlag.SUPERADDITIVE
+    w = _psi_weight_vector(space)
     if w is not None and (mp.flags & MapFlag.LINEAR):
         matrix = mp.matrix + eps * np.outer(u.entries, w)
         matrix.flags.writeable = False      # fresh, so the map keeps it uncopied
-        return HomogeneousMap(space=sp, flags=flags | MapFlag.LINEAR | MapFlag.SUPERADDITIVE,
+        return HomogeneousMap(space=space, flags=MapFlag.LINEAR | MapFlag.SUPERADDITIVE,
                               matrix=matrix, name=f"{mp.name}+{eps:g}*psi*u")
+    additive = w is not None and (mp.flags & MapFlag.SUPERADDITIVE)
+    flags = MapFlag.SUPERADDITIVE if additive else MapFlag.NONE
 
     ue = u.entries.copy()
 
-    def shifted(x, _mp=mp, _eps=eps, _u=ue, _sp=sp):
+    def shifted(x, _mp=mp, _eps=eps, _u=ue, _sp=space):
         x = np.asarray(x, dtype=float)
         # psi(x) = ||x+||, a float for a vector and one per column for a block
         return _mp.raw(x) + np.multiply.outer(_u, _eps * _sp.norm(np.maximum(x, 0.0)))
 
-    return HomogeneousMap(space=sp, evaluator=shifted, flags=flags,
+    return HomogeneousMap(space=space, evaluator=shifted, flags=flags,
                           name=f"{mp.name}+{eps:g}*psi*u")
-
-
-@dataclass(frozen=True)
-class OperatorNormEstimate:
-    """sup of ||Bx|| over the unit cone ball: exact for linear L1-type norms,
-    otherwise a certified lower bound from sampled unit vectors."""
-
-    value: float
-    exact: bool
-    sample_count: int
 
 
 def unit_cone_probes(space: ConeSpace, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,24 +163,6 @@ def unit_cone_probes(space: ConeSpace, count: int, rng: np.random.Generator) -> 
     norms = space.norm(draws)
     keep = norms > 0
     return np.hstack([basis / space.norm(basis), draws[:, keep] / norms[keep]])
-
-
-def op_norm_plus(mp: HomogeneousMap, samples: int = 128, seed: int = 0) -> OperatorNormEstimate:
-    n = mp.space.dim
-    kind = mp.space.norm_kind
-    if (mp.flags & MapFlag.LINEAR) and kind in (NormKind.L1, NormKind.WEIGHTED):
-        w = _psi_weight_vector(mp.space)
-        # Unit-ball extreme points are the scaled basis vectors e_j / w_j.
-        col = (w @ mp.matrix) / w
-        return OperatorNormEstimate(value=float(np.max(col)), exact=True, sample_count=n)
-
-    if samples < 1:
-        raise ValueError("samples must be >= 1 for sampled estimates")
-    probes = unit_cone_probes(mp.space, samples, np.random.default_rng(seed))
-    ones = np.ones((n, 1))
-    probes = np.hstack([probes, ones / mp.space.norm(ones)])
-    best = float(np.max(mp.space.norm(mp.raw(probes))))
-    return OperatorNormEstimate(value=best, exact=False, sample_count=probes.shape[1])
 
 
 @dataclass

@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConeVector, lower_ratio, u_norm
+from .cone import ConeVector, u_norm
 from .errors import DegenerateBoundError, DimensionError, SpectralDomainError, TruncationError
-from .homog_map import HomogeneousMap, power_apply
+from .homog_map import HomogeneousMap
 
 _ORBIT_MEMORY = 8           # on-orbit ratio bounds use powers m = 1.._ORBIT_MEMORY
 _TRUNCATION_LEVELS = (0.0, 1e-2, 1e-5, 1e-8, 1e-11)
@@ -57,9 +57,6 @@ class SpectralEstimate:
     # part of the JSON wire format
     bound_trace: list | None = field(default=None, repr=False, compare=False)
 
-    def width(self) -> float:
-        return self.cw_upper - self.cw_lower
-
     def to_json(self) -> dict:
         return {
             "value": self.value,
@@ -71,28 +68,15 @@ class SpectralEstimate:
         }
 
 
-def cw_upper(mp: HomogeneousMap, u: ConeVector, k: int = 1) -> float:
-    """The k-step max-ratio bound: the least alpha with B^k u <= alpha^k u.
+def cw_upper(mp: HomogeneousMap, u: ConeVector) -> float:
+    """The one-step max-ratio bound: the least alpha with B(u) <= alpha u.
 
     It bounds the radius from above only when u > 0; for any other u it is
     +inf (valid but vacuous).
     """
-    if k < 1:
-        raise ValueError("power k must be >= 1")
     if not np.all(u.entries > 0):
         return math.inf
-    ratio = u_norm(power_apply(mp, u, k), u)
-    return ratio ** (1.0 / k)
-
-
-def cw_lower(mp: HomogeneousMap, x: ConeVector, m: int = 1) -> float:
-    """(largest alpha with B^m x >= alpha^m x): the m-step min-ratio bound."""
-    if m < 1:
-        raise ValueError("power m must be >= 1")
-    if x.is_zero():
-        raise DegenerateBoundError("probe vector x must be nonzero")
-    ratio = lower_ratio(power_apply(mp, x, m), x)
-    return ratio ** (1.0 / m)
+    return u_norm(ConeVector(mp.raw(u.entries)), u)
 
 
 def _outward(lo: float, hi: float, dim: int) -> tuple[float, float]:
@@ -255,15 +239,17 @@ class ResolventBlock:
 
 def resolvent_series(mp: HomogeneousMap, lam: float, x: np.ndarray,
                      trunc_tol: float = 1e-10, max_terms: int = 100000) -> ResolventBlock:
-    """The truncated series itself, with no admissibility gate.
+    """Partial sums of sum_n lam^(-n-1) B^n x, truncated at term norm < trunc_tol.
 
-    `x` is a nonnegative (n, k) block.  Its columns are independent series
+    For lam above the radius the series acts as a left resolvent,
+    R(Bx) = lam * R(x) - x, up to the reported tail bound; it checks no
+    such bound itself.  `x` is a nonnegative (n, k) block.  Its columns are independent series
     run side by side: each keeps its own stop rule, ratio and tail bound, and
     leaves the evaluated block once it has converged, so it takes exactly
     the terms it would take alone.
 
-    Callers must have certified lam > radius on their own (resolvent_apply
-    does it with a quick bracket run).
+    Callers certify lam > radius on their own, for instance as
+    lam > radius_bracket(...).cw_upper.
     """
     if not trunc_tol > 0:
         raise ValueError("trunc_tol must be positive")
@@ -312,18 +298,3 @@ def resolvent_series(mp: HomogeneousMap, lam: float, x: np.ndarray,
         active, term = active[keep], term[:, keep]
     return result()
 
-
-def resolvent_apply(mp: HomogeneousMap, lam: float, x: ConeVector,
-                    trunc_tol: float = 1e-10, max_terms: int = 100000) -> ResolventBlock:
-    """Partial sums of sum_n lam^(-n-1) B^n x, truncated at term norm < trunc_tol,
-    as a one-column block.
-
-    The parameter must exceed the certified lower radius bound from a short
-    bracket run (at most 50 steps); the series acts as a left resolvent,
-    R(Bx) = lam * R(x) - x, up to the reported tail bound.
-    """
-    gate = radius_bracket(mp, ConeVector(np.ones(mp.space.dim)), tol=1e-12, max_iter=50)
-    if not lam > gate.cw_lower:
-        raise SpectralDomainError(
-            f"lambda = {lam} is not above the certified radius lower bound {gate.cw_lower}")
-    return resolvent_series(mp, lam, x.entries[:, None], trunc_tol, max_terms)

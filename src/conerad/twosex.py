@@ -346,13 +346,6 @@ def _step_raw(model: TwoSexModel, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def step_next_year(model: TwoSexModel, f: ConeVector) -> ConeVector:
-    """One yearly update: migrate and survive both sexes, then mate cellwise."""
-    if f.dim != model.grid.n_cells:
-        raise DimensionError("population vector does not match grid")
-    return ConeVector(_step_raw(model, f.entries))
-
-
 def _gaussian_kernel(grid: SpatialGrid, sigma: float) -> tuple:
     """Gaussian displacement density sampled at cell centers, one factor per
     grid axis (not renormalized, so mass dispersing outside the habitat is
@@ -525,13 +518,6 @@ class Trajectory:
     def final_gamma(self) -> float:
         return self.gamma_estimates[-1] if self.gamma_estimates else 0.0
 
-    def slope(self) -> float:
-        """Mean yearly log-mass increment over the recorded horizon."""
-        finite = [v for v in self.log_mass if math.isfinite(v)]
-        if len(finite) < 2:
-            return -math.inf
-        return (finite[-1] - finite[0]) / (len(finite) - 1)
-
     def to_json(self) -> dict:
         return {
             "log_mass": [float(v) for v in self.log_mass],
@@ -552,7 +538,7 @@ def simulate(model: TwoSexModel, f0: ConeVector, years: int) -> Trajectory:
     mp = model.as_map()
     space = model.space
     u = model.order_bound
-    alpha = cw_upper(mp, u, 1)
+    alpha = cw_upper(mp, u)
 
     mass0 = float(model.grid.cell_weights @ f0.entries)
     log_mass = [math.log(mass0) if mass0 > 0 else -math.inf]

@@ -244,6 +244,14 @@ class TestPerturbationSolver:
         assert res.vector.entries[1] == pytest.approx(0.0, abs=1e-12)
         assert res.residual <= 1e-12
 
+    def test_start_vector_evaluated_once(self):
+        # B(u_hat) gives c, eps and the first step B_eps(u_hat); the second
+        # evaluation is already at the next iterate
+        mp, calls = counting_map(np.diag([2.0, 1.0]))
+        solve_eigenvector_perturbation(mp, ONES2)
+        assert np.array_equal(calls[0], [0.5, 0.5])
+        assert not np.array_equal(calls[1], [0.5, 0.5])
+
     def test_scaled_identity(self):
         res = solve_eigenvector_perturbation(from_matrix(3.0 * np.eye(2)), ONES2)
         assert res.lam == pytest.approx(3.0, abs=1e-12)
@@ -347,7 +355,7 @@ class TestEigenfunctional:
         # phi(Bx) = 2 phi(x) up to O(lam - 2).
         phi = estimate_eigenfunctional(
             diag21, ONES2, ONES2,
-            lambda_schedule=[2.5, 2.1, 2.01], trunc_tol=1e-8,
+            lam=2.01, trunc_tol=1e-8,
             normalizer_samples=4)
         v1 = phi(vec(1, 0))
         v2 = phi(vec(0, 1))
@@ -362,7 +370,7 @@ class TestEigenfunctional:
         # preserved by the map.
         mp = from_matrix(np.eye(2))
         phi = estimate_eigenfunctional(mp, ONES2, ONES2,
-                                       lambda_schedule=[2.0, 1.5], trunc_tol=1e-12)
+                                       lam=1.5, trunc_tol=1e-12)
         x, y = vec(0.2, 0.7), vec(1.5, 0.4)
         assert phi(x) / phi(y) == pytest.approx(0.9 / 1.9, rel=1e-9)
         assert phi(x) == pytest.approx(phi(x), rel=0)  # deterministic evaluator
@@ -399,7 +407,7 @@ class TestEigenfunctional:
         bracket_map, bracket_calls = counting_map(mat)
         radius_bracket(bracket_map, u, tol=1e-10, max_iter=10000)
         mp, calls = counting_map(mat)
-        estimate_eigenfunctional(mp, u, u, lambda_schedule=[1e12], trunc_tol=1e-6,
+        estimate_eigenfunctional(mp, u, u, lam=1e12, trunc_tol=1e-6,
                                  normalizer_samples=samples)
         series = len(calls) - len(bracket_calls) - (n + 8)
         assert series == n + samples + (n + 8)
@@ -423,7 +431,7 @@ class TestEigenfunctional:
         assert got.normalizer == pytest.approx(want.normalizer, rel=1e-12)
         assert got.defect_max == pytest.approx(want.defect_max, rel=1e-9)
 
-    def test_schedule_below_radius_rejected(self, diag21):
+    def test_lam_below_radius_rejected(self, diag21):
         with pytest.raises(SpectralDomainError):
-            estimate_eigenfunctional(diag21, ONES2, ONES2, lambda_schedule=[3.0, 1.5])
+            estimate_eigenfunctional(diag21, ONES2, ONES2, lam=1.5)
 

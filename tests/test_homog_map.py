@@ -1,4 +1,4 @@
-"""Map wrapper contracts: evaluation, powers, perturbation, operator norms."""
+"""Map wrapper contracts: evaluation, perturbation, property checks."""
 
 from __future__ import annotations
 
@@ -11,12 +11,9 @@ from conerad import (
     HomogeneousMap,
     MapFlag,
     NormKind,
-    evaluate,
     from_callable,
     from_matrix,
-    op_norm_plus,
     perturb,
-    power_apply,
     psi_hull,
     radius_bracket,
     u_norm,
@@ -34,27 +31,20 @@ def vec(*vals):
 
 class TestEvaluate:
     def test_matrix_product(self, diag21):
-        assert np.array_equal(evaluate(diag21, vec(1, 1)).entries, [2.0, 1.0])
+        assert np.array_equal(diag21.raw(np.ones(2)), [2.0, 1.0])
 
     def test_zero_maps_to_zero(self, diag21, single_cell_model):
-        assert evaluate(diag21, vec(0, 0)).is_zero()
-        mp = single_cell_model.as_map()
-        assert evaluate(mp, ConeVector(np.zeros(1))).is_zero()
+        assert not diag21.raw(np.zeros(2)).any()
+        assert not single_cell_model.as_map().raw(np.zeros(1)).any()
 
     def test_bad_evaluator_rejected(self):
         space = ConeSpace(2)
         bad = from_callable(space, lambda x: x - 1.0, name="leaves_cone")
         with pytest.raises(MapContractError):
-            evaluate(bad, vec(0.5, 0.5))
+            bad.raw(np.full(2, 0.5))
         nan = from_callable(space, lambda x: x * np.nan, name="nan")
         with pytest.raises(MapContractError):
-            evaluate(nan, vec(1, 1))
-
-    def test_declared_linear_must_match_matrix(self):
-        from conerad import HomogeneousMap
-        with pytest.raises(MapContractError):
-            HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: 2 * x,
-                           flags=MapFlag.LINEAR, matrix=np.eye(2))
+            nan.raw(np.ones(2))
 
 
 class TestRawContract:
@@ -92,47 +82,26 @@ class TestLinearEvaluator:
         assert np.array_equal(mp.raw(np.ones(2)), [1.5, 0.9])
         assert np.array_equal(mp.raw(np.ones((2, 3))), mp.matrix @ np.ones((2, 3)))
         est = radius_bracket(mp, ConeVector(np.ones(2)))
-        assert est.cw_upper <= op_norm_plus(mp).value
-
-    def test_checks_only_a_supplied_evaluator(self, monkeypatch):
-        checked = []
-        check = homog_map._check_linear_agreement
-        monkeypatch.setattr(homog_map, "_check_linear_agreement",
-                            lambda mp: checked.append(mp.name) or check(mp))
-        mp = from_matrix([[1.0, 0.5], [0.4, 0.5]], name="m")
+        assert est.cw_upper <= (np.ones(2) @ mp.matrix).max()     # largest column sum
         pert = perturb(mp, 0.1, vec(1, 2))
-        assert pert.flags & MapFlag.LINEAR and checked == []
+        assert pert.flags & MapFlag.LINEAR
         for frozen in (mp.matrix, pert.matrix):
             assert not frozen.flags.writeable
             with pytest.raises(ValueError):
                 frozen[0, 0] = 2.0
-        hand = HomogeneousMap(space=ConeSpace(2), evaluator=lambda x, _m=mp.matrix: _m @ x,
-                              flags=MapFlag.LINEAR, matrix=mp.matrix, name="hand")
-        assert checked == ["hand"]
-        assert np.array_equal(hand.raw(np.ones(2)), mp.raw(np.ones(2)))
 
-    def test_evaluator_agreeing_on_ones_only_rejected(self):
-        # x -> reversed x equals the averaging matrix on the all-ones probe
-        # but not on the random probes
-        with pytest.raises(MapContractError, match="disagrees with matrix"):
-            HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: x[::-1].copy(),
-                           flags=MapFlag.LINEAR, matrix=0.5 * np.ones((2, 2)))
+    def test_linear_map_takes_no_evaluator(self):
+        # a LINEAR map evaluates its matrix; an evaluator beside it, even
+        # the matrix product itself, is refused rather than trusted
+        m = 0.5 * np.ones((2, 2))
+        for evaluator in (m.__matmul__, lambda x: x[::-1].copy()):
+            with pytest.raises(ValueError, match="takes no evaluator"):
+                HomogeneousMap(space=ConeSpace(2), evaluator=evaluator,
+                               flags=MapFlag.LINEAR, matrix=m)
 
     def test_only_a_linear_map_may_leave_out_its_evaluator(self):
         with pytest.raises(ValueError, match="evaluator"):
             HomogeneousMap(space=ConeSpace(2))
-
-
-class TestPowerApply:
-    def test_diagonal_powers(self, diag21):
-        assert np.array_equal(power_apply(diag21, vec(1, 1), 3).entries, [8.0, 1.0])
-
-    def test_zero_power_is_identity(self, diag21, rng):
-        x = ConeVector(rng.random(2))
-        assert np.array_equal(power_apply(diag21, x, 0).entries, x.entries)
-
-    def test_involution(self, swap):
-        assert np.array_equal(power_apply(swap, vec(1, 2), 2).entries, [1.0, 2.0])
 
 
 class TestPerturb:
@@ -140,7 +109,7 @@ class TestPerturb:
         space = ConeSpace(2)
         zero = from_matrix(np.zeros((2, 2)), space=space)
         pert = perturb(zero, 1.0, vec(1, 0))
-        assert np.array_equal(evaluate(pert, vec(2, 0)).entries, [2.0, 0.0])
+        assert np.array_equal(pert.raw(np.array([2.0, 0.0])), [2.0, 0.0])
 
     def test_increment_is_exactly_eps_psi_u(self, rng):
         space = ConeSpace(3)
@@ -149,15 +118,15 @@ class TestPerturb:
         eps = 0.37
         pert = perturb(mp, eps, u)
         for _ in range(10):
-            x = ConeVector(rng.random(3))
-            inc = evaluate(pert, x).entries - evaluate(mp, x).entries
-            want = eps * psi_hull(space, x.entries) * u.entries
+            x = rng.random(3)
+            inc = pert.raw(x) - mp.raw(x)
+            want = eps * psi_hull(space, x) * u.entries
             assert np.allclose(inc, want, rtol=1e-12, atol=1e-14)
 
     def test_identity_example(self):
         mp = from_matrix(np.eye(2))
         pert = perturb(mp, 0.5, vec(1, 1))
-        assert np.allclose(evaluate(pert, vec(1, 1)).entries, [2.0, 2.0])
+        assert np.allclose(pert.raw(np.ones(2)), [2.0, 2.0])
 
     def test_rejects_zero_direction(self, diag21):
         with pytest.raises(DegenerateBoundError):
@@ -181,8 +150,7 @@ class TestPerturb:
         space = ConeSpace(3)
         mp = from_matrix(rng.random((3, 3)), space=space)
         u = ConeVector(np.ones(3))
-        c = max(u_norm(evaluate(mp, ConeVector(e)), u)
-                for e in np.eye(3))
+        c = max(u_norm(ConeVector(mp.raw(e)), u) for e in np.eye(3))
         pert = perturb(mp, 1.0, u)
         for _ in range(30):
             x = ConeVector(rng.random(3) + 0.01)
@@ -192,8 +160,8 @@ class TestPerturb:
             delta = (py - px) / 2.0
             nx = space.norm(x.entries)
             eta = min(delta / nx, delta / ((c + 1.0) * nx))
-            lhs = evaluate(pert, y).entries
-            rhs = (1.0 + eta) * evaluate(pert, x).entries
+            lhs = pert.raw(y.entries)
+            rhs = (1.0 + eta) * pert.raw(x.entries)
             assert np.all(lhs >= rhs * (1 - 1e-12))
 
     @pytest.mark.parametrize("base", ["l1_rank_one", "linf", "two_sex"])
@@ -211,39 +179,6 @@ class TestPerturb:
         block = rng.random((n, 6)) * np.array([1.0, 1e3, 0.0, 1e-3, 1.0, 5.0])
         want = np.column_stack([pert.raw(c) for c in block.T])
         assert np.allclose(pert.raw(block), want, rtol=1e-13, atol=0.0)
-
-
-class TestOpNorm:
-    def test_exact_column_sum(self):
-        est = op_norm_plus(from_matrix([[1.0, 2.0], [3.0, 0.0]]))
-        assert est.exact and est.value == 4.0
-
-    def test_identity_all_norms(self):
-        for space in (ConeSpace(3), ConeSpace(3, NormKind.LINF),
-                      ConeSpace(3, NormKind.WEIGHTED, np.array([0.5, 1.0, 2.0]))):
-            est = op_norm_plus(from_matrix(np.eye(3), space=space))
-            assert est.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_scaled_identity(self):
-        est = op_norm_plus(from_matrix(2.0 * np.eye(4)))
-        assert est.value == pytest.approx(2.0, abs=1e-12)
-
-    def test_sampled_estimate_is_lower_bound(self, rng):
-        space = ConeSpace(3, NormKind.LINF)
-        mp = from_matrix(rng.random((3, 3)), space=space)
-        est = op_norm_plus(mp, samples=64)
-        assert not est.exact
-        # True sup for a nonnegative linear map under LInf is ||B 1||_inf.
-        truth = float(np.max(mp.matrix @ np.ones(3)))
-        assert est.value <= truth + 1e-12
-        assert est.value == pytest.approx(truth, rel=1e-12)
-
-    def test_composition_submultiplicative(self, rng):
-        for _ in range(20):
-            a, b = rng.random((4, 4)), rng.random((4, 4))
-            lhs = op_norm_plus(from_matrix(a @ b)).value
-            rhs = op_norm_plus(from_matrix(a)).value * op_norm_plus(from_matrix(b)).value
-            assert lhs <= rhs * (1 + 1e-12)
 
 
 def quad_map(flags=MapFlag.NONE):
