@@ -46,6 +46,13 @@ class TestEvaluate:
         with pytest.raises(MapContractError):
             nan.raw(np.ones(2))
 
+    def test_declared_linear_must_match_matrix(self):
+        # a LINEAR map evaluates its matrix; an evaluator beside it is
+        # refused rather than trusted
+        with pytest.raises(ValueError, match="takes no evaluator"):
+            HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: 2 * x,
+                           flags=MapFlag.LINEAR, matrix=np.eye(2))
+
 
 class TestRawContract:
     @pytest.mark.parametrize("bad, message", [
@@ -83,21 +90,27 @@ class TestLinearEvaluator:
         assert np.array_equal(mp.raw(np.ones((2, 3))), mp.matrix @ np.ones((2, 3)))
         est = radius_bracket(mp, ConeVector(np.ones(2)))
         assert est.cw_upper <= (np.ones(2) @ mp.matrix).max()     # largest column sum
+
+    def test_checks_only_a_supplied_evaluator(self):
+        # from_matrix and perturb hand over a matrix alone and build; the same
+        # matrix product supplied as an evaluator is refused
+        mp = from_matrix([[1.0, 0.5], [0.4, 0.5]], name="m")
         pert = perturb(mp, 0.1, vec(1, 2))
         assert pert.flags & MapFlag.LINEAR
         for frozen in (mp.matrix, pert.matrix):
             assert not frozen.flags.writeable
             with pytest.raises(ValueError):
                 frozen[0, 0] = 2.0
+        with pytest.raises(ValueError, match="takes no evaluator"):
+            HomogeneousMap(space=ConeSpace(2), evaluator=lambda x, _m=mp.matrix: _m @ x,
+                           flags=MapFlag.LINEAR, matrix=mp.matrix, name="hand")
 
-    def test_linear_map_takes_no_evaluator(self):
-        # a LINEAR map evaluates its matrix; an evaluator beside it, even
-        # the matrix product itself, is refused rather than trusted
-        m = 0.5 * np.ones((2, 2))
-        for evaluator in (m.__matmul__, lambda x: x[::-1].copy()):
-            with pytest.raises(ValueError, match="takes no evaluator"):
-                HomogeneousMap(space=ConeSpace(2), evaluator=evaluator,
-                               flags=MapFlag.LINEAR, matrix=m)
+    def test_evaluator_agreeing_on_ones_only_rejected(self):
+        # x -> reversed x equals the averaging matrix on the all-ones vector;
+        # no evaluator is trusted beside a matrix, agreeing or not
+        with pytest.raises(ValueError, match="takes no evaluator"):
+            HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: x[::-1].copy(),
+                           flags=MapFlag.LINEAR, matrix=0.5 * np.ones((2, 2)))
 
     def test_only_a_linear_map_may_leave_out_its_evaluator(self):
         with pytest.raises(ValueError, match="evaluator"):
