@@ -7,7 +7,12 @@ Three constructive schemes:
 * the decreasing lattice iteration x_k = min(B x_{k-1}/r + 2^-k u, u)
   producing sub-eigenvectors,
 * truncated-resolvent functionals x -> x* . R_lam(x), normalized by a
-  sampled operator norm (eigenfunctionals).
+  sampled operator norm (eigenfunctionals).  A map with a transpose (a
+  LINEAR map, or a two-sex map whose sexes share one kernel factor tuple)
+  takes one series y = R_lam^T(x*) on B^T, and then phi(x) = y . x / N;
+  that series stops on a norm at least as large as the dual norm, so
+  trunc_tol keeps its meaning at unit probes.  Other maps run one forward
+  series per probe.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from .cone import ConeSpace, ConeVector, psi_hull, u_norm
 from .errors import (
     DegenerateBoundError,
+    DimensionError,
     InnerIterationError,
     MapContractError,
     SpectralDomainError,
@@ -248,6 +254,15 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     sampled sup of the unnormalized functional over the unit cone sphere,
     and the reported defect is max |phi(Bx) - r phi(x)| over the sample
     points.
+
+    A map with a transpose (a LINEAR map, or a two-sex map whose sexes share
+    one kernel factor tuple) takes x* . R_lam(x) = y . x with one series
+    y = R_lam^T(x*) on B^T, so the normalizer, the defect and every call of
+    the returned functional are inner products with y.  That series stops on
+    a norm at least as large as the dual norm (``HomogeneousMap.transposed``),
+    so trunc_tol bounds the truncation error of phi at a unit probe as it
+    does on the forward path.  Any other map runs one forward series per
+    probe, and per call of the functional.
     """
     space = mp.space
     if xstar.dim != space.dim or xstar.is_zero():
@@ -263,25 +278,35 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
             f"lambda {lam} is not above the upper radius estimate {upper}")
     xs = xstar.entries
 
-    # lam > cw_upper >= radius was certified above, so the bare series is safe;
-    # it runs on all probes as one block.
+    # lam > cw_upper >= radius was certified above, so the bare series is
+    # safe; phi maps a probe block (n, k) to its k unnormalized values.
+    mpt = mp.transposed()
+    if mpt is not None:
+        y = resolvent_series(mpt, lam, xs[:, None], trunc_tol).vectors[:, 0]
+
+        def phi(block):
+            return y @ block
+    else:
+        def phi(block):
+            return xs @ resolvent_series(mp, lam, block, trunc_tol).vectors
+
     probes = unit_cone_probes(space, normalizer_samples, np.random.default_rng(seed))
-    values = xs @ resolvent_series(mp, lam, probes, trunc_tol).vectors
+    values = phi(probes)
     normalizer = float(np.max(values))
     if normalizer <= 0:
         raise DegenerateBoundError("sampled normalizer is zero; xstar annihilates the orbit")
 
     def evaluator(x: ConeVector, _n=normalizer) -> float:
-        col = resolvent_series(mp, lam, x.entries[:, None], trunc_tol).vectors[:, 0]
-        return float(xs @ col) / _n
+        if x.dim != space.dim:
+            raise DimensionError(f"expected a vector of dimension {space.dim}, got {x.dim}")
+        return float(phi(x.entries[:, None])[0]) / _n
 
-    # The first n + 8 probes reuse their normalizer values; only the series
-    # at their images B(p) is new.
+    # The first n + 8 probes reuse their normalizer values; only phi at
+    # their images B(p) is new.
     head = probes[:, : space.dim + 8]
-    fbx = (xs @ resolvent_series(mp, lam, mp.raw(head), trunc_tol).vectors) / normalizer
+    fbx = phi(mp.raw(head)) / normalizer
     r = est.value
     defect = float(np.max(np.abs(fbx - r * (values[: head.shape[1]] / normalizer))))
     return EigenfunctionalEstimate(probe_vector=xstar, lambda_used=lam,
                                    normalizer=normalizer, evaluator=evaluator,
                                    defect_max=defect, radius_used=r)
-

@@ -2,7 +2,9 @@
 
 A map is stored as a raw evaluator on ndarrays together with structure
 flags.  Linear maps carry their frozen matrix and evaluate it, which keeps
-a rank-one perturbation of a linear map linear.  ``HomogeneousMap.raw``
+a rank-one perturbation of a linear map linear.  A map with a transpose,
+a linear one or one that supplies its own, builds it on demand as a map on
+the dual-norm space (``HomogeneousMap.transposed``).  ``HomogeneousMap.raw``
 checks every map value against the cone contract once; solvers do not
 check it again.
 
@@ -35,7 +37,10 @@ class MapFlag(enum.Flag):
 class HomogeneousMap:
     """Evaluatable map of the cone into itself, homogeneous of degree one.
 
-    A LINEAR map evaluates its own frozen matrix and takes no evaluator.
+    A LINEAR map evaluates and transposes its own frozen matrix and takes no
+    evaluator.  Any other map that is linear on the cone may supply
+    ``transpose``, a function of no arguments that builds the evaluator of
+    its transpose; it runs only when ``transposed`` is called.
     """
 
     space: ConeSpace
@@ -43,10 +48,11 @@ class HomogeneousMap:
     flags: MapFlag = MapFlag.NONE
     matrix: np.ndarray | None = None
     name: str = "map"
+    transpose: object = None  # Callable[[], evaluator of B^T] or None
 
     def __post_init__(self):
         if self.flags & MapFlag.LINEAR:
-            if self.evaluator is not None:
+            if self.evaluator is not None or self.transpose is not None:
                 raise ValueError("a linear map evaluates its matrix and takes no evaluator")
             if self.matrix is None:
                 raise ValueError("linear maps must carry their matrix")
@@ -84,6 +90,25 @@ class HomogeneousMap:
                 raise MapContractError(f"{self.name}: evaluator produced NaN/Inf")
             raise MapContractError(f"{self.name}: evaluator left the cone")
         return out
+
+    def transposed(self) -> HomogeneousMap | None:
+        """The transpose B^T as a map on the dual-norm space, or None when the
+        map has none.
+
+        The space's norm is at least the dual norm of this map's: weights 1/w
+        for a weighted space, L1 for the L1 and LInf spaces.  A tail of norm t
+        in it therefore moves y . x by at most t for every x of unit norm in
+        this map's space, so a truncation tolerance keeps its meaning.
+        """
+        if self.matrix is None and self.transpose is None:
+            return None
+        if self.space.norm_kind is NormKind.WEIGHTED:
+            space = ConeSpace(self.space.dim, NormKind.WEIGHTED, 1.0 / self.space.weights)
+        else:
+            space = ConeSpace(self.space.dim)
+        if self.matrix is not None:
+            return from_matrix(self.matrix.T, space, name=f"{self.name}^T")
+        return HomogeneousMap(space=space, evaluator=self.transpose(), name=f"{self.name}^T")
 
 
 def from_matrix(matrix, space: ConeSpace | None = None, name: str = "linear") -> HomogeneousMap:

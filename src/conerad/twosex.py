@@ -26,7 +26,7 @@ import math
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -308,11 +308,35 @@ class TwoSexModel:
         return ConeSpace(self.grid.n_cells, NormKind.WEIGHTED, self.grid.cell_weights)
 
     def as_map(self) -> HomogeneousMap:
+        """The yearly update as a map; kernels sharing one factor tuple make
+        it linear on the cone, and then it supplies its transpose."""
         def evaluator(x, _model=self):
             return _step_raw(_model, np.asarray(x, dtype=float))
 
+        shared = self.k_male.factors is self.k_female.factors
         return HomogeneousMap(space=self.space, evaluator=evaluator,
-                              flags=MapFlag.NONE, name="two_sex")
+                              flags=MapFlag.NONE, name="two_sex",
+                              transpose=partial(_transposed_step, self) if shared else None)
+
+
+def _transposed_step(model: TwoSexModel):
+    """The evaluator of B^T for kernels sharing one factor tuple.
+
+    Then females and males are s_f S and s_m S with S = K(w * f) and K the
+    unscaled factor product, and the mating function is homogeneous, so
+    B f = c * S with c_i the mating function of cell i at (s_f, s_m), and
+    B^T y = w * K^T(c * y), with K^T the product of the transposed factors.
+    """
+    k_f, k_m = model.k_female, model.k_male
+    n = model.grid.n_cells
+    c = model.mating.apply(np.full(n, k_f.scale), np.full(n, k_m.scale))
+    factors = tuple(np.ascontiguousarray(fac.T) for fac in k_f.factors)
+    w = model.grid.cell_weights
+
+    def evaluator(y):
+        return _per_cell(w, y) * _kron_apply(factors, _per_cell(c, y) * y)
+
+    return evaluator
 
 
 def _step_raw(model: TwoSexModel, f: np.ndarray) -> np.ndarray:

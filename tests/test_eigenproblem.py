@@ -9,6 +9,7 @@ from conerad import (
     ConeSpace,
     ConeVector,
     EigenMode,
+    HomogeneousMap,
     NormKind,
     estimate_eigenfunctional,
     from_callable,
@@ -16,17 +17,20 @@ from conerad import (
     perturb,
     psi_hull,
     radius_bracket,
+    resolvent_series,
     solve_eigenvector_perturbation,
     solve_subeigenvector_min,
 )
 from conerad.errors import (
     DegenerateBoundError,
+    DimensionError,
     InnerIterationError,
     SpectralDomainError,
     ZeroLimitError,
 )
 
 from conerad.eigenproblem import _psi_normalize
+from conerad.homog_map import unit_cone_probes
 from conerad.oracle import linear_radius_exact
 
 from conftest import counting_map
@@ -415,6 +419,8 @@ class TestEigenfunctional:
     def test_function_of_one_vector(self, rng):
         # from_callable feeds a block to its function one column at a time,
         # so a function that only takes (n,) vectors still gets a functional.
+        # It takes the forward series per probe, from_matrix the one series
+        # on B^T; both match y = (lam I - B^T)^-1 x* on the same probes.
         mat = rng.uniform(0.1, 1.0, size=(4, 4))
 
         def fn(x):
@@ -422,14 +428,55 @@ class TestEigenfunctional:
                 raise ValueError(f"one vector only, got shape {x.shape}")
             return mat @ x
 
-        mp = from_callable(ConeSpace(4), fn)
-        block = rng.random((4, 5))
-        assert np.array_equal(mp.raw(block), np.column_stack([fn(c) for c in block.T]))
         u = ConeVector(np.ones(4))
-        got = estimate_eigenfunctional(mp, u, u)
-        want = estimate_eigenfunctional(from_matrix(mat), u, u)
-        assert got.normalizer == pytest.approx(want.normalizer, rel=1e-12)
-        assert got.defect_max == pytest.approx(want.defect_max, rel=1e-9)
+        xstar = ConeVector(rng.random(4) + 0.1)
+        for space in (ConeSpace(4), ConeSpace(4, NormKind.LINF),
+                      ConeSpace(4, NormKind.WEIGHTED, rng.uniform(0.2, 3.0, 4))):
+            mp = from_callable(space, fn)
+            block = rng.random((4, 5))
+            assert np.array_equal(mp.raw(block), np.column_stack([fn(c) for c in block.T]))
+            assert mp.transposed() is None and from_matrix(mat, space).transposed() is not None
+            probes = unit_cone_probes(space, 256, np.random.default_rng(0))
+            head = probes[:, :12]
+            for est in (estimate_eigenfunctional(mp, u, xstar),
+                        estimate_eigenfunctional(from_matrix(mat, space), u, xstar)):
+                y = np.linalg.solve(est.lambda_used * np.eye(4) - mat.T, xstar.entries)
+                values = y @ probes
+                norm = values.max()
+                defect = np.abs((y @ (mat @ head) - est.radius_used * values[:12]) / norm).max()
+                assert est.normalizer == pytest.approx(norm, rel=1e-9)
+                assert est.defect_max == pytest.approx(defect, rel=1e-9)
+                assert est(u) == pytest.approx(y.sum() / norm, rel=1e-9)
+
+    def test_evaluator_rejects_wrong_length(self):
+        mat = np.array([[1.0, 0.5], [0.4, 0.5]])
+        for mp in (from_matrix(mat), counting_map(mat)[0]):
+            phi = estimate_eigenfunctional(mp, ONES2, ONES2)
+            with pytest.raises(DimensionError):
+                phi(ConeVector(np.ones(3)))
+
+    def test_one_series_on_the_transpose(self, rng, monkeypatch):
+        # A LINEAR map pays the radius bracket, one series on B^T and the
+        # n + 8 images B(p) of the defect pass; a series per probe would take
+        # tens of thousands of columns.
+        columns = []
+        raw = HomogeneousMap.raw
+
+        def counted(mp, x):
+            columns.append(x.shape[1] if x.ndim == 2 else 1)
+            return raw(mp, x)
+
+        monkeypatch.setattr(HomogeneousMap, "raw", counted)
+        n = 20
+        mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)))
+        u = ConeVector(np.ones(n))
+        est = estimate_eigenfunctional(mp, u, u)
+        total = sum(columns)
+        columns.clear()
+        radius_bracket(mp, u, tol=1e-10, max_iter=10000)
+        bracket = sum(columns)
+        series = resolvent_series(mp.transposed(), est.lambda_used, u.entries[:, None]).terms
+        assert total <= bracket + series + n + 8
 
     def test_lam_below_radius_rejected(self, diag21):
         with pytest.raises(SpectralDomainError):

@@ -117,6 +117,40 @@ class TestLinearEvaluator:
             HomogeneousMap(space=ConeSpace(2))
 
 
+class TestTransposed:
+    @pytest.mark.parametrize("space, dual", [
+        (ConeSpace(3), ConeSpace(3)),
+        (ConeSpace(3, NormKind.LINF), ConeSpace(3)),
+        (ConeSpace(3, NormKind.WEIGHTED, [0.5, 2.0, 4.0]),
+         ConeSpace(3, NormKind.WEIGHTED, [2.0, 0.5, 0.25])),
+    ])
+    def test_linear_map_transposes_its_matrix(self, space, dual):
+        # the transpose lives on a space whose norm is at least the dual norm
+        a = np.arange(9.0).reshape(3, 3)
+        mpt = from_matrix(a, space).transposed()
+        assert mpt.flags & MapFlag.LINEAR
+        assert np.array_equal(mpt.matrix, a.T)
+        assert mpt.space.norm_kind is dual.norm_kind
+        assert np.array_equal(mpt.space.weights, dual.weights)
+
+    def test_supplied_transpose_built_on_demand(self):
+        built = []
+
+        def transpose():
+            built.append(1)
+            return lambda y: 2.0 * y[::-1]
+
+        mp = HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: 2.0 * x[::-1],
+                            transpose=transpose)
+        assert not built
+        assert np.array_equal(mp.transposed().raw(np.array([1.0, 3.0])), [6.0, 2.0])
+        assert built == [1]
+        assert from_callable(ConeSpace(2), lambda x: x).transposed() is None
+        with pytest.raises(ValueError, match="takes no evaluator"):
+            HomogeneousMap(space=ConeSpace(2), flags=MapFlag.LINEAR, matrix=np.eye(2),
+                           transpose=transpose)
+
+
 class TestPerturb:
     def test_zero_map_perturbation(self):
         space = ConeSpace(2)

@@ -16,6 +16,7 @@ from conerad import (
     TwoSexModel,
     assess_persistence,
     build_model,
+    estimate_eigenfunctional,
     radius_bracket,
     simulate,
 )
@@ -363,6 +364,55 @@ class TestBlockEvaluation:
         # the huge column must not lend its scale to the small one
         with pytest.raises(ModelContractError):
             mp.raw(np.column_stack([spread, point]))
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("mating", [
+        {"kind": "harmonic_mean", "beta": 2.0},
+        {"kind": "min_rate", "beta1": 1.5, "beta2": 2.5},
+    ])
+    def test_adjoint_identity(self, rng, grid, mating):
+        cfg = gaussian_config(s_f=0.6, s_m=0.5, q=0.4)
+        cfg["grid"], cfg["mating"] = GRIDS[grid], mating
+        cfg["dispersal"] = {"kind": "gaussian", "sigma": 0.4}
+        mp = build_model(cfg).as_map()
+        mpt = mp.transposed()
+        n = mp.space.dim
+        x, y = rng.random((n, 6)), rng.random((n, 6))
+        left = np.einsum("ij,ij->j", y, mp.raw(x))
+        right = np.einsum("ij,ij->j", mpt.raw(y), x)
+        assert np.allclose(left, right, rtol=1e-12, atol=0.0)
+        assert np.array_equal(mpt.space.weights, 1.0 / mp.space.weights)
+
+    def test_unshared_kernels_take_the_forward_series(self):
+        # Kernels that share no factor tuple make the map nonlinear: it has
+        # no transpose, and the functional runs a series per probe.
+        n = 4
+        grid = SpatialGrid.interval(0.0, 1.0, n)
+        idx = np.arange(n)
+        near = np.exp(-np.abs(idx[:, None] - idx[None, :]))
+        k_f = MigrationKernel(near, "female", 0.5)
+        k_m = MigrationKernel(near.T @ near, "male", 0.2)
+        mating = MatingFunction(MatingKind.HARMONIC_MEAN, beta=np.full(n, 3.0))
+        u = twosex._tight_order_bound(mating.psi_field, k_f, k_m)
+        model = TwoSexModel(grid, k_f, k_m, mating, ConeVector(u))
+        assert model.as_map().transposed() is None
+        phi = estimate_eigenfunctional(model.as_map(), model.order_bound,
+                                       model.order_bound, normalizer_samples=8)
+        assert phi.normalizer > 0
+        assert phi(model.order_bound) > 0
+
+    def test_transpose_built_only_for_the_functional(self, gaussian_model, monkeypatch):
+        def refuse(model):
+            raise AssertionError("transpose built")
+
+        monkeypatch.setattr(twosex, "_transposed_step", refuse)
+        f0 = ConeVector(np.ones(gaussian_model.grid.n_cells))
+        assess_persistence(gaussian_model, f0_probes=[f0])
+        simulate(gaussian_model, f0, years=5)
+        with pytest.raises(AssertionError, match="transpose built"):
+            estimate_eigenfunctional(gaussian_model.as_map(), gaussian_model.order_bound, f0)
 
 
 class TestSimulate:
