@@ -282,7 +282,8 @@ def _run_assess(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
     payload = report.to_json()
     payload["seed"] = cfg.seed
     emit.write_json("result.json", payload)
-    return 0 if report.radius.converged else 2
+    # an eigen stage that did not settle leaves the verdict but no eigenpair
+    return 0 if report.radius.converged and report.error is None else 2
 
 
 def _run_simulate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:

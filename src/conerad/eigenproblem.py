@@ -10,9 +10,9 @@ Three constructive schemes:
   sampled operator norm (eigenfunctionals).  A map with a transpose (a
   LINEAR map, or a two-sex map whose sexes share one kernel factor tuple)
   takes one series y = R_lam^T(x*) on B^T, and then phi(x) = y . x / N;
-  that series stops on a norm at least as large as the dual norm, so
-  trunc_tol keeps its meaning at unit probes.  Other maps run one forward
-  series per probe.
+  that series stops on the dual norm (LInf for L1, L1 for LInf) or, on a
+  weighted space, on a norm at least as large, so trunc_tol keeps its
+  meaning at unit probes.  Other maps run one forward series per probe.
 """
 
 from __future__ import annotations
@@ -259,9 +259,10 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     one kernel factor tuple) takes x* . R_lam(x) = y . x with one series
     y = R_lam^T(x*) on B^T, so the normalizer, the defect and every call of
     the returned functional are inner products with y.  That series stops on
-    a norm at least as large as the dual norm (``HomogeneousMap.transposed``),
-    so trunc_tol bounds the truncation error of phi at a unit probe as it
-    does on the forward path.  Any other map runs one forward series per
+    the dual norm, LInf for the L1 and L1 for the LInf space, or on a norm at
+    least as large for a weighted space (``HomogeneousMap.transposed``), so
+    trunc_tol bounds the truncation error of phi at a unit probe as it does
+    on the forward path.  Any other map runs one forward series per
     probe, and per call of the functional.
     """
     space = mp.space

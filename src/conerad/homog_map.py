@@ -95,17 +95,20 @@ class HomogeneousMap:
         """The transpose B^T as a map on the dual-norm space, or None when the
         map has none.
 
-        The space's norm is at least the dual norm of this map's: weights 1/w
-        for a weighted space, L1 for the L1 and LInf spaces.  A tail of norm t
-        in it therefore moves y . x by at most t for every x of unit norm in
-        this map's space, so a truncation tolerance keeps its meaning.
+        The space's norm is at least the dual norm of this map's: LInf for an
+        L1 space and L1 for an LInf space, both exact, and weights 1/w for a
+        weighted space.  A tail of norm t in it therefore moves y . x by at
+        most t for every x of unit norm in this map's space, so a truncation
+        tolerance keeps its meaning.
         """
         if self.matrix is None and self.transpose is None:
             return None
-        if self.space.norm_kind is NormKind.WEIGHTED:
+        kind = self.space.norm_kind
+        if kind is NormKind.WEIGHTED:
             space = ConeSpace(self.space.dim, NormKind.WEIGHTED, 1.0 / self.space.weights)
         else:
-            space = ConeSpace(self.space.dim)
+            dual = NormKind.LINF if kind is NormKind.L1 else NormKind.L1
+            space = ConeSpace(self.space.dim, dual)
         if self.matrix is not None:
             return from_matrix(self.matrix.T, space, name=f"{self.name}^T")
         return HomogeneousMap(space=space, evaluator=self.transpose(), name=f"{self.name}^T")

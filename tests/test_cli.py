@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from conerad import ConeSpace, ConeVector, NormKind, build_model, diamond_norm, psi_hull, simulate
-from conerad import cli
+from conerad import cli, twosex
 from conerad.cli import main, parse_config
-from conerad.errors import ConfigError
+from conerad.errors import ConfigError, InnerIterationError
 
 from conftest import gaussian_config, single_cell_config, scale_beta
 
@@ -125,6 +125,21 @@ class TestTwoSexCommands:
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["verdict"] == "persistence"
         assert result["eigen"]["residual"] <= 1e-6
+
+    def test_assess_unsettled_eigen_stage_keeps_the_verdict(self, tmp_path, monkeypatch):
+        def stall(mp, u):
+            raise InnerIterationError("inner iteration did not settle within 3 steps")
+
+        monkeypatch.setattr(twosex, "solve_eigenvector_perturbation", stall)
+        path = make_run(tmp_path, "twosex-assess",
+                        scale_beta(gaussian_config(n_cells=20), 12.0))
+        # partial outputs: the verdict and the radius, but no eigenpair
+        assert main(["--config", str(path), "--quiet"]) == 2
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["verdict"] == "persistence"
+        assert result["radius"]["converged"] is True
+        assert result["eigen"] is None
+        assert result["error"].startswith("InnerIterationError: ")
 
     def test_simulate_trajectory_csv(self, tmp_path):
         path = make_run(tmp_path, "twosex-simulate", single_cell_config(),

@@ -119,13 +119,14 @@ class TestLinearEvaluator:
 
 class TestTransposed:
     @pytest.mark.parametrize("space, dual", [
-        (ConeSpace(3), ConeSpace(3)),
+        (ConeSpace(3), ConeSpace(3, NormKind.LINF)),
         (ConeSpace(3, NormKind.LINF), ConeSpace(3)),
         (ConeSpace(3, NormKind.WEIGHTED, [0.5, 2.0, 4.0]),
          ConeSpace(3, NormKind.WEIGHTED, [2.0, 0.5, 0.25])),
     ])
     def test_linear_map_transposes_its_matrix(self, space, dual):
-        # the transpose lives on a space whose norm is at least the dual norm
+        # the transpose lives on a space whose norm is at least the dual
+        # norm, and is the dual norm for L1 and LInf
         a = np.arange(9.0).reshape(3, 3)
         mpt = from_matrix(a, space).transposed()
         assert mpt.flags & MapFlag.LINEAR

@@ -9,6 +9,7 @@ import pytest
 
 from conerad import (
     ConeVector,
+    HomogeneousMap,
     MatingFunction,
     MatingKind,
     MigrationKernel,
@@ -19,9 +20,16 @@ from conerad import (
     estimate_eigenfunctional,
     radius_bracket,
     simulate,
+    solve_eigenvector_perturbation,
 )
 from conerad import twosex
-from conerad.errors import ConfigError, FieldError, KernelMassError, ModelContractError
+from conerad.errors import (
+    ConfigError,
+    FieldError,
+    InnerIterationError,
+    KernelMassError,
+    ModelContractError,
+)
 
 from conftest import (
     dense_kernel,
@@ -475,6 +483,67 @@ class TestPersistence:
         assert radius.cw_lower <= eigen.lam <= radius.cw_upper
         assert eigen.cw_lower <= eigen.lam <= eigen.cw_upper
         assert max(radius.cw_lower, eigen.cw_lower) <= min(radius.cw_upper, eigen.cw_upper)
+        # the bracket started from the eigenvector is as tight as the default tol
+        assert radius.converged
+        assert radius.cw_upper - radius.cw_lower <= 1e-8 * max(1.0, radius.cw_lower)
+
+    def test_bracket_from_eigenvector_costs_a_few_columns(self, monkeypatch):
+        # Started from the eigenvector, the bracket closes in one iteration:
+        # B(v), then B of the iterate and of its one regularized probe.
+        model = build_model(gaussian_config(n_cells=60, sigma=0.05, beta=6.0))
+        columns = []
+        raw = HomogeneousMap.raw
+
+        def counting(mp, x):
+            columns.append(x.shape[1] if x.ndim == 2 else 1)
+            return raw(mp, x)
+
+        monkeypatch.setattr(HomogeneousMap, "raw", counting)
+        solve_eigenvector_perturbation(model.as_map(), model.order_bound)
+        alone = sum(columns)
+        columns.clear()
+        report = assess_persistence(model)
+        assert report.radius.converged and report.radius.iterations == 1
+        assert sum(columns) <= alone + 4
+
+    @pytest.mark.parametrize("scale, verdict", [(1.0, "extinction"), (2.0, "persistence")])
+    def test_local_dispersal_distinct_beta(self, scale, verdict):
+        # Local dispersal makes the map diagonal, B(f)_i = c_i f_i with
+        # c_i = beta_i s_f q s_m (1 - q) / (s_f q + s_m (1 - q)) = beta_i / 8
+        # here: the radius is max c_i, and the eigenvector is the unit vector
+        # of that cell, so the solved one has near-zero entries elsewhere.
+        beta = [scale * b for b in np.linspace(1.0, 6.0, 30)]
+        cfg = gaussian_config(n_cells=30, beta=beta)
+        cfg["dispersal"] = {"kind": "local"}
+        report = assess_persistence(build_model(cfg))
+        exact = max(beta) / 8.0
+        v = report.eigen.vector.entries
+        assert v.min() < 1e-6 * v.max()
+        assert report.radius.converged
+        assert report.radius.cw_lower <= exact <= report.radius.cw_upper
+        assert report.verdict == verdict
+
+    def test_unsettled_eigen_stage_keeps_the_verdict(self, monkeypatch):
+        # A stalled eigen stage costs the eigenpair, not the verdict: the
+        # bracket then starts from the order bound, and the report names
+        # the error.
+        model = build_model(scale_beta(gaussian_config(n_cells=20), 12.0))
+        want = assess_persistence(model)
+        assert want.error is None and "error" not in want.to_json()
+
+        def stall(mp, u):
+            raise InnerIterationError("inner iteration did not settle within 3 steps")
+
+        monkeypatch.setattr(twosex, "solve_eigenvector_perturbation", stall)
+        report = assess_persistence(model)
+        assert report.eigen is None
+        assert report.verdict == want.verdict == "persistence"
+        assert report.radius.converged
+        assert report.radius.cw_lower <= want.radius.value <= report.radius.cw_upper
+        out = report.to_json()
+        assert out["eigen"] is None
+        assert out["error"] == ("InnerIterationError: "
+                                "inner iteration did not settle within 3 steps")
 
     def test_rectangle_grid_min_rate_model(self):
         cfg = {
