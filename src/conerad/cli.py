@@ -205,7 +205,9 @@ class _Emitter:
 
     def write_csv(self, name: str, header: list, rows) -> None:
         """The bytes csv.writer would write: every field here is an int, a
-        float or its repr, "" or a plain name, so none needs quoting."""
+        float or its repr, "" or a plain name, so none needs quoting.  A
+        field may also be several float reprs already joined by commas (see
+        `_float_rows`), which str() passes through as the same text."""
         with open(self.out_dir / name, "w", newline="") as fh:
             fh.writelines(",".join(map(str, row)) + "\r\n" for row in chain([header], rows))
         self.files.append(name)
@@ -286,6 +288,28 @@ def _run_assess(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
     return 0 if report.radius.converged and report.error is None else 2
 
 
+def _float_rows(block: np.ndarray) -> list[str]:
+    """Each row of a 2-D float block as ",".join(map(repr, row)), in one pass.
+
+    orjson prints the shortest round-trip digits, as repr does, and in the
+    same notation for zero and for every finite magnitude in [1e-4, 1e16).
+    A row holding any other value (NaN or inf, which orjson writes as null,
+    or a magnitude where repr switches to an exponent) is joined from repr.
+    """
+    import orjson  # imported here: only a run that writes densities pays for it
+
+    block = np.ascontiguousarray(block, dtype=float)
+    if not len(block):
+        return []
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    rows = text[2:-2].split("],[")
+    mag = np.abs(block)
+    plain = (mag == 0) | ((mag >= 1e-4) & (mag < 1e16))
+    for i in np.flatnonzero(~plain.all(axis=1)):
+        rows[i] = ",".join(map(repr, block[i].tolist()))
+    return rows
+
+
 def _run_simulate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
     if kind != "twosex":
         raise ConfigError("twosex-simulate requires a two-sex model input")
@@ -305,10 +329,11 @@ def _run_simulate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
     header = ["year", "log_total_mass", "gamma_estimate"]
     if cfg.emit_densities:
         header += [f"cell_{i}" for i in range(n)]
-    rows = []
-    for year, (logm, gamma) in enumerate(zip(traj.log_mass, [""] + traj.gamma_estimates)):
-        densities = traj.shapes[year].tolist() if cfg.emit_densities else []
-        rows.append([year, logm, gamma] + densities)
+    rows = [[year, logm, gamma] for year, (logm, gamma)
+            in enumerate(zip(traj.log_mass, [""] + traj.gamma_estimates))]
+    if cfg.emit_densities:
+        for row, densities in zip(rows, _float_rows(traj.shapes)):
+            row.append(densities)
     emit.write_csv("trajectory.csv", header, rows)
     return 0
 

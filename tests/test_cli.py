@@ -175,6 +175,34 @@ class TestTwoSexCommands:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert emit.files == ["got.csv"]
 
+    @pytest.mark.parametrize("case", ["gaussian", "tails_below_1e-4", "die_out"])
+    def test_simulate_trajectory_bytes_match_csv_module(self, tmp_path, case):
+        cfg, f0 = gaussian_config(n_cells=6), [1.0] * 6
+        if case == "tails_below_1e-4":
+            # started from one edge cell: the Gaussian tails reach 1e-80,
+            # so those rows take the repr fallback of _float_rows
+            cfg, f0 = gaussian_config(n_cells=30, sigma=0.05), [1.0] + [0.0] * 29
+        elif case == "die_out":
+            cfg = gaussian_config(n_cells=6, beta=0.0, s_f=0.0, s_m=0.0)
+        traj = simulate(build_model(cfg), ConeVector(np.array(f0)), years=3)
+        if case == "tails_below_1e-4":
+            assert np.any((traj.shapes > 0) & (traj.shapes < 1e-4))
+        elif case == "die_out":
+            assert traj.died_at == 1 and traj.log_mass[1] == -np.inf
+        path = make_run(tmp_path, "twosex-simulate", cfg, years=3, f0=f0,
+                        emit_densities=True)
+        assert main(["--config", str(path), "--quiet"]) == 0
+        n = len(f0)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["year", "log_total_mass", "gamma_estimate"]
+                            + [f"cell_{i}" for i in range(n)])
+            for year, gamma in enumerate([""] + traj.gamma_estimates):
+                writer.writerow([year, traj.log_mass[year], gamma]
+                                + traj.shapes[year].tolist())
+        got = (tmp_path / "out" / "trajectory.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+
     @pytest.mark.parametrize("name, path, bad", [
         ("dispersal.sigma", ("dispersal", "sigma"), "wide"),
         ("grid.n_cells", ("grid", "n_cells"), "many"),
@@ -212,6 +240,40 @@ class TestTwoSexCommands:
         path = make_run(tmp_path, "twosex-assess", bad)
         assert main(["--config", str(path), "--quiet"]) == 1
         assert "KernelMassError" in capsys.readouterr().err
+
+
+def _repr_rows(block):
+    return [",".join(map(repr, row)) for row in block.tolist()]
+
+
+class TestFloatRows:
+    """cli._float_rows against the per-cell repr join it replaces."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(15)
+        bits = rng.integers(0, 2**64, size=(400, 50), dtype=np.uint64, endpoint=False)
+        block = bits.view(np.float64)
+        block[~np.isfinite(block)] = 1.0
+        # and the same mantissas and signs with every magnitude in [2^-13, 2^53),
+        # inside the range where orjson and repr share a notation
+        exponent = rng.integers(1023 - 13, 1023 + 53, size=block.shape).astype(np.uint64)
+        mask = np.uint64(0x800FFFFFFFFFFFFF)
+        plain = ((bits & mask) | (exponent << np.uint64(52))).view(np.float64)
+        for b in (block, plain, block[:0]):
+            assert cli._float_rows(b) == _repr_rows(b)
+
+    @pytest.mark.parametrize("values", [
+        [9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16],
+        [5e-324, 2.5e-310, 0.0, -0.0],
+        [float("inf"), float("nan"), -1e-4, -1e16],
+        [1.0, 0.1, 1 / 3, 123456.789],
+    ])
+    def test_edges_one_row_and_one_column(self, values):
+        row = np.array([values])
+        assert cli._float_rows(row) == _repr_rows(row)
+        assert cli._float_rows(row.T) == _repr_rows(row.T)
+        mixed = np.array([values, [1.5] * len(values)])
+        assert cli._float_rows(mixed) == _repr_rows(mixed)
 
 
 class TestOtherCommands:
