@@ -3,7 +3,9 @@
 Three constructive schemes:
 
 * one shifted stage of normalized fixed-point steps on B_eps + c I, with
-  B_eps = B + eps * psi(.) * u and eps one ulp of B(u_hat) (eigenvectors),
+  B_eps = B + eps * psi(.) * u and eps one ulp of B(u_hat), sped up by
+  Anderson mixing of the last few steps after a coarse phase at a larger
+  eps (eigenvectors),
 * the decreasing lattice iteration x_k = min(B x_{k-1}/r + 2^-k u, u)
   producing sub-eigenvectors,
 * truncated-resolvent functionals x -> x* . R_lam(x), normalized by a
@@ -36,13 +38,9 @@ from .homog_map import HomogeneousMap, perturb, unit_cone_probes
 from .spectral import _cw_ratios, _outward, radius_bracket, resolvent_series
 
 _MONOTONE_SLACK = 1e-12  # relative slack absorbing evaluator roundoff
-# A jump with ratio mu leaves |mu_true - mu| / (mu (1 - mu)) of the real mode
-# it removes; a jump waits until successive ratios agree to this fraction of that.
-_AITKEN_SETTLED = 1e-2
-# A jump multiplies a mode that turns the step by an angle theta by
-# sin(theta) / (1 - mu) = ||d - mu d_prev|| / ((1 - mu) ||d||); a jump waits
-# until that factor is at most this, so it never grows a rotating mode.
-_AITKEN_PARALLEL = 0.1
+_ANDERSON_DEPTH = 6      # residual differences one mixing step combines
+_COARSE_EPS = 1e-4       # eps of the coarse phase, relative to psi(B(u_hat)) / psi(u)
+_COARSE_TOL = 1e-6       # step size at which the coarse phase hands over
 
 
 class EigenMode(enum.Enum):
@@ -56,7 +54,9 @@ class EigenResult:
 
     [cw_lower, cw_upper] is the outward-rounded Collatz-Wielandt bracket of
     the vector itself, a certified enclosure of the radius; it is [0, inf]
-    where the solver computes none.
+    where the solver computes none.  steps counts the map evaluations of the
+    solve.  image is B(vector) where the solver evaluated it; it is not
+    part of the JSON wire format.
     """
 
     vector: ConeVector          # normalized so psi(vector) = 1
@@ -66,6 +66,8 @@ class EigenResult:
     trace: list = field(default_factory=list)  # (eps_or_k, lambda) pairs
     cw_lower: float = 0.0
     cw_upper: float = math.inf
+    steps: int = 0
+    image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -75,6 +77,7 @@ class EigenResult:
             "cw_upper": self.cw_upper,
             "residual": self.residual,
             "mode": self.mode.value,
+            "steps": self.steps,
             "trace": [[float(a), float(b)] for a, b in self.trace],
         }
 
@@ -100,22 +103,35 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     periodicity; the eps term keeps B_eps strictly increasing, so every step
     lands in the open cone, and moves the eigenvector by rounding level only.
 
-    The stage runs plain steps w = normalize(B_eps(v) + c v) from u_hat until
-    a step moves the iterate by less than inner_tol; the first step takes
-    B_eps(u_hat) from B(u_hat) instead of evaluating u_hat again.  Between
-    plain steps it may take an Aitken jump: with d = w - v and the step
-    ratio mu = (d . d_prev) / (d_prev . d_prev), two successive ratios in
-    (0, 1) that agree to 1e-2 * mu * (1 - mu), with d parallel to d_prev to
-    ||d - mu d_prev|| <= 0.1 (1 - mu) ||d||, move w to
-    normalize(max(w + mu / (1 - mu) * d, 0)), which removes the real error
-    mode of ratio mu, and restart the ratio history.  A jump costs no
-    evaluation (max_inner counts plain steps).  A mode that turns the step
-    by an angle theta fails the parallel test unless the jump shrinks it at
-    least tenfold, and mu <= 0 never jumps.
+    The stage is Anderson mixing (Walker & Ni 2011) on the fixed-point step
+    g = normalize(B_eps(v) + c v), from u_hat until a step moves the
+    iterate by less than inner_tol; the first step takes B_eps(u_hat) from
+    B(u_hat) instead of evaluating u_hat again.  Every step keeps the last
+    _ANDERSON_DEPTH + 1 steps g and residuals f = g - v, solves one least
+    squares problem min ||f - dF gamma|| on the residual differences dF, and
+    moves to normalize(g - dG gamma), with dG the matching differences of g.
+    That removes several error modes at once, real or rotating, and needs
+    nothing from B but its values, so nonlinear maps take it too.  Mixing
+    acts on the support only: an entry with g_i < inner_tol * max(g) keeps
+    g_i, every other entry is clipped at 0 (and a mix clipped to zero keeps
+    g).  One step is one evaluation, and max_inner counts steps.
+
+    Two safeguards keep the mixing on the Perron vector.  Mixing minimizes
+    the residual, so it also converges to the other nonnegative eigenvectors
+    of a reducible map, where the Perron part has been mixed away to
+    rounding level and the plain step grows it too slowly to show.  The
+    stage therefore first settles, to _COARSE_TOL, with eps = _COARSE_EPS *
+    c / psi(u): there every such vector is off by far more than that, and
+    the coarse vector carries the Perron part on to the fine phase, which
+    runs on the one-ulp eps above.  And a phase that goes 2 * _ANDERSON_DEPTH
+    steps without a new smallest residual takes plain steps until one comes,
+    then starts a fresh window.
 
     The returned lam is the Rayleigh value psi(B(v)) of the unperturbed map
-    at the final iterate, the trace is the one row (eps, lam), and
-    [cw_lower, cw_upper] is the Collatz-Wielandt bracket of (v, B(v)).
+    at the final iterate, the trace is the one row (eps, lam) of the fine
+    phase, [cw_lower, cw_upper] is the Collatz-Wielandt bracket of (v, B(v)),
+    and steps counts the map evaluations of the solve, B(u_hat) and the
+    final B(v) included.
     """
     space = mp.space
     if u.dim != space.dim or not np.all(u.entries > 0):
@@ -128,36 +144,57 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     if not bv.any():
         # B annihilates a strictly positive vector, hence the whole cone.
         return EigenResult(vector=ConeVector(v), lam=0.0, residual=0.0,
-                           mode=EigenMode.SUB_EIGEN, cw_lower=0.0, cw_upper=0.0)
+                           mode=EigenMode.SUB_EIGEN, cw_lower=0.0, cw_upper=0.0,
+                           steps=1, image=bv)
     c = space.norm(bv)
-    eps = 2.0 ** -52 * c / space.norm(u.entries)
+    scale = c / space.norm(u.entries)
+    eps = 2.0 ** -52 * scale
     pert = perturb(mp, eps, u)
-    # B_eps(u_hat) by perturb's own arithmetic on B(u_hat): no second evaluation
-    bv_eps = bv + u.entries * (eps * space.norm(v))
-    d_prev = mu_prev = None
-    for _ in range(max_inner):
-        w = _psi_normalize(space, bv_eps + c * v)
-        d = w - v
-        if space.norm(d) < inner_tol:
-            v = w
-            break
-        mu = None
-        if d_prev is not None:
-            # Euclidean step ratio on steps scaled by max|d_prev|, which
-            # cannot underflow whatever the scale of the norm (p . p >= 1).
-            scale = np.abs(d_prev).max()
-            p, q = d_prev / scale, d / scale
-            mu = float(q @ p) / float(p @ p)
-            if (mu_prev is not None and 0.0 < mu < 1.0
-                    and abs(mu - mu_prev) <= _AITKEN_SETTLED * mu * (1.0 - mu)
-                    and np.linalg.norm(q - mu * p)
-                    <= _AITKEN_PARALLEL * (1.0 - mu) * np.linalg.norm(q)):
-                # Aitken jump: remove the settled real error mode of ratio mu.
-                w = _psi_normalize(space, np.maximum(w + (mu / (1.0 - mu)) * d, 0.0))
-                d = mu = None
-        d_prev, mu_prev = d, mu
-        v = w
+    # the coarse phase runs on B_eps + extra * psi(.) * u, the fine one on B_eps
+    extra, tol = _COARSE_EPS * scale - eps, max(_COARSE_TOL, inner_tol)
+    # the first image by perturb's own arithmetic on B(u_hat): no second evaluation
+    bv_eps = bv + u.entries * ((eps + extra) * space.norm(v))
+    m = _ANDERSON_DEPTH
+    dg, df = np.empty((space.dim, m), order="F"), np.empty((space.dim, m), order="F")
+    fresh = True
+    for steps in range(1, max_inner + 1):
+        if fresh:
+            g_prev = f_prev = None
+            k = 0           # differences stored since the window was last emptied
+            best, stalled, fresh = math.inf, 0, False
+        g = _psi_normalize(space, bv_eps + c * v)
+        f = g - v
+        res = space.norm(f)
+        v = g
+        if res < tol:
+            if not extra:
+                break
+            # the coarse phase has settled: the fine one starts from it
+            extra, tol, fresh = 0.0, inner_tol, True
+        else:
+            if res < best:
+                best, stalled = res, 0
+            else:
+                stalled += 1
+            if stalled >= 2 * m:
+                # no new smallest residual in 2m steps: plain steps until one
+                # comes, then a fresh window
+                f_prev, k = None, 0
+            else:
+                if f_prev is not None:
+                    j, k = k % m, k + 1
+                    dg[:, j] = g - g_prev
+                    df[:, j] = f - f_prev
+                    cols = min(k, m)
+                    gamma = np.linalg.lstsq(df[:, :cols], f, rcond=None)[0]
+                    mixed = np.maximum(g - dg[:, :cols] @ gamma, 0.0)
+                    w = np.where(g < inner_tol * g.max(), g, mixed)
+                    if w.any():         # else every mixed entry was clipped: keep g
+                        v = _psi_normalize(space, w)
+                g_prev, f_prev = g, f
         bv_eps = pert.raw(v)
+        if extra:
+            bv_eps = bv_eps + u.entries * (extra * space.norm(v))
     else:
         raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
 
@@ -168,7 +205,8 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     lower, upper = _cw_ratios(v[:, None], bv[:, None])
     lo, hi = _outward(float(lower[0]), float(upper[0]), space.dim)
     return EigenResult(vector=ConeVector(v), lam=lam, residual=residual, mode=mode,
-                       trace=[(eps, lam)], cw_lower=lo, cw_upper=hi)
+                       trace=[(eps, lam)], cw_lower=lo, cw_upper=hi, steps=steps + 1,
+                       image=bv)
 
 
 def solve_subeigenvector_min(mp: HomogeneousMap, u: ConeVector, r_est: float,
@@ -217,7 +255,7 @@ def solve_subeigenvector_min(mp: HomogeneousMap, u: ConeVector, r_est: float,
     violation = float(np.max(r_est * x - bx))
     vec = ConeVector(_psi_normalize(space, x))
     return EigenResult(vector=vec, lam=r_est, residual=max(violation, 0.0) / psi_hull(space, x),
-                       mode=EigenMode.SUB_EIGEN, trace=trace)
+                       mode=EigenMode.SUB_EIGEN, trace=trace, steps=k + 2)
 
 
 @dataclass

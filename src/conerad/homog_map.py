@@ -235,21 +235,19 @@ _TRIAL_BLOCK_ENTRIES = 1 << 18   # 2 MB of float64 per trial block
 
 
 def _trial_blocks(rng: np.random.Generator, n: int, trials: int, alpha_high: float):
-    """Random trials x, y ~ N(0, I_n), alpha ~ U(0, alpha_high), drawn in
-    that order trial after trial, gathered into column-major (n, k) blocks
-    X, Y and a length-k array of alphas.  Yields (first trial, X, Y, alpha).
-    x and y are one draw of 2n normals, the same stream as two draws of n.
-    A block holds at most _TRIAL_BLOCK_ENTRIES entries, or one column when a
-    column is longer, so a check's memory stays bounded on large maps."""
+    """Random trials x, y ~ N(0, I_n), alpha ~ U(0, alpha_high) in column-major
+    (n, k) blocks X, Y and a length-k array of alphas.  Yields (first trial,
+    X, Y, alpha).  Each block draws its normals as one (k, 2n) array, then
+    its alphas as one array.  A block holds at most _TRIAL_BLOCK_ENTRIES
+    entries, or one column when a column is longer, so a check's memory
+    stays bounded on large maps."""
     width = max(1, _TRIAL_BLOCK_ENTRIES // n)
     for start in range(0, trials, width):
-        draws = [(rng.standard_normal(2 * n), rng.uniform(0.0, alpha_high))
-                 for _ in range(start, min(trials, start + width))]
-        xys, alphas = zip(*draws)
+        k = min(trials - start, width)
         # column-major, so per-column sums match one-vector calls bit for bit:
         # the rows of a C-ordered (k, 2n) array are the columns of its transpose
-        xy = np.array(xys).T
-        yield start, xy[:n], xy[n:], np.array(alphas)
+        xy = rng.standard_normal((k, 2 * n)).T
+        yield start, xy[:n], xy[n:], rng.uniform(0.0, alpha_high, size=k)
 
 
 def _over(values: np.ndarray, tol: float) -> list:

@@ -107,9 +107,13 @@ def _cw_ratios(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _BracketEngine:
-    """Shared state of the normalized power iteration with bracket tracking."""
+    """Shared state of the normalized power iteration with bracket tracking.
 
-    def __init__(self, mp: HomogeneousMap, u: ConeVector):
+    The orbit starts at u_hat = u / ||u||, or, when the image B(u) is given,
+    at u itself with that image, so no start evaluation is repeated.
+    """
+
+    def __init__(self, mp: HomogeneousMap, u: ConeVector, image: np.ndarray | None = None):
         if u.is_zero():
             raise DegenerateBoundError("start vector u must be nonzero")
         if u.dim != mp.space.dim:
@@ -118,8 +122,11 @@ class _BracketEngine:
         self.space = mp.space
         nu = self.space.norm(u.entries)
         self.u_hat = u.entries / nu
-        self.y = self.u_hat.copy()
-        self.z = mp.raw(self.y)             # B(y): the next power step
+        if image is None:
+            self.y = self.u_hat.copy()
+            self.z = mp.raw(self.y)         # B(y): the next power step
+        else:
+            self.y, self.z = u.entries, image
         self.hist: list[np.ndarray] = [self.y]    # y_(k-m), ..., y_k
         self.logs: list[float] = []
         self.bounds: list[tuple[float, float]] = []
@@ -203,17 +210,19 @@ class _BracketEngine:
 
 
 def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
-                   max_iter: int = 10000) -> SpectralEstimate:
+                   max_iter: int = 10000, *, _image: np.ndarray | None = None) -> SpectralEstimate:
     """Certified Collatz-Wielandt bracket; the point value is its midpoint.
 
     Requires a strictly positive start vector so that regularized upper
-    probes exist.  Convergence is declared on bracket width only.
+    probes exist.  Convergence is declared on bracket width only.  Inside
+    the package a caller that already holds B(u) passes it as _image; the
+    orbit then starts at u itself and evaluates no start image.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not np.all(u.entries > 0):
         raise DegenerateBoundError("radius_bracket requires a strictly positive start vector")
-    eng = _BracketEngine(mp, u)
+    eng = _BracketEngine(mp, u, _image)
     for _ in range(max_iter):
         eng.step()
         if eng.bracket_closed(tol):

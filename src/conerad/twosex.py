@@ -632,7 +632,8 @@ def assess_persistence(model: TwoSexModel, tol: float = 1e-8,
     """Compare the radius bracket against the threshold value 1.
 
     The eigenvector v is solved first, from the order bound u, and the
-    bracket is started from v: at an eigenvector the Collatz-Wielandt ratios
+    bracket is started from v with the image B(v) the solve has already
+    evaluated: at an eigenvector the Collatz-Wielandt ratios
     of B(v)/v all equal the radius, so the bracket closes in about one
     iteration where a start from u takes tens.  Every bound stays a
     certificate whatever the start; ``radius.iterations`` and
@@ -655,8 +656,12 @@ def assess_persistence(model: TwoSexModel, tol: float = 1e-8,
         eigen = solve_eigenvector_perturbation(mp, u)
     except InnerIterationError as exc:
         error = f"{type(exc).__name__}: {exc}"
-    start = eigen.vector if eigen is not None and np.all(eigen.vector.entries > 0) else u
-    radius = radius_bracket(mp, start, tol=tol, max_iter=max_iter)
+    if eigen is not None and np.all(eigen.vector.entries > 0):
+        # start at v with the B(v) the solve already holds: no repeated evaluation
+        radius = radius_bracket(mp, eigen.vector, tol=tol, max_iter=max_iter,
+                                _image=eigen.image)
+    else:
+        radius = radius_bracket(mp, u, tol=tol, max_iter=max_iter)
     if radius.cw_lower > 1.0:
         verdict = "persistence"
     elif radius.cw_upper < 1.0:

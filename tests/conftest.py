@@ -74,6 +74,18 @@ def dense_kernel(kern) -> np.ndarray:
     return kern.scale * reduce(np.kron, kern.factors)
 
 
+def trial_draws(rng: np.random.Generator, n: int, trials: int, alpha_high: float,
+                width: int):
+    """(x, y, alpha) of each trial in the order the validate checks draw them:
+    per block of `width` trials, its normals as one (k, 2n) array, one row
+    per trial, then its k alphas ~ U(0, alpha_high)."""
+    for start in range(0, trials, width):
+        k = min(trials - start, width)
+        xy = rng.standard_normal((k, 2 * n))
+        for row, alpha in zip(xy, rng.uniform(0.0, alpha_high, size=k)):
+            yield row[:n], row[n:], float(alpha)
+
+
 def counting_map(target, flags: MapFlag = MapFlag.NONE):
     """A matrix (x -> mat @ x) or a HomogeneousMap behind a callable map,
     plus the list of its evaluations."""

@@ -14,7 +14,7 @@ from conerad import cli, twosex
 from conerad.cli import main, parse_config
 from conerad.errors import ConfigError, InnerIterationError
 
-from conftest import gaussian_config, single_cell_config, scale_beta
+from conftest import gaussian_config, single_cell_config, scale_beta, trial_draws
 
 MISSING = object()
 
@@ -339,9 +339,7 @@ class TestOtherCommands:
         # block run gives the same count and a bit-identical largest defect.
         rng = np.random.default_rng(7)
         violations, worst = 0, 0.0
-        for _ in range(300):
-            x, y = rng.standard_normal(space.dim), rng.standard_normal(space.dim)
-            alpha = float(rng.uniform(0, 10))
+        for x, y, alpha in trial_draws(rng, space.dim, 300, 10.0, width=300):
             px, py, nx = psi_hull(space, x), psi_hull(space, y), space.norm(x)
             checks = (
                 abs(psi_hull(space, alpha * x) - alpha * px),

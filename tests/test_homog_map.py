@@ -22,7 +22,7 @@ from conerad import (
 from conerad import homog_map
 from conerad.errors import DegenerateBoundError, MapContractError
 
-from conftest import counting_map
+from conftest import counting_map, trial_draws
 
 
 def vec(*vals):
@@ -245,12 +245,12 @@ def reference_properties(mp, trials, tol, seed):
     """verify_properties as one trial at a time: four one-vector
     evaluations per trial, each defect at the trial's own scale."""
     rng = np.random.default_rng(seed)
+    n = mp.space.dim
     found = {"homogeneity": [], "monotonicity": [], "superadditivity": []}
     worst = dict.fromkeys(found, 0.0)
-    for t in range(trials):
-        x = np.abs(rng.standard_normal(mp.space.dim))
-        d = np.abs(rng.standard_normal(mp.space.dim))
-        alpha = float(rng.uniform(0.0, 4.0))
+    draws = trial_draws(rng, n, trials, 4.0, max(1, homog_map._TRIAL_BLOCK_ENTRIES // n))
+    for t, (x, d, alpha) in enumerate(draws):
+        x, d = np.abs(x), np.abs(d)
         bx = mp.raw(x)
         scale = max(1.0, float(np.max(np.abs(bx))))
         defect = float(np.max(np.abs(mp.raw(alpha * x) - alpha * bx)))
