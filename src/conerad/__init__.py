@@ -17,7 +17,6 @@ from .cone import (
 )
 from .homog_map import (
     HomogeneousMap,
-    MapFlag,
     from_callable,
     from_matrix,
     perturb,
@@ -54,7 +53,7 @@ from . import errors
 __all__ = [
     "ConeSpace", "ConeVector", "NormKind", "diamond_norm", "leq",
     "lower_ratio", "meet", "psi_hull", "u_norm",
-    "HomogeneousMap", "MapFlag", "from_callable", "from_matrix", "perturb",
+    "HomogeneousMap", "from_callable", "from_matrix", "perturb",
     "verify_properties",
     "ResolventBlock", "SpectralEstimate", "cw_upper", "radius_bracket",
     "resolvent_series",

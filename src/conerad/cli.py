@@ -115,9 +115,12 @@ def parse_config(path) -> RunConfig:
         if name not in _DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance '{name}'")
         with _field(f"tolerances.{name}", "config"):
+            # a bool or a string, which float() would coerce, is no tolerance
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise TypeError(f"expected a number, got {val!r}")
             val = float(val)
-        if not val > 0:
-            raise ConfigError(f"tolerance '{name}' must be positive, got {val}")
+            if not 0.0 < val < np.inf:
+                raise ValueError(f"must be finite and positive, got {val!r}")
         tolerances[name] = val
 
     with _field("max_iter", "config"):
@@ -214,10 +217,9 @@ class _Emitter:
 
 
 def _radius_trace_rows(est: SpectralEstimate):
-    bounds = est.bound_trace or []
-    for i, s in enumerate(est.log_norm_trace):
-        lo, hi = bounds[i] if i < len(bounds) else (est.cw_lower, est.cw_upper)
-        yield [i + 1, repr(s), repr(lo), repr(hi)]
+    # the bracket logs one norm and one bound pair per live iteration
+    for i, (s, (lo, hi)) in enumerate(zip(est.log_norm_trace, est.bound_trace), 1):
+        yield [i, repr(s), repr(lo), repr(hi)]
 
 
 def _wrap_map(kind: str, problem) -> HomogeneousMap:

@@ -10,7 +10,7 @@ Three constructive schemes:
   producing sub-eigenvectors,
 * truncated-resolvent functionals x -> x* . R_lam(x), normalized by a
   sampled operator norm (eigenfunctionals).  A map with a transpose (a
-  LINEAR map, or a two-sex map whose sexes share one kernel factor tuple)
+  matrix map, or a two-sex map whose sexes share one kernel factor tuple)
   takes one series y = R_lam^T(x*) on B^T, and then phi(x) = y . x / N;
   that series stops on the dual norm (LInf for L1, L1 for LInf) or, on a
   weighted space, on a norm at least as large, so trunc_tol keeps its
@@ -293,7 +293,7 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     and the reported defect is max |phi(Bx) - r phi(x)| over the sample
     points.
 
-    A map with a transpose (a LINEAR map, or a two-sex map whose sexes share
+    A map with a transpose (a matrix map, or a two-sex map whose sexes share
     one kernel factor tuple) takes x* . R_lam(x) = y . x with one series
     y = R_lam^T(x*) on B^T, so the normalizer, the defect and every call of
     the returned functional are inner products with y.  That series stops on

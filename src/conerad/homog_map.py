@@ -1,12 +1,12 @@
 """Bounded homogeneous maps on the cone: evaluation, combinators, checks.
 
-A map is stored as a raw evaluator on ndarrays together with structure
-flags.  Linear maps carry their frozen matrix and evaluate it, which keeps
-a rank-one perturbation of a linear map linear.  A map with a transpose,
-a linear one or one that supplies its own, builds it on demand as a map on
-the dual-norm space (``HomogeneousMap.transposed``).  ``HomogeneousMap.raw``
-checks every map value against the cone contract once; solvers do not
-check it again.
+A map is stored as a raw evaluator on ndarrays or as a frozen matrix.  A
+map is linear exactly when it holds its matrix, and then it evaluates that
+matrix, which keeps a rank-one perturbation of a linear map linear.  A map
+with a transpose, a matrix map or one that supplies its own, builds it on
+demand as a map on the dual-norm space (``HomogeneousMap.transposed``).
+``HomogeneousMap.raw`` checks every map value against the cone contract
+once; solvers do not check it again.
 
 Evaluator contract: an evaluator takes a vector of shape (n,) or a column
 block of shape (n, k) and returns an array of the same shape; for a block,
@@ -17,7 +17,6 @@ perturbed maps and the two-sex map evaluate a block at once; a map made by
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -27,35 +26,27 @@ from .cone import ConeSpace, ConeVector, NormKind
 from .errors import DegenerateBoundError, DimensionError, MapContractError
 
 
-class MapFlag(enum.Flag):
-    NONE = 0
-    LINEAR = enum.auto()
-    SUPERADDITIVE = enum.auto()
-
-
 @dataclass(frozen=True)
 class HomogeneousMap:
     """Evaluatable map of the cone into itself, homogeneous of degree one.
 
-    A LINEAR map evaluates and transposes its own frozen matrix and takes no
-    evaluator.  Any other map that is linear on the cone may supply
-    ``transpose``, a function of no arguments that builds the evaluator of
-    its transpose; it runs only when ``transposed`` is called.
+    A map given ``matrix``, which must be finite and nonnegative, is linear:
+    it evaluates and transposes its own frozen copy and takes no evaluator.
+    Any other map that is linear on the cone may supply ``transpose``, a
+    function of no arguments that builds the evaluator of its transpose; it
+    runs only when ``transposed`` is called.
     """
 
     space: ConeSpace
     evaluator: object = None  # Callable[[np.ndarray], np.ndarray], on (n,) or (n, k)
-    flags: MapFlag = MapFlag.NONE
     matrix: np.ndarray | None = None
     name: str = "map"
     transpose: object = None  # Callable[[], evaluator of B^T] or None
 
     def __post_init__(self):
-        if self.flags & MapFlag.LINEAR:
+        if self.matrix is not None:
             if self.evaluator is not None or self.transpose is not None:
                 raise ValueError("a linear map evaluates its matrix and takes no evaluator")
-            if self.matrix is None:
-                raise ValueError("linear maps must carry their matrix")
             m = np.asarray(self.matrix, dtype=float)
             if m.shape != (self.space.dim, self.space.dim):
                 raise DimensionError(
@@ -68,10 +59,8 @@ class HomogeneousMap:
                 m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
             object.__setattr__(self, "evaluator", m.__matmul__)
-        elif self.matrix is not None:
-            raise ValueError("matrix is only meaningful with the LINEAR flag")
         elif self.evaluator is None:
-            raise ValueError("only a LINEAR map may leave out its evaluator")
+            raise ValueError("only a matrix map may leave out its evaluator")
 
     def raw(self, x: np.ndarray) -> np.ndarray:
         """Evaluate on a raw vector (n,) or column block (n, k) with the cone
@@ -121,12 +110,10 @@ def from_matrix(matrix, space: ConeSpace | None = None, name: str = "linear") ->
         raise DimensionError(f"matrix must be square, got shape {m.shape}")
     if space is None:
         space = ConeSpace(m.shape[0])
-    return HomogeneousMap(space=space, flags=MapFlag.LINEAR | MapFlag.SUPERADDITIVE,
-                          matrix=m, name=name)
+    return HomogeneousMap(space=space, matrix=m, name=name)
 
 
-def from_callable(space: ConeSpace, fn, flags: MapFlag = MapFlag.NONE,
-                  name: str = "map") -> HomogeneousMap:
+def from_callable(space: ConeSpace, fn, name: str = "map") -> HomogeneousMap:
     """Wrap a function of one (n,) vector; a block is fed to it column by column."""
 
     def evaluator(x, _fn=fn):
@@ -134,7 +121,7 @@ def from_callable(space: ConeSpace, fn, flags: MapFlag = MapFlag.NONE,
             return np.column_stack([np.asarray(_fn(np.array(c)), dtype=float) for c in x.T])
         return _fn(x)
 
-    return HomogeneousMap(space=space, evaluator=evaluator, flags=flags, name=name)
+    return HomogeneousMap(space=space, evaluator=evaluator, name=name)
 
 
 def _psi_weight_vector(space: ConeSpace) -> np.ndarray | None:
@@ -163,13 +150,10 @@ def perturb(mp: HomogeneousMap, eps: float, u: ConeVector) -> HomogeneousMap:
         raise DegenerateBoundError("perturbation direction u must be nonzero")
 
     w = _psi_weight_vector(space)
-    if w is not None and (mp.flags & MapFlag.LINEAR):
+    if w is not None and mp.matrix is not None:
         matrix = mp.matrix + eps * np.outer(u.entries, w)
         matrix.flags.writeable = False      # fresh, so the map keeps it uncopied
-        return HomogeneousMap(space=space, flags=MapFlag.LINEAR | MapFlag.SUPERADDITIVE,
-                              matrix=matrix, name=f"{mp.name}+{eps:g}*psi*u")
-    additive = w is not None and (mp.flags & MapFlag.SUPERADDITIVE)
-    flags = MapFlag.SUPERADDITIVE if additive else MapFlag.NONE
+        return HomogeneousMap(space=space, matrix=matrix, name=f"{mp.name}+{eps:g}*psi*u")
 
     ue = u.entries.copy()
 
@@ -178,8 +162,7 @@ def perturb(mp: HomogeneousMap, eps: float, u: ConeVector) -> HomogeneousMap:
         # psi(x) = ||x+||, a float for a vector and one per column for a block
         return _mp.raw(x) + np.multiply.outer(_u, _eps * _sp.norm(np.maximum(x, 0.0)))
 
-    return HomogeneousMap(space=space, evaluator=shifted, flags=flags,
-                          name=f"{mp.name}+{eps:g}*psi*u")
+    return HomogeneousMap(space=space, evaluator=shifted, name=f"{mp.name}+{eps:g}*psi*u")
 
 
 def unit_cone_probes(space: ConeSpace, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,22 +178,20 @@ def unit_cone_probes(space: ConeSpace, count: int, rng: np.random.Generator) -> 
 
 @dataclass
 class PropertyReport:
-    """Outcome of randomized homogeneity / monotonicity / superadditivity checks."""
+    """Outcome of randomized homogeneity and monotonicity checks; a matrix
+    map is certified by its entry check and reports 0 trials."""
 
     trials: int
     tol: float
     seed: int
     homogeneity_violations: list = field(default_factory=list)
     monotonicity_violations: list = field(default_factory=list)
-    superadditivity_violations: list = field(default_factory=list)
     max_homogeneity_defect: float = 0.0
     max_monotonicity_defect: float = 0.0
-    max_superadditivity_defect: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not (self.homogeneity_violations or self.monotonicity_violations
-                    or self.superadditivity_violations)
+        return not (self.homogeneity_violations or self.monotonicity_violations)
 
     def to_json(self) -> dict:
         return {
@@ -221,12 +202,10 @@ class PropertyReport:
             "violations": {
                 "homogeneity": len(self.homogeneity_violations),
                 "monotonicity": len(self.monotonicity_violations),
-                "superadditivity": len(self.superadditivity_violations),
             },
             "max_defects": {
                 "homogeneity": self.max_homogeneity_defect,
                 "monotonicity": self.max_monotonicity_defect,
-                "superadditivity": self.max_superadditivity_defect,
             },
         }
 
@@ -259,14 +238,17 @@ def verify_properties(mp: HomogeneousMap, trials: int = 200, tol: float = 1e-9,
                       seed: int = 0) -> PropertyReport:
     """Probe B(alpha x) = alpha B(x) and x <= y => B(x) <= B(y) on random pairs.
 
-    Superadditivity B(x+y) >= B(x) + B(y) is checked only when the flag
-    claims it.  Violations are collected, never raised.  The trials run as
-    column blocks: B(X), B(alpha X), B(X + D) and, when checked, B(D) are
-    one ``raw`` call each, and every defect is taken per column at that
-    column's own scale.
+    A matrix map needs no trials: the finite nonnegative matrix its
+    constructor checks makes it homogeneous, additive and order preserving,
+    so it reports 0 trials and makes no ``raw`` call.  Violations are
+    collected, never raised.  The trials run as column blocks: B(X),
+    B(alpha X) and B(X + D) are one ``raw`` call each, and every defect is
+    taken per column at that column's own scale.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if mp.matrix is not None:
+        return PropertyReport(trials=0, tol=tol, seed=seed)
     rep = PropertyReport(trials=trials, tol=tol, seed=seed)
     rng = np.random.default_rng(seed)
     for start, xs, ds, alpha in _trial_blocks(rng, mp.space.dim, trials, 4.0):
@@ -285,11 +267,4 @@ def verify_properties(mp: HomogeneousMap, trials: int = 200, tol: float = 1e-9,
         rep.max_monotonicity_defect = max(rep.max_monotonicity_defect, float(slack.max()))
         rep.monotonicity_violations += [{"trial": start + j, "defect": float(slack[j])}
                                         for j in _over(slack, tol)]
-
-        if mp.flags & MapFlag.SUPERADDITIVE:
-            gap = (bx + mp.raw(ds) - by).max(axis=0) / scale
-            rep.max_superadditivity_defect = max(rep.max_superadditivity_defect,
-                                                 float(gap.max()))
-            rep.superadditivity_violations += [{"trial": start + j, "defect": float(gap[j])}
-                                               for j in _over(gap, tol)]
     return rep

@@ -39,7 +39,7 @@ from .errors import (
     KernelMassError,
     ModelContractError,
 )
-from .homog_map import HomogeneousMap, MapFlag
+from .homog_map import HomogeneousMap
 from .spectral import SpectralEstimate, cw_upper, radius_bracket
 from .eigenproblem import EigenResult, solve_eigenvector_perturbation
 
@@ -65,7 +65,6 @@ class SpatialGrid:
     are (y, x).  A cell's weight is the product of its axes' widths.
     """
 
-    kind: str                   # "interval1d" | "rectangle2d"
     cell_centers: np.ndarray    # (n_cells, spatial_dim)
     cell_weights: np.ndarray    # (n_cells,)
     axes: tuple                 # ((centers, widths), ...), slowest axis first
@@ -99,7 +98,7 @@ class SpatialGrid:
         h = (b - a) / n_cells
         xs = a + (np.arange(n_cells) + 0.5) * h
         hs = np.full(n_cells, h)
-        return cls("interval1d", xs.reshape(-1, 1), hs, ((xs, hs),))
+        return cls(xs.reshape(-1, 1), hs, ((xs, hs),))
 
     @classmethod
     def rectangle(cls, bounds, nx: int, ny: int) -> "SpatialGrid":
@@ -110,7 +109,7 @@ class SpatialGrid:
         xs = ax + (np.arange(nx) + 0.5) * hx
         ys = ay + (np.arange(ny) + 0.5) * hy
         centers = np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
-        return cls("rectangle2d", centers, np.full(nx * ny, hx * hy),
+        return cls(centers, np.full(nx * ny, hx * hy),
                    ((ys, np.full(ny, hy)), (xs, np.full(nx, hx))))
 
 
@@ -315,8 +314,7 @@ class TwoSexModel:
             return _step_raw(_model, np.asarray(x, dtype=float))
 
         shared = self.k_male.factors is self.k_female.factors
-        return HomogeneousMap(space=self.space, evaluator=evaluator,
-                              flags=MapFlag.NONE, name="two_sex",
+        return HomogeneousMap(space=self.space, evaluator=evaluator, name="two_sex",
                               transpose=partial(_transposed_step, self) if shared else None)
 
 

@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conerad import ConeVector, MapFlag, build_model, from_callable, from_matrix
+from conerad import ConeVector, build_model, from_callable, from_matrix
 
 
 def single_cell_config(beta: float = 2.0, s_f: float = 0.5, s_m: float = 0.5,
@@ -86,7 +86,7 @@ def trial_draws(rng: np.random.Generator, n: int, trials: int, alpha_high: float
             yield row[:n], row[n:], float(alpha)
 
 
-def counting_map(target, flags: MapFlag = MapFlag.NONE):
+def counting_map(target):
     """A matrix (x -> mat @ x) or a HomogeneousMap behind a callable map,
     plus the list of its evaluations."""
     mp = from_matrix(target) if isinstance(target, np.ndarray) else target
@@ -96,7 +96,7 @@ def counting_map(target, flags: MapFlag = MapFlag.NONE):
         calls.append(x)
         return mp.raw(x)
 
-    return from_callable(mp.space, fn, flags=flags), calls
+    return from_callable(mp.space, fn), calls
 
 
 @pytest.fixture

@@ -48,6 +48,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    @pytest.mark.parametrize("literal", ["true", '"1e-3"', "Infinity", "1e400"])
+    def test_tolerance_must_be_a_finite_positive_number(self, tmp_path, capsys, literal):
+        # float() would take a bool or a numeric string, and JSON's Infinity
+        # and the overflowing 1e400 both parse to inf: an infinite tol would
+        # close any radius bracket after one iteration
+        path = make_run(tmp_path, "radius", {"matrix": [[0.5, 0.2], [0.1, 0.3]]},
+                        tolerances={"tol": "TOL"})
+        path.write_text(path.read_text().replace('"TOL"', literal))
+        assert main(["--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("conerad: config error:") and "'tolerances.tol'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = make_run(tmp_path, "radius", {"matrix": [[1.0]]}, tolerance=1e-8)
         with pytest.raises(ConfigError):
@@ -329,6 +342,18 @@ class TestOtherCommands:
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["map_properties"]["ok"] is True
         assert result["cone_functionals"]["violations"] == 0
+        # a matrix map is certified by its entry check and runs no trial
+        assert result["map_properties"]["trials"] == 0
+        assert result["map_properties"]["violations"] == {"homogeneity": 0, "monotonicity": 0}
+
+    def test_validate_certifies_matrix_with_overflowing_products(self, tmp_path):
+        # no trial runs, so B(x) is never formed: a finite matrix whose
+        # products overflow is still homogeneous and order preserving
+        path = make_run(tmp_path, "validate", {"matrix": [[1e308, 1e308]] * 2})
+        assert main(["--config", str(path), "--quiet"]) == 0
+        props = json.loads((tmp_path / "out" / "result.json").read_text())["map_properties"]
+        assert props["trials"] == 0 and props["ok"] is True
+        assert props["max_defects"] == {"homogeneity": 0.0, "monotonicity": 0.0}
 
     @pytest.mark.parametrize("space", [
         ConeSpace(7), ConeSpace(40, NormKind.LINF),

@@ -9,7 +9,6 @@ from conerad import (
     ConeSpace,
     ConeVector,
     HomogeneousMap,
-    MapFlag,
     NormKind,
     from_callable,
     from_matrix,
@@ -47,11 +46,10 @@ class TestEvaluate:
             nan.raw(np.ones(2))
 
     def test_declared_linear_must_match_matrix(self):
-        # a LINEAR map evaluates its matrix; an evaluator beside it is
+        # a matrix map evaluates its matrix; an evaluator beside it is
         # refused rather than trusted
         with pytest.raises(ValueError, match="takes no evaluator"):
-            HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: 2 * x,
-                           flags=MapFlag.LINEAR, matrix=np.eye(2))
+            HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: 2 * x, matrix=np.eye(2))
 
 
 class TestRawContract:
@@ -96,21 +94,21 @@ class TestLinearEvaluator:
         # matrix product supplied as an evaluator is refused
         mp = from_matrix([[1.0, 0.5], [0.4, 0.5]], name="m")
         pert = perturb(mp, 0.1, vec(1, 2))
-        assert pert.flags & MapFlag.LINEAR
+        assert pert.matrix is not None
         for frozen in (mp.matrix, pert.matrix):
             assert not frozen.flags.writeable
             with pytest.raises(ValueError):
                 frozen[0, 0] = 2.0
         with pytest.raises(ValueError, match="takes no evaluator"):
             HomogeneousMap(space=ConeSpace(2), evaluator=lambda x, _m=mp.matrix: _m @ x,
-                           flags=MapFlag.LINEAR, matrix=mp.matrix, name="hand")
+                           matrix=mp.matrix, name="hand")
 
     def test_evaluator_agreeing_on_ones_only_rejected(self):
         # x -> reversed x equals the averaging matrix on the all-ones vector;
         # no evaluator is trusted beside a matrix, agreeing or not
         with pytest.raises(ValueError, match="takes no evaluator"):
             HomogeneousMap(space=ConeSpace(2), evaluator=lambda x: x[::-1].copy(),
-                           flags=MapFlag.LINEAR, matrix=0.5 * np.ones((2, 2)))
+                           matrix=0.5 * np.ones((2, 2)))
 
     def test_only_a_linear_map_may_leave_out_its_evaluator(self):
         with pytest.raises(ValueError, match="evaluator"):
@@ -129,7 +127,6 @@ class TestTransposed:
         # norm, and is the dual norm for L1 and LInf
         a = np.arange(9.0).reshape(3, 3)
         mpt = from_matrix(a, space).transposed()
-        assert mpt.flags & MapFlag.LINEAR
         assert np.array_equal(mpt.matrix, a.T)
         assert mpt.space.norm_kind is dual.norm_kind
         assert np.array_equal(mpt.space.weights, dual.weights)
@@ -148,8 +145,7 @@ class TestTransposed:
         assert built == [1]
         assert from_callable(ConeSpace(2), lambda x: x).transposed() is None
         with pytest.raises(ValueError, match="takes no evaluator"):
-            HomogeneousMap(space=ConeSpace(2), flags=MapFlag.LINEAR, matrix=np.eye(2),
-                           transpose=transpose)
+            HomogeneousMap(space=ConeSpace(2), matrix=np.eye(2), transpose=transpose)
 
 
 class TestPerturb:
@@ -182,13 +178,15 @@ class TestPerturb:
 
     def test_linear_structure_kept_under_l1(self, diag21):
         pert = perturb(diag21, 0.25, vec(1, 2))
-        assert pert.flags & MapFlag.LINEAR
+        assert pert.matrix is not None
         assert np.allclose(pert.matrix, np.diag([2.0, 1.0]) + 0.25 * np.outer([1, 2], [1, 1]))
 
     def test_order_preservation_survives(self, rng):
         mp = from_matrix(rng.random((4, 4)))
         pert = perturb(mp, 0.1, ConeVector(rng.random(4) + 0.1))
-        assert verify_properties(pert, trials=100, tol=1e-9).ok
+        # behind a callable, so the trials sample it instead of certifying it
+        sampled, _ = counting_map(pert)
+        assert verify_properties(sampled, trials=100, tol=1e-9).ok
 
     def test_strict_increase_with_paper_rate(self, rng):
         # For x <= y with psi(x) < psi(y) the perturbed map satisfies
@@ -223,30 +221,28 @@ class TestPerturb:
             mp = from_matrix(rng.random((5, 5)), space=space)
         n = mp.space.dim
         pert = perturb(mp, 0.3, ConeVector(rng.random(n) + 0.1))
-        assert bool(pert.flags & MapFlag.LINEAR) == (base == "l1_rank_one")
+        assert (pert.matrix is not None) == (base == "l1_rank_one")
         block = rng.random((n, 6)) * np.array([1.0, 1e3, 0.0, 1e-3, 1.0, 5.0])
         want = np.column_stack([pert.raw(c) for c in block.T])
         assert np.allclose(pert.raw(block), want, rtol=1e-13, atol=0.0)
 
 
-def quad_map(flags=MapFlag.NONE):
+def quad_map():
     """The map of test_quadratic_flagged: not homogeneous."""
-    return from_callable(ConeSpace(2), lambda x: np.array([x[0] ** 2, x[1]]), flags=flags)
+    return from_callable(ConeSpace(2), lambda x: np.array([x[0] ** 2, x[1]]))
 
 
-def dip_map(flags=MapFlag.NONE):
-    """The map of test_non_monotone_flagged: not order preserving, and
-    subadditive where it claims superadditivity."""
-    return from_callable(ConeSpace(2), lambda x: np.array([max(0.0, x[0] - x[1]), x[1]]),
-                         flags=flags)
+def dip_map():
+    """The map of test_non_monotone_flagged: not order preserving."""
+    return from_callable(ConeSpace(2), lambda x: np.array([max(0.0, x[0] - x[1]), x[1]]))
 
 
 def reference_properties(mp, trials, tol, seed):
-    """verify_properties as one trial at a time: four one-vector
+    """verify_properties as one trial at a time: three one-vector
     evaluations per trial, each defect at the trial's own scale."""
     rng = np.random.default_rng(seed)
     n = mp.space.dim
-    found = {"homogeneity": [], "monotonicity": [], "superadditivity": []}
+    found = {"homogeneity": [], "monotonicity": []}
     worst = dict.fromkeys(found, 0.0)
     draws = trial_draws(rng, n, trials, 4.0, max(1, homog_map._TRIAL_BLOCK_ENTRIES // n))
     for t, (x, d, alpha) in enumerate(draws):
@@ -257,8 +253,6 @@ def reference_properties(mp, trials, tol, seed):
         defects = {"homogeneity": defect / max(scale * alpha, 1e-300) if alpha > 0 else defect}
         by = mp.raw(x + d)
         defects["monotonicity"] = float(np.max(bx - by)) / scale
-        if mp.flags & MapFlag.SUPERADDITIVE:
-            defects["superadditivity"] = float(np.max(bx + mp.raw(d) - by)) / scale
         for name, value in defects.items():
             worst[name] = max(worst[name], value)
             if value > tol:
@@ -270,27 +264,24 @@ def reference_properties(mp, trials, tol, seed):
 
 def report_lists(rep):
     return {"homogeneity": rep.homogeneity_violations,
-            "monotonicity": rep.monotonicity_violations,
-            "superadditivity": rep.superadditivity_violations}
+            "monotonicity": rep.monotonicity_violations}
 
 
 class TestVerifyProperties:
     @pytest.mark.parametrize("make", [quad_map, dip_map])
-    @pytest.mark.parametrize("flags", [MapFlag.NONE, MapFlag.SUPERADDITIVE])
     @pytest.mark.parametrize("block_entries", [1 << 18, 14])
-    def test_block_trials_match_per_trial_loop(self, monkeypatch, make, flags, block_entries):
+    def test_block_trials_match_per_trial_loop(self, monkeypatch, make, block_entries):
         # A map made by from_callable sees the same columns either way, so
         # the block run reproduces the per-trial loop exactly, also when the
         # trials are split over several blocks (14 entries: 7 trials each).
         monkeypatch.setattr(homog_map, "_TRIAL_BLOCK_ENTRIES", block_entries)
-        mp = make(flags)
+        mp = make()
         rep = verify_properties(mp, trials=60, tol=1e-9, seed=3)
         found, worst = reference_properties(mp, 60, 1e-9, 3)
         assert report_lists(rep) == found
         assert any(found.values())
         assert rep.max_homogeneity_defect == worst["homogeneity"]
         assert rep.max_monotonicity_defect == worst["monotonicity"]
-        assert rep.max_superadditivity_defect == worst["superadditivity"]
 
     def test_two_sex_block_trials_match_per_trial_loop(self, gaussian_model):
         # The two-sex map evaluates a block with matrix products, which round
@@ -320,12 +311,31 @@ class TestVerifyProperties:
         rep = verify_properties(from_callable(space, dip), trials=200, tol=1e-9)
         assert rep.monotonicity_violations
 
-    def test_four_evaluations_per_superadditive_trial(self, rng):
-        # B(x), B(alpha x), B(x + d) and B(d); the superadditivity check
-        # reuses the B(x + d) of the monotonicity check.
-        mp, calls = counting_map(rng.uniform(0.0, 1.0, size=(3, 3)), MapFlag.SUPERADDITIVE)
+    def test_three_evaluations_per_trial(self, rng):
+        # B(x), B(alpha x) and B(x + d), on a matrix behind a callable, which
+        # the trials sample rather than certify
+        mp, calls = counting_map(rng.uniform(0.0, 1.0, size=(3, 3)))
         assert verify_properties(mp, trials=25).ok
-        assert len(calls) == 4 * 25
+        assert len(calls) == 3 * 25
+
+    @pytest.mark.parametrize("make", [
+        lambda m: from_matrix(m),
+        lambda m: perturb(from_matrix(m), 0.1, ConeVector(np.ones(len(m)))),
+    ], ids=["matrix", "rank_one_perturbed"])
+    def test_matrix_map_certified_without_evaluations(self, monkeypatch, rng, make):
+        # The entry check of a finite nonnegative matrix proves homogeneity
+        # and order preservation, so no trial runs and no column is evaluated.
+        calls = []
+        raw = HomogeneousMap.raw
+        monkeypatch.setattr(HomogeneousMap, "raw",
+                            lambda self, x: calls.append(x) or raw(self, x))
+        rep = verify_properties(make(rng.uniform(0.0, 1.0, size=(4, 4))), trials=50, seed=2)
+        assert calls == []
+        assert rep.ok and rep.trials == 0
+        assert rep.max_homogeneity_defect == rep.max_monotonicity_defect == 0.0
+        assert rep.to_json()["violations"] == {"homogeneity": 0, "monotonicity": 0}
+        with pytest.raises(ValueError, match="trials"):
+            verify_properties(from_matrix(np.eye(2)), trials=0)
 
     def test_two_sex_operator_clean(self, gaussian_model):
         rep = verify_properties(gaussian_model.as_map(), trials=100, tol=1e-9)
