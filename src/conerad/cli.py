@@ -26,9 +26,9 @@ import scipy
 from . import __version__
 from .cone import ConeSpace, ConeVector, diamond_norm, psi_hull
 from .errors import ConeRadError, ConfigError, InnerIterationError
-from .eigenproblem import estimate_eigenfunctional, solve_eigenvector_perturbation
+from .eigenproblem import _certify, estimate_eigenfunctional, solve_eigenvector_perturbation
 from .homog_map import HomogeneousMap, _trial_blocks, from_matrix, verify_properties
-from .spectral import SpectralEstimate, radius_bracket
+from .spectral import SpectralEstimate
 from .twosex import TwoSexModel, _integer, assess_persistence, build_model, simulate
 
 _COMMANDS = ("radius", "eigen", "functional", "twosex-assess", "twosex-simulate", "validate")
@@ -228,8 +228,11 @@ def _wrap_map(kind: str, problem) -> HomogeneousMap:
 
 def _run_radius(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
     mp = _wrap_map(kind, problem)
-    est = radius_bracket(mp, u, tol=cfg.tolerances["tol"], max_iter=cfg.max_iter)
+    est, eigen, _, start = _certify(mp, u, cfg.tolerances["tol"], cfg.max_iter,
+                                    cfg.tolerances["inner_tol"])
     payload = est.to_json()
+    payload["start"] = start
+    payload["eigen_steps"] = None if eigen is None else eigen.steps
     payload["seed"] = cfg.seed
     emit.write_json("result.json", payload)
     emit.write_csv("trace.csv", ["iter", "log_norm", "cw_lower", "cw_upper"],

@@ -35,7 +35,7 @@ from .errors import (
     ZeroLimitError,
 )
 from .homog_map import HomogeneousMap, perturb, unit_cone_probes
-from .spectral import _cw_ratios, _outward, radius_bracket, resolvent_series
+from .spectral import SpectralEstimate, _cw_ratios, _outward, radius_bracket, resolvent_series
 
 _MONOTONE_SLACK = 1e-12  # relative slack absorbing evaluator roundoff
 _ANDERSON_DEPTH = 6      # residual differences one mixing step combines
@@ -149,6 +149,8 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     c = space.norm(bv)
     scale = c / space.norm(u.entries)
     eps = 2.0 ** -52 * scale
+    if not eps > 0:
+        raise DegenerateBoundError(f"perturbation eps = 2^-52 * {scale!r} underflows to zero")
     pert = perturb(mp, eps, u)
     # the coarse phase runs on B_eps + extra * psi(.) * u, the fine one on B_eps
     extra, tol = _COARSE_EPS * scale - eps, max(_COARSE_TOL, inner_tol)
@@ -207,6 +209,33 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     return EigenResult(vector=ConeVector(v), lam=lam, residual=residual, mode=mode,
                        trace=[(eps, lam)], cw_lower=lo, cw_upper=hi, steps=steps + 1,
                        image=bv)
+
+
+def _certify(mp: HomogeneousMap, u: ConeVector, tol: float, max_iter: int,
+             inner_tol: float = 1e-13) -> tuple[SpectralEstimate, EigenResult | None, str | None, str]:
+    """Radius bracket started from the solved eigenvector: (bracket, eigen, error, start).
+
+    A strictly positive eigenvector v of B_eps has B(v) <= lam_eps v, so its
+    Collatz-Wielandt ratios bracket the radius to rounding level.  The
+    bracket starts at v with the B(v) the solve already holds (start
+    "eigenvector"), and its regularized probes shift along v, whose
+    near-zero entries on a reducible map come from B_eps, not from u.  It
+    starts from u (start "u") when v is not strictly positive, or when the
+    stage raises InnerIterationError or DegenerateBoundError (an eps that
+    underflows, say); then eigen is None and error is "<Type>: message".
+    max_iter caps both the stage's steps and the bracket's iterations.
+    Every bound is a certificate whatever the start: correctness never rests
+    on the stage finding the Perron vector.
+    """
+    eigen, error = None, None
+    try:
+        eigen = solve_eigenvector_perturbation(mp, u, inner_tol, max_inner=max_iter)
+    except (InnerIterationError, DegenerateBoundError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    if eigen is not None and np.all(eigen.vector.entries > 0):
+        bracket = radius_bracket(mp, eigen.vector, tol, max_iter, _image=eigen.image)
+        return bracket, eigen, error, "eigenvector"
+    return radius_bracket(mp, u, tol, max_iter), eigen, error, "u"
 
 
 def solve_subeigenvector_min(mp: HomogeneousMap, u: ConeVector, r_est: float,
@@ -287,8 +316,11 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
                              normalizer_samples: int = 256, seed: int = 0) -> EigenfunctionalEstimate:
     """Eigenfunctional from truncated resolvents: phi(x) = x* . R_lam(x) / N.
 
-    lam must sit above the upper radius estimate; it defaults to 1.2 times
-    that estimate, or to 1.2e-6 when the estimate is smaller.  N is a
+    The radius estimate is the bracket started from the solved eigenvector
+    (``_certify`` at tol 1e-10, with at most 10000 eigen steps and 10000
+    bracket iterations), or from u where that vector is not strictly
+    positive or the stage fails.  lam must sit above its upper end; it
+    defaults to 1.2 times that, or to 1.2e-6 when it is smaller.  N is a
     sampled sup of the unnormalized functional over the unit cone sphere,
     and the reported defect is max |phi(Bx) - r phi(x)| over the sample
     points.
@@ -309,7 +341,7 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     if not np.all(u.entries > 0):
         raise DegenerateBoundError("order bound u must be strictly positive")
 
-    est = radius_bracket(mp, u, tol=1e-10, max_iter=10000)
+    est = _certify(mp, u, tol=1e-10, max_iter=10000)[0]
     upper = est.cw_upper if math.isfinite(est.cw_upper) else est.value
     lam = 1.2 * max(upper, 1e-6) if lam is None else float(lam)
     if not lam > upper:

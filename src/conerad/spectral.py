@@ -214,9 +214,13 @@ def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
     """Certified Collatz-Wielandt bracket; the point value is its midpoint.
 
     Requires a strictly positive start vector so that regularized upper
-    probes exist.  Convergence is declared on bracket width only.  Inside
-    the package a caller that already holds B(u) passes it as _image; the
-    orbit then starts at u itself and evaluates no start image.
+    probes exist; they shift along it.  Convergence is declared on bracket
+    width only.  Inside the package a caller that already holds B(u) passes
+    it as _image; the orbit then starts at u itself and evaluates no start
+    image.  ``eigenproblem._certify`` starts it so from the solved
+    eigenvector of the perturbed map, for the radius, functional and
+    two-sex assessment paths; every bound is a certificate whatever the
+    start.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -35,13 +35,12 @@ from .errors import (
     ConfigError,
     DimensionError,
     FieldError,
-    InnerIterationError,
     KernelMassError,
     ModelContractError,
 )
 from .homog_map import HomogeneousMap
-from .spectral import SpectralEstimate, cw_upper, radius_bracket
-from .eigenproblem import EigenResult, solve_eigenvector_perturbation
+from .spectral import SpectralEstimate, cw_upper
+from .eigenproblem import EigenResult, _certify
 
 _MASS_TOL = 1e-12
 _CHAIN_SLACK = 1e-9   # relative slack for the certified bound chain
@@ -629,16 +628,18 @@ def assess_persistence(model: TwoSexModel, tol: float = 1e-8,
                        f0_probes=None, max_iter: int = 10000) -> PersistenceReport:
     """Compare the radius bracket against the threshold value 1.
 
-    The eigenvector v is solved first, from the order bound u, and the
-    bracket is started from v with the image B(v) the solve has already
-    evaluated: at an eigenvector the Collatz-Wielandt ratios
-    of B(v)/v all equal the radius, so the bracket closes in about one
-    iteration where a start from u takes tens.  Every bound stays a
+    The bracket is the one the ``radius`` command computes
+    (``eigenproblem._certify``): the eigenvector v is solved first, from the
+    order bound u, and the bracket is started from v with the image B(v)
+    the solve has already evaluated.  At an eigenvector the Collatz-Wielandt
+    ratios of B(v)/v all equal the radius, so the bracket closes in about
+    one iteration where a start from u takes tens.  Every bound stays a
     certificate whatever the start; ``radius.iterations`` and
     ``log_norm_trace`` describe the iteration from v.  The bracket starts
     from u instead when v is not strictly positive, or when the eigen stage
-    does not settle; in the second case the report carries the error and no
-    eigenpair.  Supplied initial distributions get 20-year orbit growth
+    fails; in the second case the report carries the error and no
+    eigenpair.  max_iter caps both the stage's steps and the bracket's
+    iterations.  Supplied initial distributions get 20-year orbit growth
     estimates.
     """
     u = model.order_bound
@@ -648,18 +649,7 @@ def assess_persistence(model: TwoSexModel, tol: float = 1e-8,
                                   iterations=0, converged=True)
         return PersistenceReport(radius=radius, verdict="extinction",
                                  eigen=None, gamma_probes=[])
-    mp = model.as_map()
-    eigen, error = None, None
-    try:
-        eigen = solve_eigenvector_perturbation(mp, u)
-    except InnerIterationError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    if eigen is not None and np.all(eigen.vector.entries > 0):
-        # start at v with the B(v) the solve already holds: no repeated evaluation
-        radius = radius_bracket(mp, eigen.vector, tol=tol, max_iter=max_iter,
-                                _image=eigen.image)
-    else:
-        radius = radius_bracket(mp, u, tol=tol, max_iter=max_iter)
+    radius, eigen, error, _ = _certify(model.as_map(), u, tol, max_iter)
     if radius.cw_lower > 1.0:
         verdict = "persistence"
     elif radius.cw_upper < 1.0:

@@ -9,8 +9,19 @@ import json
 import numpy as np
 import pytest
 
-from conerad import ConeSpace, ConeVector, NormKind, build_model, diamond_norm, psi_hull, simulate
-from conerad import cli, twosex
+from conerad import (
+    ConeSpace,
+    ConeVector,
+    NormKind,
+    build_model,
+    diamond_norm,
+    from_matrix,
+    psi_hull,
+    radius_bracket,
+    simulate,
+    solve_eigenvector_perturbation,
+)
+from conerad import cli, eigenproblem
 from conerad.cli import main, parse_config
 from conerad.errors import ConfigError, InnerIterationError
 
@@ -122,6 +133,74 @@ class TestRadiusCommand:
         assert (tmp_path / "out" / "result.json").read_bytes() == first
         assert (tmp_path / "out" / "manifest.json").read_bytes() == manifest1
 
+    def test_reducible_radius_closes_from_the_eigenvector(self, tmp_path):
+        # A sparse upper-triangular matrix, about 10% of its upper entries
+        # and of its diagonal nonzero: its radius is its largest diagonal
+        # entry.  The power bracket started from u closes the lower bound
+        # but not the upper one within 2000 iterations (exit 2); started
+        # from the strictly positive eigenvector of B_eps, it closes.
+        rng = np.random.default_rng(0)
+        n, gap = 50, 0.7
+        mat = np.triu(rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.1))
+        top = rng.uniform(0.5, 1.0)
+        diag = rng.uniform(0.0, gap * top, size=n) * (rng.random(n) < 0.1)
+        i, j = rng.choice(n, size=2, replace=False)
+        diag[i], diag[j] = top, gap * top
+        mat[np.diag_indices(n)] = diag
+        path = make_run(tmp_path, "radius", {"matrix": mat.tolist()}, max_iter=2000)
+        assert main(["--config", str(path), "--quiet"]) == 0
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["converged"] is True
+        assert result["cw_lower"] <= top <= result["cw_upper"]
+        eigen = solve_eigenvector_perturbation(from_matrix(mat), ConeVector(np.ones(n)),
+                                               max_inner=2000)
+        assert (result["start"], result["eigen_steps"]) == ("eigenvector", eigen.steps)
+
+    def test_annihilated_cone_gives_a_zero_bracket(self, tmp_path):
+        path = make_run(tmp_path, "radius", {"matrix": [[0.0, 0.0], [0.0, 0.0]]})
+        assert main(["--config", str(path), "--quiet"]) == 0
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert (result["cw_lower"], result["cw_upper"], result["converged"]) == (0.0, 0.0, True)
+        assert (result["start"], result["eigen_steps"]) == ("eigenvector", 1)
+
+
+class TestStalledEigenStage:
+    """A stage that raises InnerIterationError leaves every command its
+    bracket from u: the result the commands gave before they started from
+    the eigenvector."""
+
+    MATRIX = [[0.5, 0.2, 0.0], [0.1, 0.3, 0.4], [0.2, 0.0, 0.6]]
+
+    @pytest.fixture(autouse=True)
+    def stall(self, monkeypatch):
+        def stall(mp, u, *args, **kwargs):
+            raise InnerIterationError("inner iteration did not settle within 3 steps")
+
+        monkeypatch.setattr(eigenproblem, "solve_eigenvector_perturbation", stall)
+
+    def from_u(self, tol):
+        return radius_bracket(from_matrix(np.array(self.MATRIX)), ConeVector(np.ones(3)),
+                              tol=tol, max_iter=10000)
+
+    def test_radius(self, tmp_path):
+        path = make_run(tmp_path, "radius", {"matrix": self.MATRIX})
+        assert main(["--config", str(path), "--quiet"]) == 0
+        out = tmp_path / "out"
+        want = self.from_u(1e-8)
+        result = json.loads((out / "result.json").read_text())
+        assert result == {**want.to_json(), "start": "u", "eigen_steps": None, "seed": 0}
+        rows = [["iter", "log_norm", "cw_lower", "cw_upper"], *cli._radius_trace_rows(want)]
+        assert (out / "trace.csv").read_bytes() == "".join(
+            ",".join(map(str, row)) + "\r\n" for row in rows).encode()
+
+    def test_functional(self, tmp_path):
+        path = make_run(tmp_path, "functional", {"matrix": self.MATRIX})
+        assert main(["--config", str(path), "--quiet"]) == 0
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        want = self.from_u(1e-10)
+        assert result["radius_used"] == want.value
+        assert result["lambda_used"] == 1.2 * want.cw_upper
+
 
 class TestTwoSexCommands:
     def test_assess_single_cell(self, tmp_path):
@@ -140,10 +219,10 @@ class TestTwoSexCommands:
         assert result["eigen"]["residual"] <= 1e-6
 
     def test_assess_unsettled_eigen_stage_keeps_the_verdict(self, tmp_path, monkeypatch):
-        def stall(mp, u):
+        def stall(mp, u, *args, **kwargs):
             raise InnerIterationError("inner iteration did not settle within 3 steps")
 
-        monkeypatch.setattr(twosex, "solve_eigenvector_perturbation", stall)
+        monkeypatch.setattr(eigenproblem, "solve_eigenvector_perturbation", stall)
         path = make_run(tmp_path, "twosex-assess",
                         scale_beta(gaussian_config(n_cells=20), 12.0))
         # partial outputs: the verdict and the radius, but no eigenpair

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conerad import (
     ConeSpace,
@@ -32,7 +34,7 @@ from conerad.errors import (
     ZeroLimitError,
 )
 
-from conerad.eigenproblem import _psi_normalize
+from conerad.eigenproblem import _certify, _psi_normalize
 from conerad.homog_map import unit_cone_probes
 from conerad.oracle import linear_radius_exact
 
@@ -379,6 +381,68 @@ class TestPerturbationSolver:
             solve_eigenvector_perturbation(mp, ConeVector(np.ones(5)),
                                            inner_tol=1e-15, max_inner=1)
 
+    def test_underflowing_eps_is_a_degenerate_bound(self):
+        # eps = 2^-52 * psi(B(u_hat)) / psi(u) is below the smallest subnormal
+        mp = from_matrix(np.full((3, 3), 1e-310))
+        with pytest.raises(DegenerateBoundError, match="underflows"):
+            solve_eigenvector_perturbation(mp, ConeVector(np.ones(3)))
+
+
+def certify_case(kind, n, norm, seed):
+    """A matrix of one class, a cone space with the given norm and a random
+    strictly positive u, all drawn from one seed."""
+    rng = np.random.default_rng(seed)
+    if kind == "positive":
+        m = rng.uniform(0.05, 1.0, size=(n, n))
+    elif kind == "sparse":
+        # about three nonzeros per row and none empty: usually reducible
+        m = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.random((n, n)) < 3.0 / n)
+        m[np.arange(n), rng.integers(0, n, size=n)] += rng.uniform(0.1, 1.0, size=n)
+    elif kind == "upper_triangular":
+        m = sparse_upper_triangular(rng, n, rng.uniform(0.3, 0.9))
+    else:   # block-cyclic of period 2 or 3
+        period = 2 + n % 2
+        b = max(1, n // period)
+        n = b * period
+        m = np.zeros((n, n))
+        for i in range(period):
+            j = (i + 1) % period
+            m[i * b:(i + 1) * b, j * b:(j + 1) * b] = rng.uniform(0.05, 1.0, size=(b, b))
+    space = {"l1": ConeSpace(n), "linf": ConeSpace(n, NormKind.LINF),
+             "weighted": ConeSpace(n, NormKind.WEIGHTED, rng.uniform(0.2, 5.0, n))}[norm]
+    return from_matrix(m, space=space), ConeVector(rng.uniform(0.5, 2.0, n))
+
+
+class TestCertify:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["positive", "sparse", "upper_triangular", "block_cyclic"]),
+           n=st.integers(2, 12), norm=st.sampled_from(["l1", "linf", "weighted"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bracket_contains_the_radius(self, kind, n, norm, seed):
+        mp, u = certify_case(kind, n, norm, seed)
+        bracket, _, _, _ = _certify(mp, u, tol=1e-10, max_iter=10000)
+        ref = linear_radius_exact(mp.matrix)
+        assert bracket.cw_lower <= ref.value + ref.accuracy
+        assert ref.value - ref.accuracy <= bracket.cw_upper
+
+    def test_starts_from_the_solved_eigenvector(self, rng):
+        mp = from_matrix(upper_triangular(rng))
+        u = ConeVector(np.ones(8))
+        bracket, eigen, error, start = _certify(mp, u, tol=1e-10, max_iter=10000)
+        assert (start, error) == ("eigenvector", None)
+        solved = solve_eigenvector_perturbation(mp, u, max_inner=10000)
+        assert np.array_equal(eigen.vector.entries, solved.vector.entries)
+        assert bracket == radius_bracket(mp, solved.vector, 1e-10, 10000, _image=solved.image)
+        assert bracket.converged
+        assert bracket.iterations < radius_bracket(mp, u, 1e-10, 10000).iterations
+
+    def test_underflowing_stage_falls_back_to_u(self):
+        mp, u = from_matrix(np.full((3, 3), 1e-310)), ConeVector(np.ones(3))
+        bracket, eigen, error, start = _certify(mp, u, 1e-8, 100)
+        assert (start, eigen) == ("u", None)
+        assert error.startswith("DegenerateBoundError: ")
+        assert bracket == radius_bracket(mp, u, 1e-8, 100)
+
 
 class TestMinIteration:
     def test_diagonal_sub_eigenvector(self, diag21):
@@ -459,13 +523,13 @@ class TestEigenfunctional:
         # n + 8 of them reuse those values in the defect pass, which adds one
         # map call on those probes and the series at their images B(p).  At
         # lambda = 1e12 every series stops after one map column, so the
-        # columns left after the radius bracket and the B(p) call count the
-        # series.
+        # columns left after the certified bracket (eigen stage included)
+        # and the B(p) call count the series.
         n, samples = 3, 16
         mat = rng.uniform(0.1, 1.0, size=(n, n))
         u = ConeVector(np.ones(n))
         bracket_map, bracket_calls = counting_map(mat)
-        radius_bracket(bracket_map, u, tol=1e-10, max_iter=10000)
+        _certify(bracket_map, u, tol=1e-10, max_iter=10000)
         mp, calls = counting_map(mat)
         estimate_eigenfunctional(mp, u, u, lam=1e12, trunc_tol=1e-6,
                                  normalizer_samples=samples)

@@ -22,7 +22,7 @@ from conerad import (
     simulate,
     solve_eigenvector_perturbation,
 )
-from conerad import twosex
+from conerad import eigenproblem, twosex
 from conerad.errors import (
     ConfigError,
     FieldError,
@@ -532,10 +532,10 @@ class TestPersistence:
         want = assess_persistence(model)
         assert want.error is None and "error" not in want.to_json()
 
-        def stall(mp, u):
+        def stall(mp, u, *args, **kwargs):
             raise InnerIterationError("inner iteration did not settle within 3 steps")
 
-        monkeypatch.setattr(twosex, "solve_eigenvector_perturbation", stall)
+        monkeypatch.setattr(eigenproblem, "solve_eigenvector_perturbation", stall)
         report = assess_persistence(model)
         assert report.eigen is None
         assert report.verdict == want.verdict == "persistence"
