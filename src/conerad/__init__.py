@@ -25,7 +25,6 @@ from .homog_map import (
 from .spectral import (
     ResolventBlock,
     SpectralEstimate,
-    cw_upper,
     radius_bracket,
     resolvent_series,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "lower_ratio", "meet", "psi_hull", "u_norm",
     "HomogeneousMap", "from_callable", "from_matrix", "perturb",
     "verify_properties",
-    "ResolventBlock", "SpectralEstimate", "cw_upper", "radius_bracket",
+    "ResolventBlock", "SpectralEstimate", "radius_bracket",
     "resolvent_series",
     "EigenMode", "EigenResult", "EigenfunctionalEstimate",
     "estimate_eigenfunctional", "solve_eigenvector_perturbation",

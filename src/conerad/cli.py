@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .cone import ConeSpace, ConeVector, diamond_norm, psi_hull
+from .cone import ConeSpace, ConeVector, NormKind, diamond_norm, psi_hull
 from .errors import ConeRadError, ConfigError, InnerIterationError
 from .eigenproblem import _certify, estimate_eigenfunctional, solve_eigenvector_perturbation
 from .homog_map import HomogeneousMap, _trial_blocks, from_matrix, verify_properties
@@ -49,7 +49,7 @@ class RunConfig:
     max_iter: int = 10000
     seed: int = 0
     years: int = 20
-    f0: object = None
+    f0: object = None           # as in the config; run() passes on the parsed densities
     emit_densities: bool = False
     config_sha256: str | None = None
 
@@ -70,6 +70,25 @@ def _density(value, n: int) -> ConeVector:
     if f.dim != n:
         raise ValueError(f"a density has {f.dim} entries, the grid has {n} cells")
     return f
+
+
+def _initial_densities(cfg: RunConfig, model: TwoSexModel):
+    """The config's f0 parsed for a two-sex command: a list of densities, or
+    None, for twosex-assess; one density for twosex-simulate."""
+    n = model.grid.n_cells
+    if cfg.command == "twosex-assess":
+        if cfg.f0 is None:
+            return None
+        with _field("f0", "config"):
+            if not isinstance(cfg.f0, list):
+                raise ValueError("twosex-assess takes a list of initial densities")
+            return [_density(v, n) for v in cfg.f0]
+    if cfg.f0 is None or cfg.f0 == "uniform":
+        return ConeVector(np.ones(n))
+    if cfg.f0 == "order_bound":
+        return model.order_bound
+    with _field("f0", "config"):
+        return _density(cfg.f0, n)
 
 
 def _read_json(path: Path, what: str) -> tuple[object, str]:
@@ -174,9 +193,12 @@ def _load_input(raw):
         n = matrix.shape[0]
         norm = raw.get("norm", "l1")
         with _field("norm"):
-            if isinstance(norm, dict) and set(norm) != {"weighted"}:
+            if not isinstance(norm, dict):
+                space = ConeSpace(n, NormKind(norm))
+            elif set(norm) != {"weighted"}:
                 raise ValueError('a weighted norm is {"weighted": [...]}')
-            space = ConeSpace.from_json({"dim": n, "norm": norm})
+            else:
+                space = ConeSpace(n, NormKind.WEIGHTED, np.asarray(norm["weighted"], dtype=float))
         with _field("matrix"):
             mp = from_matrix(matrix, space=space)
         with _field("u"):
@@ -276,16 +298,8 @@ def _run_functional(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> in
 
 
 def _run_assess(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
-    if kind != "twosex":
-        raise ConfigError("twosex-assess requires a two-sex model input")
-    probes = None
-    if cfg.f0 is not None:
-        with _field("f0", "config"):
-            if not isinstance(cfg.f0, list):
-                raise ValueError("twosex-assess takes a list of initial densities")
-            probes = [_density(v, problem.grid.n_cells) for v in cfg.f0]
     report = assess_persistence(problem, tol=cfg.tolerances["tol"],
-                                f0_probes=probes, max_iter=cfg.max_iter)
+                                f0_probes=cfg.f0, max_iter=cfg.max_iter)
     payload = report.to_json()
     payload["seed"] = cfg.seed
     emit.write_json("result.json", payload)
@@ -316,18 +330,9 @@ def _float_rows(block: np.ndarray) -> list[str]:
 
 
 def _run_simulate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
-    if kind != "twosex":
-        raise ConfigError("twosex-simulate requires a two-sex model input")
     model: TwoSexModel = problem
     n = model.grid.n_cells
-    if cfg.f0 is None or cfg.f0 == "uniform":
-        f0 = ConeVector(np.ones(n))
-    elif cfg.f0 == "order_bound":
-        f0 = model.order_bound
-    else:
-        with _field("f0", "config"):
-            f0 = _density(cfg.f0, n)
-    traj = simulate(model, f0, years=cfg.years)
+    traj = simulate(model, cfg.f0, years=cfg.years)
     payload = traj.to_json()
     payload["seed"] = cfg.seed
     emit.write_json("result.json", payload)
@@ -406,12 +411,15 @@ def run(cfg: RunConfig) -> int:
         # Problems found while validating the input are configuration
         # failures, not numerical ones; keep the original error name visible.
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+    # config errors that need the input are found here, before any output
+    if cfg.command.startswith("twosex-"):
+        if kind != "twosex":
+            raise ConfigError(f"{cfg.command} requires a two-sex model input")
+        cfg = replace(cfg, f0=_initial_densities(cfg, problem))
     emit = _Emitter(cfg.output_dir)
     code = 0
     try:
         code = _RUNNERS[cfg.command](cfg, kind, problem, u, emit)
-    except ConfigError:
-        raise
     except ConeRadError as exc:
         # a numerical failure (exit 2) still leaves a result.json naming it
         if "result.json" not in emit.files:

@@ -82,20 +82,6 @@ class ConeSpace:
             a = self.weights[:, None] * a
         return a.sum(axis=0)
 
-    def to_json(self) -> dict:
-        if self.norm_kind is NormKind.WEIGHTED:
-            norm = {"weighted": [float(w) for w in self.weights]}
-        else:
-            norm = self.norm_kind.value
-        return {"dim": self.dim, "norm": norm}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConeSpace":
-        norm = obj["norm"]
-        if isinstance(norm, dict):
-            return cls(int(obj["dim"]), NormKind.WEIGHTED, np.asarray(norm["weighted"], dtype=float))
-        return cls(int(obj["dim"]), NormKind(norm))
-
 
 @dataclass(frozen=True)
 class ConeVector:

@@ -146,7 +146,10 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
         return EigenResult(vector=ConeVector(v), lam=0.0, residual=0.0,
                            mode=EigenMode.SUB_EIGEN, cw_lower=0.0, cw_upper=0.0,
                            steps=1, image=bv)
-    c = space.norm(bv)
+    with np.errstate(over="ignore"):
+        c = space.norm(bv)
+    if not c < math.inf:
+        raise MapContractError(f"{mp.name}: psi(B(u_hat)) overflows")
     scale = c / space.norm(u.entries)
     eps = 2.0 ** -52 * scale
     if not eps > 0:

@@ -34,8 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConeVector, u_norm
-from .errors import DegenerateBoundError, DimensionError, SpectralDomainError, TruncationError
+from .cone import ConeVector
+from .errors import (
+    DegenerateBoundError,
+    DimensionError,
+    MapContractError,
+    SpectralDomainError,
+    TruncationError,
+)
 from .homog_map import HomogeneousMap
 
 _ORBIT_MEMORY = 8           # on-orbit ratio bounds use powers m = 1.._ORBIT_MEMORY
@@ -66,17 +72,6 @@ class SpectralEstimate:
             "converged": self.converged,
             "log_norm_trace": [float(s) for s in self.log_norm_trace],
         }
-
-
-def cw_upper(mp: HomogeneousMap, u: ConeVector) -> float:
-    """The one-step max-ratio bound: the least alpha with B(u) <= alpha u.
-
-    It bounds the radius from above only when u > 0; for any other u it is
-    +inf (valid but vacuous).
-    """
-    if not np.all(u.entries > 0):
-        return math.inf
-    return u_norm(ConeVector(mp.raw(u.entries)), u)
 
 
 def _outward(lo: float, hi: float, dim: int) -> tuple[float, float]:
@@ -137,7 +132,10 @@ class _BracketEngine:
 
     def step(self) -> None:
         self.iterations += 1
-        nz = self.space.norm(self.z)
+        with np.errstate(over="ignore"):
+            nz = self.space.norm(self.z)
+        if not nz < math.inf:
+            raise MapContractError(f"{self.mp.name}: the norm of a power step overflows")
         if nz == 0.0:
             # The orbit of u dies: B^k u = 0 certifies a zero radius under
             # the order-bound hypotheses, so the bracket collapses.
@@ -240,9 +238,6 @@ class ResolventBlock:
 
     vectors: np.ndarray         # (n, k): column j is the sum for the block's column j
     column_terms: np.ndarray    # (k,) series terms of each column
-    tail_bounds: np.ndarray     # (k,) tail bound of each column; inf where cut off
-    lambda_used: float
-    trunc_tol: float
 
     @property
     def terms(self) -> int:
@@ -255,11 +250,10 @@ def resolvent_series(mp: HomogeneousMap, lam: float, x: np.ndarray,
     """Partial sums of sum_n lam^(-n-1) B^n x, truncated at term norm < trunc_tol.
 
     For lam above the radius the series acts as a left resolvent,
-    R(Bx) = lam * R(x) - x, up to the reported tail bound; it checks no
-    such bound itself.  `x` is a nonnegative (n, k) block.  Its columns are independent series
-    run side by side: each keeps its own stop rule, ratio and tail bound, and
-    leaves the evaluated block once it has converged, so it takes exactly
-    the terms it would take alone.
+    R(Bx) = lam * R(x) - x, up to its truncated tail.  `x` is a nonnegative
+    (n, k) block.  Its columns are independent series run side by side:
+    each keeps its own stop rule and leaves the evaluated block once it has
+    converged, so it takes exactly the terms it would take alone.
 
     Callers certify lam > radius on their own, for instance as
     lam > radius_bracket(...).cw_upper.
@@ -279,35 +273,21 @@ def resolvent_series(mp: HomogeneousMap, lam: float, x: np.ndarray,
     threshold = 0.05 * trunc_tol / max(1.0, lam)
     term = block / lam              # lam^{-1} B^0 x
     acc = term.copy()
-    prev = mp.space.norm(term)      # norm of each column's latest term
-    ratio = np.zeros(block.shape[1])
     terms = np.ones(block.shape[1], dtype=np.int64)
-    active = np.flatnonzero(prev >= threshold)
+    active = np.flatnonzero(mp.space.norm(term) >= threshold)
     term = term[:, active]
     count = 1                       # terms taken by every active column
-
-    def result():
-        tail = prev.copy()
-        geometric = (ratio > 0.0) & (ratio < 1.0)
-        tail[geometric] = prev[geometric] * ratio[geometric] / (1.0 - ratio[geometric])
-        tail[active] = math.inf     # columns cut off at max_terms
-        return ResolventBlock(vectors=acc, column_terms=terms, tail_bounds=tail,
-                              lambda_used=lam, trunc_tol=trunc_tol)
-
     while active.size:
         if count >= max_terms:
             raise TruncationError(
                 f"resolvent series not below {trunc_tol} after {max_terms} terms "
-                f"(lambda may be too close to the radius)", partial=result())
+                f"(lambda may be too close to the radius)",
+                partial=ResolventBlock(vectors=acc, column_terms=terms))
         term = mp.raw(term) / lam
         acc[:, active] += term
         count += 1
-        cur = mp.space.norm(term)
-        q = cur / prev[active]      # prev >= threshold > 0 on active columns
-        ratio[active] = q if count <= 8 else np.maximum(ratio[active], q)
-        prev[active] = cur
         terms[active] = count
-        keep = cur >= threshold
+        keep = mp.space.norm(term) >= threshold
         active, term = active[keep], term[:, keep]
-    return result()
+    return ResolventBlock(vectors=acc, column_terms=terms)
 

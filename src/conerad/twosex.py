@@ -25,12 +25,12 @@ import enum
 import math
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
 
-from .cone import ConeSpace, ConeVector, NormKind
+from .cone import ConeSpace, ConeVector, NormKind, u_norm
 from .errors import (
     ConfigError,
     DimensionError,
@@ -39,7 +39,7 @@ from .errors import (
     ModelContractError,
 )
 from .homog_map import HomogeneousMap
-from .spectral import SpectralEstimate, cw_upper
+from .spectral import SpectralEstimate
 from .eigenproblem import EigenResult, _certify
 
 _MASS_TOL = 1e-12
@@ -61,30 +61,22 @@ class SpatialGrid:
 
     ``axes`` holds one (centers, widths) pair per grid axis, slowest axis
     first: cell i of a rectangle is (x[i % nx], y[i // nx]), so its axes
-    are (y, x).  A cell's weight is the product of its axes' widths.
+    are (y, x).  A cell's weight is the product of its axes' widths,
+    ``cell_weights``, derived once from the axes.
     """
 
-    cell_centers: np.ndarray    # (n_cells, spatial_dim)
-    cell_weights: np.ndarray    # (n_cells,)
     axes: tuple                 # ((centers, widths), ...), slowest axis first
+    cell_weights: np.ndarray = field(init=False)    # (n_cells,)
 
     def __post_init__(self):
-        c = np.asarray(self.cell_centers, dtype=float)
-        w = np.asarray(self.cell_weights, dtype=float)
-        if c.ndim != 2 or w.ndim != 1 or c.shape[0] != w.shape[0]:
-            raise DimensionError("cell centers and weights are inconsistent")
-        if np.any(w <= 0):
-            raise ValueError("quadrature weights must be strictly positive")
         axes = tuple((_frozen(ac), _frozen(aw)) for ac, aw in self.axes)
         if not axes or any(ac.ndim != 1 or ac.shape != aw.shape for ac, aw in axes):
             raise DimensionError("each grid axis needs one center and one width per cell")
-        if not np.array_equal(reduce(np.multiply.outer, [aw for _, aw in axes]).ravel(), w):
-            raise DimensionError("cell weights are not the products of the axis widths")
-        c.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "cell_centers", c)
-        object.__setattr__(self, "cell_weights", w)
+        w = reduce(np.multiply.outer, [aw for _, aw in axes]).ravel()
+        if np.any(w <= 0):
+            raise ValueError("quadrature weights must be strictly positive")
         object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "cell_weights", _frozen(w))
 
     @property
     def n_cells(self) -> int:
@@ -96,8 +88,7 @@ class SpatialGrid:
             raise ValueError("interval grid needs b > a and n_cells >= 1")
         h = (b - a) / n_cells
         xs = a + (np.arange(n_cells) + 0.5) * h
-        hs = np.full(n_cells, h)
-        return cls(xs.reshape(-1, 1), hs, ((xs, hs),))
+        return cls(((xs, np.full(n_cells, h)),))
 
     @classmethod
     def rectangle(cls, bounds, nx: int, ny: int) -> "SpatialGrid":
@@ -107,9 +98,7 @@ class SpatialGrid:
         hx, hy = (bx - ax) / nx, (by - ay) / ny
         xs = ax + (np.arange(nx) + 0.5) * hx
         ys = ay + (np.arange(ny) + 0.5) * hy
-        centers = np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
-        return cls(centers, np.full(nx * ny, hx * hy),
-                   ((ys, np.full(ny, hy)), (xs, np.full(nx, hx))))
+        return cls(((ys, np.full(ny, hy)), (xs, np.full(nx, hx))))
 
 
 def _per_cell(v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -206,11 +195,6 @@ class MigrationKernel:
             raise KernelMassError(
                 f"{self.role.value} kernel column {worst} carries mass "
                 f"{mass[worst]:.6g} > 1", cell=worst)
-
-    def apply(self, grid: SpatialGrid, f: np.ndarray) -> np.ndarray:
-        """The integral operator at per-cell densities f, by quadrature; f is
-        one density (n,) or a block of them (n, k)."""
-        return self.scale * _kron_apply(self.factors, _per_cell(grid.cell_weights, f) * f)
 
 
 def _tight_order_bound(psi: np.ndarray, k_female: MigrationKernel,
@@ -553,14 +537,16 @@ def simulate(model: TwoSexModel, f0: ConeVector, years: int) -> Trajectory:
 
     The running growth factor is checked against the rigorous chain bound
     gamma_n <= alpha * (||u|| / alpha)^(1/n) with alpha the one-step
-    max-ratio bound at u (+inf, so no check, unless u is strictly positive).
+    max-ratio bound at u, the least alpha with B(u) <= alpha u (+inf, so no
+    check, unless u is strictly positive: only then does it bound the
+    radius).
     """
     if years < 1:
         raise ValueError("years must be >= 1")
     mp = model.as_map()
     space = model.space
     u = model.order_bound
-    alpha = cw_upper(mp, u)
+    alpha = u_norm(ConeVector(mp.raw(u.entries)), u) if np.all(u.entries > 0) else math.inf
 
     mass0 = float(model.grid.cell_weights @ f0.entries)
     log_mass = [math.log(mass0) if mass0 > 0 else -math.inf]

@@ -513,6 +513,8 @@ class TestOtherCommands:
         assert main(["--config", str(path), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("conerad: config error:") and f"'{name}'" in err
+        # a config error writes nothing, not even a manifest
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "functional", "radius"])
     def test_negative_seed_option_is_config_error(self, tmp_path, capsys, command):
@@ -521,6 +523,37 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("conerad: config error:") and "'--seed'" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["twosex-assess", "twosex-simulate"])
+    def test_twosex_command_on_matrix_input_writes_nothing(self, tmp_path, capsys, command):
+        path = make_run(tmp_path, command, {"matrix": [[1.0, 0.5], [0.4, 1.0]]})
+        assert main(["--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"conerad: config error: {command} requires a two-sex model input\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["radius", "eigen", "functional"])
+    def test_overflowing_products_exit_2(self, tmp_path, capsys, command):
+        # B(u_hat) is finite, but its norm, and with it eps, overflows
+        path = make_run(tmp_path, command, {"matrix": [[1e308, 1e308]] * 2}, seed=3)
+        assert main(["--config", str(path), "--quiet"]) == 2
+        assert "MapContractError" in capsys.readouterr().err
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result == {"error": "MapContractError: linear: psi(B(u_hat)) overflows",
+                          "seed": 3}
+
+    def test_input_norm_names_the_space(self):
+        matrix = [[1.0, 0.5], [0.4, 1.0]]
+        for norm, kind, weights in (("l1", NormKind.L1, None), ("linf", NormKind.LINF, None),
+                                    ({"weighted": [0.5, 2]}, NormKind.WEIGHTED, [0.5, 2.0])):
+            kind_name, mp, _ = cli._load_input({"matrix": matrix, "norm": norm})
+            assert kind_name == "linear" and np.array_equal(mp.matrix, matrix)
+            assert (mp.space.dim, mp.space.norm_kind) == (2, kind)
+            if weights is None:
+                assert mp.space.weights is None
+            else:
+                assert np.array_equal(mp.space.weights, weights)
+        assert cli._load_input({"matrix": matrix})[1].space.norm_kind is NormKind.L1
 
     def test_malformed_input_is_validation_error(self, tmp_path, capsys):
         path = make_run(tmp_path, "radius", {"surprise": True})

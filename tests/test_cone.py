@@ -54,13 +54,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConeSpace(2, NormKind.L1, np.array([1.0, 1.0]))
 
-    def test_space_json_round_trip(self):
-        for space in (ConeSpace(3), ConeSpace(2, NormKind.LINF),
-                      ConeSpace(2, NormKind.WEIGHTED, np.array([0.5, 2.0]))):
-            back = ConeSpace.from_json(space.to_json())
-            assert back.dim == space.dim
-            assert back.norm_kind == space.norm_kind
-
 
 class TestOrder:
     def test_leq_componentwise(self):

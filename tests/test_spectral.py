@@ -11,7 +11,6 @@ import pytest
 from conerad import (
     ConeVector,
     build_model,
-    cw_upper,
     estimate_eigenfunctional,
     from_callable,
     from_matrix,
@@ -19,7 +18,12 @@ from conerad import (
     radius_bracket,
     resolvent_series,
 )
-from conerad.errors import DegenerateBoundError, SpectralDomainError, TruncationError
+from conerad.errors import (
+    DegenerateBoundError,
+    MapContractError,
+    SpectralDomainError,
+    TruncationError,
+)
 from conerad.spectral import _cw_ratios
 
 from conftest import counting_map, gaussian_config, scale_beta, two_patch_config
@@ -142,32 +146,38 @@ class TestBracketReference:
             assert bits(est.log_norm_trace) == bits(logs)
 
 
+def one_step_bounds(mp, u: ConeVector) -> tuple[float, float]:
+    """The Collatz-Wielandt ratios of (u, B(u)) that the bracket and the eigen
+    stage take: the upper one is the least alpha with B(u) <= alpha u."""
+    lower, upper = _cw_ratios(u.entries[:, None], mp.raw(u.entries)[:, None])
+    return float(lower[0]), float(upper[0])
+
+
 class TestCwBounds:
     def test_upper_diagonal(self, diag21):
-        assert cw_upper(diag21, ONES2) == pytest.approx(2.0, abs=1e-15)
+        assert one_step_bounds(diag21, ONES2)[1] == pytest.approx(2.0, abs=1e-15)
 
     def test_upper_identity(self):
-        assert cw_upper(from_matrix(np.eye(3)), ConeVector(np.ones(3))) \
+        assert one_step_bounds(from_matrix(np.eye(3)), ConeVector(np.ones(3)))[1] \
             == pytest.approx(1.0, abs=1e-15)
 
     def test_upper_support_escape_is_vacuous(self, swap):
-        assert cw_upper(swap, vec(1, 0)) == float("inf")
+        assert one_step_bounds(swap, vec(1, 0))[1] == float("inf")
 
     def test_upper_vacuous_unless_u_positive(self):
         # B u = u at u = (1, 0), but the radius is 5: a max ratio bounds the
         # radius only from a strictly positive u
         diag15 = from_matrix(np.diag([1.0, 5.0]))
-        assert cw_upper(diag15, vec(1, 0)) == float("inf")
-        assert cw_upper(diag15, ONES2) == pytest.approx(5.0, abs=1e-15)
+        assert one_step_bounds(diag15, vec(1, 0))[1] == float("inf")
+        assert one_step_bounds(diag15, ONES2)[1] == pytest.approx(5.0, abs=1e-15)
 
     def test_bounds_sandwich_radius(self, rng):
         for _ in range(25):
             n = int(rng.integers(2, 8))
             mat = rng.uniform(0.05, 1.0, size=(n, n))
-            mp = from_matrix(mat)
-            u = ConeVector(np.ones(n))
+            lo, hi = one_step_bounds(from_matrix(mat), ConeVector(np.ones(n)))
             r = linear_radius_exact(mat).value
-            assert cw_upper(mp, u) >= r * (1 - 1e-12)
+            assert lo <= r * (1 + 1e-12) and hi >= r * (1 - 1e-12)
 
 
 class TestRadiusBracket:
@@ -349,6 +359,13 @@ class TestRadiusBracket:
         assert rl <= rh + 1e-8
         assert rh == pytest.approx(1.5 * rl, rel=1e-9)
 
+    def test_overflowing_step_norm_is_a_contract_error(self):
+        # each product is finite, its norm is not: a MapContractError, with
+        # no overflow warning on the way
+        mp = from_matrix(np.full((2, 2), 1e308))
+        with pytest.raises(MapContractError, match="overflows"):
+            radius_bracket(mp, ONES2)
+
 
 class TestResolvent:
     def test_diagonal_geometric_series(self, diag21):
@@ -432,17 +449,19 @@ class TestResolventBlock:
             one = resolvent_series(mp, lam, block[:, j:j + 1], trunc_tol=1e-10)
             assert res.column_terms[j] == one.terms
             assert np.allclose(res.vectors[:, j], one.vectors[:, 0], rtol=1e-13, atol=0.0)
-            assert res.tail_bounds[j] == pytest.approx(one.tail_bounds[0], rel=1e-9, abs=1e-300)
         assert res.terms == int(res.column_terms.sum())
 
     def test_cut_off_column_leaves_others_finished(self, diag21):
         # At lambda just above 2 the e1 series needs far more than 50
         # terms; the e2 series (ratio 1/lambda) finishes on its own.
+        lam = 2.0 + 1e-9
         with pytest.raises(TruncationError) as exc:
-            resolvent_series(diag21, 2.0 + 1e-9, np.eye(2), trunc_tol=1e-10, max_terms=50)
+            resolvent_series(diag21, lam, np.eye(2), trunc_tol=1e-10, max_terms=50)
         part = exc.value.partial
-        assert part.column_terms[0] == 50 and part.tail_bounds[0] == math.inf
-        assert part.column_terms[1] < 50 and math.isfinite(part.tail_bounds[1])
+        alone = resolvent_series(diag21, lam, np.eye(2)[:, 1:], trunc_tol=1e-10)
+        assert part.column_terms[0] == 50
+        assert part.column_terms[1] == alone.terms < 50
+        assert np.array_equal(part.vectors[:, 1], alone.vectors[:, 0])
 
 
 NAN = float("nan")

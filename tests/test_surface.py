@@ -1,24 +1,32 @@
-"""The public surface: every exported name and every traced entry point resolves."""
+"""The public surface: every exported name and every traced entry point
+resolves, and every benchmark workload reaches the entry points its traced
+run requires."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import conerad
+from conerad import cli
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A perfbench module, loaded from its file without importing perfbench."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def entry_points() -> tuple:
-    """perfbench's ENTRY_POINTS, read from its file without importing perfbench."""
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.ENTRY_POINTS
+    return perfbench_module("tracing").ENTRY_POINTS
 
 
 @pytest.mark.parametrize("name", conerad.__all__)
@@ -37,3 +45,25 @@ def test_traced_entry_point_resolves(entry):
         assert callable(vars(getattr(mod, cls_name))[meth])
     else:
         assert callable(getattr(mod, attr))
+
+
+@pytest.mark.parametrize("workload", perfbench_module("workloads").WORKLOADS)
+def test_workload_reaches_its_expected_entry_points(tmp_path, workload):
+    # the benchmark's coverage guard: its traced run fails (exit 3) when a
+    # workload's seed-1 batch records no span for an entry point it expects
+    tracing, workloads = perfbench_module("tracing"), perfbench_module("workloads")
+    tracer = tracing.Tracer()
+    tracer.install(conerad)
+    try:
+        for i, op in enumerate(workloads.GENERATORS[workload](1)):
+            tracer.current_op = i
+            (tmp_path / f"op{i}.input.json").write_text(json.dumps(op["input"]))
+            config = tmp_path / f"op{i}.config.json"
+            config.write_text(json.dumps({"command": op["command"], "input": f"op{i}.input.json",
+                                          "seed": 1, **op["extra"]}))
+            out = str(tmp_path / f"out{i}")
+            assert cli.main(["--config", str(config), "--out", out, "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    tracer.write(tmp_path / "spans.npz")
+    assert tracing.derive(tmp_path / "spans.npz", workload)[1] == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -50,10 +51,9 @@ class TestGrid:
         g = SpatialGrid.rectangle([[0.0, 2.0], [0.0, 1.0]], 4, 5)
         assert g.cell_weights.sum() == pytest.approx(2.0)
         assert g.n_cells == 20
-        # x runs fastest; the centers are bit-identical to a loop over cells
+        # the axes are (y, x), slowest first, so x runs fastest over the cells
         xs = 0.0 + (np.arange(4) + 0.5) * 0.5
         ys = 0.0 + (np.arange(5) + 0.5) * 0.2
-        assert np.array_equal(g.cell_centers, np.array([(x, y) for y in ys for x in xs]))
         (ay, wy), (ax, wx) = g.axes
         assert np.array_equal(ay, ys) and np.array_equal(ax, xs)
         assert np.array_equal(np.multiply.outer(wy, wx).ravel(), g.cell_weights)
@@ -141,11 +141,17 @@ GRIDS = {
 }
 
 
+def cell_centers(grid) -> np.ndarray:
+    """(n_cells, d) cell centers from the grid's axes: cell i of a rectangle
+    is (x[i % nx], y[i // nx])."""
+    return np.array(list(itertools.product(*[c for c, _ in grid.axes])))[:, ::-1]
+
+
 def geometric_kernel(grid, dispersal) -> np.ndarray:
     """The dense, unscaled kernel k(x_i, x_j) built from the cell centers."""
     if dispersal["kind"] == "local":
         return np.diag(1.0 / grid.cell_weights)
-    c, sigma = grid.cell_centers, dispersal["sigma"]
+    c, sigma = cell_centers(grid), dispersal["sigma"]
     d2 = ((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
     return np.exp(-d2 / (2 * sigma ** 2)) / (2 * np.pi * sigma ** 2) ** (c.shape[1] / 2)
 
@@ -170,7 +176,7 @@ class TestFactoredKernel:
                   np.asfortranarray(rng.random((n, n + 3))))  # the last one wide
         for f in (rng.random(n),) + blocks:
             for kern in kerns:
-                got = kern.apply(g, f)
+                got = kern.scale * twosex._kron_apply(kern.factors, (w * f.T).T)
                 want = dense_kernel(kern) @ (w * f.T).T
                 assert got.shape == f.shape
                 assert np.allclose(got, want, rtol=1e-13, atol=0.0)
@@ -443,6 +449,23 @@ class TestSimulate:
         # shape is stored mass-normalized, so an eigenvector start is frozen
         assert np.allclose(shapes[1], shapes[-1], atol=1e-9)
         assert traj.final_gamma() == pytest.approx(report.eigen.lam, rel=1e-7)
+
+    def test_chain_bound_takes_the_one_step_max_ratio_at_u(self, gaussian_model, monkeypatch):
+        # alpha = u_norm(B(u), u), called by its name in twosex; with alpha
+        # halved the certified chain bound must reject the orbit
+        m, calls = gaussian_model, []
+        u_norm = twosex.u_norm
+
+        def halved(x, u):
+            calls.append((x.entries, u.entries))
+            return 0.5 * u_norm(x, u)
+
+        monkeypatch.setattr(twosex, "u_norm", halved)
+        with pytest.raises(ModelContractError, match="chain bound"):
+            simulate(m, m.order_bound, years=5)
+        (x, u), = calls
+        assert np.array_equal(x, m.as_map().raw(m.order_bound.entries))
+        assert u is m.order_bound.entries
 
     def test_gamma_below_bracket(self, gaussian_model, rng):
         est = radius_bracket(gaussian_model.as_map(), gaussian_model.order_bound,
