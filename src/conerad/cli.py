@@ -21,6 +21,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 import scipy
 
 from . import __version__
@@ -91,15 +92,28 @@ def _initial_densities(cfg: RunConfig, model: TwoSexModel):
         return _density(cfg.f0, n)
 
 
-def _read_json(path: Path, what: str) -> tuple[object, str]:
+def _loads_input(data: bytes):
+    """An input file's JSON value: orjson's parse, which reads every float as
+    json.loads does, bit for bit, and an integer literal outside
+    [-2**63, 2**64) as a float.  A document orjson rejects goes to json.loads:
+    NaN, Infinity, a literal beyond the double range and a leading BOM then
+    reach the field checks, which name the field, and text that is not
+    JSON or not UTF-8 raises there."""
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return json.loads(data)
+
+
+def _read_json(path: Path, what: str, loads=json.loads) -> tuple[object, str]:
     """The JSON value in a file and the SHA-256 of the bytes it was read from."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
     try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+        obj = loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}")
     return obj, hashlib.sha256(data).hexdigest()
 
@@ -207,6 +221,9 @@ def _load_input(raw):
                 raise ValueError(f"u has {u.dim} entries, the matrix has {n} rows")
             if not np.all(u.entries > 0):
                 raise ValueError("u must be strictly positive")
+            with np.errstate(over="ignore"):
+                if not space.norm(u.entries) < np.inf:
+                    raise ValueError(f"the {space.norm_kind.value} norm of u overflows")
         return "linear", mp, u
     if "grid" in raw:
         model = build_model(raw)
@@ -315,8 +332,6 @@ def _float_rows(block: np.ndarray) -> list[str]:
     A row holding any other value (NaN or inf, which orjson writes as null,
     or a magnitude where repr switches to an exponent) is joined from repr.
     """
-    import orjson  # imported here: only a run that writes densities pays for it
-
     block = np.ascontiguousarray(block, dtype=float)
     if not len(block):
         return []
@@ -402,7 +417,7 @@ def _blas() -> dict:
 
 
 def run(cfg: RunConfig) -> int:
-    raw, input_sha256 = _read_json(cfg.input_path, "input")
+    raw, input_sha256 = _read_json(cfg.input_path, "input", _loads_input)
     try:
         kind, problem, u = _load_input(raw)
     except ConfigError:

@@ -88,6 +88,9 @@ def _psi_normalize(space: ConeSpace, v: np.ndarray) -> np.ndarray:
     p = space.norm(v)
     if p == 0.0:
         raise DegenerateBoundError("cannot normalize the zero vector")
+    if not p < math.inf:
+        # v / inf would be the zero vector, read later as a map that kills the cone
+        raise DegenerateBoundError("cannot normalize a vector whose norm overflows")
     return v / p
 
 
@@ -139,7 +142,8 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     if not inner_tol > 0:
         raise ValueError("inner_tol must be positive")
 
-    v = _psi_normalize(space, u.entries)
+    with np.errstate(over="ignore"):
+        v = _psi_normalize(space, u.entries)
     bv = mp.raw(v)
     if not bv.any():
         # B annihilates a strictly positive vector, hence the whole cone.

@@ -115,7 +115,10 @@ class _BracketEngine:
             raise DegenerateBoundError("start vector dimension mismatch")
         self.mp = mp
         self.space = mp.space
-        nu = self.space.norm(u.entries)
+        with np.errstate(over="ignore"):
+            nu = self.space.norm(u.entries)
+        if not nu < math.inf:
+            raise DegenerateBoundError("the norm of start vector u overflows")
         self.u_hat = u.entries / nu
         if image is None:
             self.y = self.u_hat.copy()

@@ -1,13 +1,26 @@
-"""Shared test scenarios: linear matrices and two-sex model configurations."""
+"""Shared test scenarios: linear matrices and two-sex model configurations,
+and the benchmark's modules loaded from their files."""
 
 from __future__ import annotations
 
+import importlib.util
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conerad import ConeVector, build_model, from_callable, from_matrix
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A perfbench module, loaded from its file without importing perfbench."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def single_cell_config(beta: float = 2.0, s_f: float = 0.5, s_m: float = 0.5,

@@ -25,7 +25,8 @@ from conerad import cli, eigenproblem
 from conerad.cli import main, parse_config
 from conerad.errors import ConfigError, InnerIterationError
 
-from conftest import gaussian_config, single_cell_config, scale_beta, trial_draws
+from conftest import (gaussian_config, perfbench_module, single_cell_config, scale_beta,
+                      trial_draws)
 
 MISSING = object()
 
@@ -59,7 +60,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(path)
 
-    @pytest.mark.parametrize("literal", ["true", '"1e-3"', "Infinity", "1e400"])
+    @pytest.mark.parametrize("literal", ["true", '"1e-3"', "Infinity", "1e400", "NaN"])
     def test_tolerance_must_be_a_finite_positive_number(self, tmp_path, capsys, literal):
         # float() would take a bool or a numeric string, and JSON's Infinity
         # and the overflowing 1e400 both parse to inf: an infinite tol would
@@ -558,3 +559,83 @@ class TestOtherCommands:
     def test_malformed_input_is_validation_error(self, tmp_path, capsys):
         path = make_run(tmp_path, "radius", {"surprise": True})
         assert main(["--config", str(path), "--quiet"]) == 1
+
+
+def same_values(a, b) -> bool:
+    """a and b are the same JSON value with the same types, each float bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_values(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_values, a, b))
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    return a == b
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("workload", ["linear-mix", "functional-series"])
+    def test_workload_inputs_parse_as_json_loads_does(self, workload):
+        ops = perfbench_module("workloads").GENERATORS[workload](1)
+        # each input written as the benchmark writes it
+        for data in {json.dumps(op["input"]).encode() for op in ops}:
+            assert same_values(cli._loads_input(data), json.loads(data))
+
+    @pytest.mark.parametrize("literal", [
+        "-0.0", "5e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+        "9007199254740993", "9223372036854775807", "18446744073709551615"])
+    def test_edge_literals_parse_as_json_loads_does(self, literal):
+        data = f'{{"matrix": [[{literal}]]}}'.encode()
+        assert same_values(cli._loads_input(data), json.loads(data))
+
+    @pytest.mark.parametrize("data", [
+        b"[NaN, Infinity, -Infinity, 1e400]", b"\xef\xbb\xbf[0.5]", '["\u00e9"]'.encode("utf-16")],
+        ids=["nonfinite", "bom", "utf16"])
+    def test_documents_orjson_rejects_parse_as_json_loads_does(self, data):
+        assert same_values(cli._loads_input(data), json.loads(data))
+
+    def test_integers_beyond_64_bits_read_as_floats(self):
+        assert same_values(cli._loads_input(b"[18446744073709551616, -9223372036854775809]"),
+                           [18446744073709551616.0, -9223372036854775809.0])
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("name", ["matrix", "u"])
+    def test_nonfinite_literal_names_its_field(self, tmp_path, capsys, name, literal):
+        path = make_run(tmp_path, "radius", {"matrix": [[0.5, 0.2], [0.1, 0.3]], "u": [1.0, 2.0]})
+        inp = tmp_path / "input.json"
+        inp.write_text(inp.read_text().replace("0.3" if name == "matrix" else "2.0", literal))
+        assert main(["--config", str(path), "--quiet"]) == 1
+        assert f"config error: input field '{name}' is invalid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("what", ["config", "input"])
+    def test_undecodable_bytes_are_a_config_error(self, tmp_path, capsys, what):
+        path = make_run(tmp_path, "radius", {"matrix": [[0.5, 0.2], [0.1, 0.3]]})
+        target = path if what == "config" else tmp_path / "input.json"
+        target.write_bytes(b'{"\xff": 0, ' + target.read_bytes()[1:])
+        assert main(["--config", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"conerad: config error: {what} is not valid JSON: 'utf-8' codec can't decode")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("norm, u", [("l1", [1e308, 1e308]),
+                                         ({"weighted": [1e300, 1e300]}, [1e10, 1e10])],
+                             ids=["l1", "weighted"])
+    @pytest.mark.parametrize("command", ["radius", "eigen", "functional"])
+    def test_u_whose_norm_overflows_names_u(self, tmp_path, capsys, command, norm, u):
+        # u / ||u|| is the zero vector: radius certified [0, 0] for a radius near 0.64
+        path = make_run(tmp_path, command,
+                        {"matrix": [[0.5, 0.1], [0.2, 0.5]], "norm": norm, "u": u})
+        assert main(["--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("conerad: config error: input field 'u' is invalid")
+        assert err.endswith("norm of u overflows\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_seed_beyond_64_bits_runs(self, tmp_path):
+        # config files keep json.loads, whose integers are unbounded
+        path = make_run(tmp_path, "radius", {"matrix": [[0.5, 0.1], [0.2, 0.5]]}, seed=2 ** 64)
+        assert main(["--config", str(path), "--quiet"]) == 0
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["seed"] == 2 ** 64

@@ -354,6 +354,12 @@ class TestPerturbationSolver:
         with pytest.raises(DegenerateBoundError):
             solve_eigenvector_perturbation(diag21, vec(1, 0))
 
+    def test_direction_whose_norm_overflows_is_degenerate(self):
+        # u / psi(u) would be the zero vector, read as a map that kills the cone
+        mp = from_matrix([[0.5, 0.1], [0.2, 0.5]])
+        with pytest.raises(DegenerateBoundError, match="overflows"):
+            solve_eigenvector_perturbation(mp, vec(1e308, 1e308))
+
     @pytest.mark.parametrize("inner_tol", [0.0, -1e-13])
     def test_rejects_nonpositive_inner_tol(self, diag21, inner_tol):
         with pytest.raises(ValueError, match="inner_tol"):

@@ -239,6 +239,12 @@ class TestRadiusBracket:
             with pytest.raises(DegenerateBoundError):
                 radius_bracket(diag21, start)
 
+    def test_start_whose_norm_overflows_is_degenerate(self):
+        # u / ||u|| would be the zero vector, whose dead orbit certifies a zero radius
+        mp = from_matrix([[0.5, 0.1], [0.2, 0.5]])
+        with pytest.raises(DegenerateBoundError, match="overflows"):
+            radius_bracket(mp, vec(1e308, 1e308))
+
     def test_unconverged_run_is_honest(self, rng):
         # With a tiny iteration budget the estimate must say so while the
         # partial bracket stays valid.

@@ -5,24 +5,14 @@ run requires."""
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 import conerad
 from conerad import cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def perfbench_module(name: str):
-    """A perfbench module, loaded from its file without importing perfbench."""
-    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from conftest import perfbench_module
 
 
 def entry_points() -> tuple:
