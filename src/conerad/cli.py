@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -50,7 +50,7 @@ class RunConfig:
     max_iter: int = 10000
     seed: int = 0
     years: int = 20
-    f0: object = None           # as in the config; run() passes on the parsed densities
+    f0: object = None           # as in the config; run() parses it for the command
     emit_densities: bool = False
     config_sha256: str | None = None
 
@@ -192,7 +192,9 @@ def parse_config(path) -> RunConfig:
 
 
 def _load_input(raw):
-    """The problem in a parsed input file: ("linear", map, u) or ("twosex", model, u)."""
+    """The problem in a parsed input file as (map, u, model): the matrix map
+    and its u with model None, or a two-sex model's map, order bound and
+    model."""
     if not isinstance(raw, dict):
         raise ConfigError("input must be a JSON object")
 
@@ -224,10 +226,10 @@ def _load_input(raw):
             with np.errstate(over="ignore"):
                 if not space.norm(u.entries) < np.inf:
                     raise ValueError(f"the {space.norm_kind.value} norm of u overflows")
-        return "linear", mp, u
+        return mp, u, None
     if "grid" in raw:
         model = build_model(raw)
-        return "twosex", model, model.order_bound
+        return model.as_map(), model.order_bound, model
     raise ConfigError("input must contain either 'matrix' or a two-sex model config")
 
 
@@ -261,22 +263,15 @@ def _radius_trace_rows(est: SpectralEstimate):
         yield [i, repr(s), repr(lo), repr(hi)]
 
 
-def _wrap_map(kind: str, problem) -> HomogeneousMap:
-    return problem.as_map() if kind == "twosex" else problem
-
-
-def _run_radius(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
-    mp = _wrap_map(kind, problem)
+def _run_radius(cfg: RunConfig, mp: HomogeneousMap, u: ConeVector, emit: _Emitter):
     est, eigen, _, start = _certify(mp, u, cfg.tolerances["tol"], cfg.max_iter,
                                     cfg.tolerances["inner_tol"])
+    emit.write_csv("trace.csv", ["iter", "log_norm", "cw_lower", "cw_upper"],
+                   _radius_trace_rows(est))
     payload = est.to_json()
     payload["start"] = start
     payload["eigen_steps"] = None if eigen is None else eigen.steps
-    payload["seed"] = cfg.seed
-    emit.write_json("result.json", payload)
-    emit.write_csv("trace.csv", ["iter", "log_norm", "cw_lower", "cw_upper"],
-                   _radius_trace_rows(est))
-    return 0 if est.converged else 2
+    return (0 if est.converged else 2), payload
 
 
 def _write_eigen_trace(emit: _Emitter, trace, residual: str) -> None:
@@ -286,42 +281,30 @@ def _write_eigen_trace(emit: _Emitter, trace, residual: str) -> None:
     emit.write_csv("trace.csv", ["step", "eps_or_k", "lambda", "residual"], rows)
 
 
-def _run_eigen(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
-    mp = _wrap_map(kind, problem)
+def _run_eigen(cfg: RunConfig, mp: HomogeneousMap, u: ConeVector, emit: _Emitter):
     try:
         res = solve_eigenvector_perturbation(mp, u, inner_tol=cfg.tolerances["inner_tol"],
                                              max_inner=cfg.max_iter)
     except InnerIterationError as exc:
         # partial outputs: the one stage did not end, so its trace is empty
-        emit.write_json("result.json", {"error": str(exc), "trace": [], "seed": cfg.seed})
         _write_eigen_trace(emit, [], "")
-        return 2
-    payload = res.to_json()
-    payload["seed"] = cfg.seed
-    emit.write_json("result.json", payload)
+        return 2, {"error": str(exc), "trace": []}
     _write_eigen_trace(emit, res.trace, repr(res.residual))
-    return 0
+    return 0, res.to_json()
 
 
-def _run_functional(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
-    mp = _wrap_map(kind, problem)
+def _run_functional(cfg: RunConfig, mp: HomogeneousMap, u: ConeVector, emit: _Emitter):
     xstar = ConeVector(np.ones(mp.space.dim))
     est = estimate_eigenfunctional(mp, u, xstar, trunc_tol=cfg.tolerances["trunc_tol"],
                                    seed=cfg.seed)
-    payload = est.to_json()
-    payload["seed"] = cfg.seed
-    emit.write_json("result.json", payload)
-    return 0
+    return 0, est.to_json()
 
 
-def _run_assess(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
-    report = assess_persistence(problem, tol=cfg.tolerances["tol"],
-                                f0_probes=cfg.f0, max_iter=cfg.max_iter)
-    payload = report.to_json()
-    payload["seed"] = cfg.seed
-    emit.write_json("result.json", payload)
+def _run_assess(cfg: RunConfig, model: TwoSexModel, f0: list | None, emit: _Emitter):
+    report = assess_persistence(model, tol=cfg.tolerances["tol"],
+                                f0_probes=f0, max_iter=cfg.max_iter)
     # an eigen stage that did not settle leaves the verdict but no eigenpair
-    return 0 if report.radius.converged and report.error is None else 2
+    return (0 if report.radius.converged and report.error is None else 2), report.to_json()
 
 
 def _float_rows(block: np.ndarray) -> list[str]:
@@ -344,23 +327,18 @@ def _float_rows(block: np.ndarray) -> list[str]:
     return rows
 
 
-def _run_simulate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
-    model: TwoSexModel = problem
-    n = model.grid.n_cells
-    traj = simulate(model, cfg.f0, years=cfg.years)
-    payload = traj.to_json()
-    payload["seed"] = cfg.seed
-    emit.write_json("result.json", payload)
+def _run_simulate(cfg: RunConfig, model: TwoSexModel, f0: ConeVector, emit: _Emitter):
+    traj = simulate(model, f0, years=cfg.years)
     header = ["year", "log_total_mass", "gamma_estimate"]
     if cfg.emit_densities:
-        header += [f"cell_{i}" for i in range(n)]
+        header += [f"cell_{i}" for i in range(model.grid.n_cells)]
     rows = [[year, logm, gamma] for year, (logm, gamma)
             in enumerate(zip(traj.log_mass, [""] + traj.gamma_estimates))]
     if cfg.emit_densities:
         for row, densities in zip(rows, _float_rows(traj.shapes)):
             row.append(densities)
     emit.write_csv("trajectory.csv", header, rows)
-    return 0
+    return 0, traj.to_json()
 
 
 def _cone_functional_defects(space: ConeSpace, rng: np.random.Generator,
@@ -384,8 +362,7 @@ def _cone_functional_defects(space: ConeSpace, rng: np.random.Generator,
     return violations, worst
 
 
-def _run_validate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
-    mp = _wrap_map(kind, problem)
+def _run_validate(cfg: RunConfig, mp: HomogeneousMap, u: ConeVector, emit: _Emitter):
     report = verify_properties(mp, trials=200, tol=1e-9, seed=cfg.seed)
     cone_violations, worst = _cone_functional_defects(
         mp.space, np.random.default_rng(cfg.seed), trials=500)
@@ -393,10 +370,8 @@ def _run_validate(cfg: RunConfig, kind: str, problem, u, emit: _Emitter) -> int:
         "map_properties": report.to_json(),
         "cone_functionals": {"trials": 500, "violations": cone_violations,
                              "max_defect": worst},
-        "seed": cfg.seed,
     }
-    emit.write_json("result.json", payload)
-    return 0 if report.ok and cone_violations == 0 else 1
+    return (0 if report.ok and cone_violations == 0 else 1), payload
 
 
 _RUNNERS = {
@@ -417,31 +392,36 @@ def _blas() -> dict:
 
 
 def run(cfg: RunConfig) -> int:
+    """Run one command: its runner writes the CSV traces and returns the exit
+    code and the result payload; result.json, always carrying the seed, and
+    the manifest are written here."""
     raw, input_sha256 = _read_json(cfg.input_path, "input", _loads_input)
     try:
-        kind, problem, u = _load_input(raw)
+        mp, u, model = _load_input(raw)
     except ConfigError:
         raise
     except ConeRadError as exc:
         # Problems found while validating the input are configuration
         # failures, not numerical ones; keep the original error name visible.
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
-    # config errors that need the input are found here, before any output
+    # config errors that need the input are found here, before any output;
+    # the two-sex commands run on the model and the parsed f0
+    problem = (mp, u)
     if cfg.command.startswith("twosex-"):
-        if kind != "twosex":
+        if model is None:
             raise ConfigError(f"{cfg.command} requires a two-sex model input")
-        cfg = replace(cfg, f0=_initial_densities(cfg, problem))
+        problem = (model, _initial_densities(cfg, model))
     emit = _Emitter(cfg.output_dir)
-    code = 0
+    payload = None
     try:
-        code = _RUNNERS[cfg.command](cfg, kind, problem, u, emit)
+        code, payload = _RUNNERS[cfg.command](cfg, *problem, emit)
     except ConeRadError as exc:
         # a numerical failure (exit 2) still leaves a result.json naming it
-        if "result.json" not in emit.files:
-            emit.write_json("result.json", {"error": f"{type(exc).__name__}: {exc}",
-                                            "seed": cfg.seed})
+        payload = {"error": f"{type(exc).__name__}: {exc}"}
         raise
     finally:
+        if payload is not None:
+            emit.write_json("result.json", {**payload, "seed": cfg.seed})
         manifest = {
             "command": cfg.command,
             "seed": cfg.seed,

@@ -1,7 +1,9 @@
 """Cone spectral radius estimation.
 
-The central routine is a normalized power iteration that maintains a
-certified Collatz-Wielandt bracket around the radius.  One rule gives every
+The central routine, ``radius_bracket``, is one loop of a normalized power
+iteration that maintains a certified Collatz-Wielandt bracket around the
+radius; it keeps each iteration's bracket in ``bound_trace`` and returns
+[0, 0] as soon as the orbit dies.  One rule gives every
 bound: for a probe vector x and m >= 1, the m-th root of the min ratio
 (B^m x)_i / x_i over supp x bounds the radius from below (when B^m x > 0
 there), and the m-th root of the max ratio bounds it from above (when
@@ -59,9 +61,9 @@ class SpectralEstimate:
     iterations: int
     converged: bool
     log_norm_trace: list = field(default_factory=list)
-    # per-iteration (best_lower, best_upper) pairs; diagnostic only, not
-    # part of the JSON wire format
-    bound_trace: list | None = field(default=None, repr=False, compare=False)
+    # per-iteration (best_lower, best_upper) pairs before outward rounding:
+    # trace.csv writes them, result.json does not
+    bound_trace: list = field(default_factory=list, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -101,138 +103,101 @@ def _cw_ratios(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-class _BracketEngine:
-    """Shared state of the normalized power iteration with bracket tracking.
-
-    The orbit starts at u_hat = u / ||u||, or, when the image B(u) is given,
-    at u itself with that image, so no start evaluation is repeated.
-    """
-
-    def __init__(self, mp: HomogeneousMap, u: ConeVector, image: np.ndarray | None = None):
-        if u.is_zero():
-            raise DegenerateBoundError("start vector u must be nonzero")
-        if u.dim != mp.space.dim:
-            raise DegenerateBoundError("start vector dimension mismatch")
-        self.mp = mp
-        self.space = mp.space
-        with np.errstate(over="ignore"):
-            nu = self.space.norm(u.entries)
-        if not nu < math.inf:
-            raise DegenerateBoundError("the norm of start vector u overflows")
-        self.u_hat = u.entries / nu
-        if image is None:
-            self.y = self.u_hat.copy()
-            self.z = mp.raw(self.y)         # B(y): the next power step
-        else:
-            self.y, self.z = u.entries, image
-        self.hist: list[np.ndarray] = [self.y]    # y_(k-m), ..., y_k
-        self.logs: list[float] = []
-        self.bounds: list[tuple[float, float]] = []
-        self.best_lower = 0.0
-        self.best_upper = math.inf
-        self.dead = False
-        self.iterations = 0
-
-    def step(self) -> None:
-        self.iterations += 1
-        with np.errstate(over="ignore"):
-            nz = self.space.norm(self.z)
-        if not nz < math.inf:
-            raise MapContractError(f"{self.mp.name}: the norm of a power step overflows")
-        if nz == 0.0:
-            # The orbit of u dies: B^k u = 0 certifies a zero radius under
-            # the order-bound hypotheses, so the bracket collapses.
-            self.dead = True
-            self.best_lower = 0.0
-            self.best_upper = 0.0
-            return
-        self.logs.append(math.log(nz))
-        self.y = self.z / nz
-        self.hist.append(self.y)
-        if len(self.hist) > _ORBIT_MEMORY + 1:
-            self.hist.pop(0)
-
-        # Probes: the support truncations of y (nested masks, so a repeated
-        # size is a repeated probe), then each plus 2^-k u_hat where that
-        # changes it, while the shift is a normal float (a subnormal one makes
-        # ratios overflow and loses the relative precision _outward assumes).
-        mx = self.y.max()
-        masks = {}
-        for theta in _TRUNCATION_LEVELS:
-            mask = self.y >= theta * mx
-            masks.setdefault(int(np.count_nonzero(mask)), mask)
-        probes = [np.where(mask, self.y, 0.0) for mask in masks.values()]
-        shift = 2.0 ** (-self.iterations) * self.u_hat
-        if shift.min() >= _TINY:
-            probes += [xr for x in probes if ((xr := x + shift) != x).any()]
-        images = [self.mp.raw(x) for x in probes]
-
-        # One ratio block: the stored iterates against y, where
-        # y_k = B^m y_(k-m) / exp(d) with d the sum of the last m step logs,
-        # then the probes against their images.
-        old = self.hist[:-1]
-        lower, upper = _cw_ratios(np.array(old + probes).T,
-                                  np.array([self.y] * len(old) + images).T)
-        lower, upper = lower.tolist(), upper.tolist()
-        best_lower, best_upper = self.best_lower, self.best_upper
-        # fsum rounds d once; the difference of two running sums would be off
-        # by about eps times the log of the whole orbit
-        for lo, hi, m in zip(lower, upper, range(len(old), 0, -1)):
-            d = math.fsum(self.logs[-m:])
-            if lo > 0.0:
-                best_lower = max(best_lower, math.exp((d + math.log(lo)) / m))
-            if hi < math.inf:
-                best_upper = min(best_upper, math.exp((d + math.log(hi)) / m))
-        self.best_lower = max(best_lower, *lower[len(old):])
-        self.best_upper = min(best_upper, *upper[len(old):])
-        self.z = images[0]                  # probe 0 is y itself
-        self.bounds.append((self.best_lower, self.best_upper))
-
-    def bracket_closed(self, tol: float) -> bool:
-        if self.dead:
-            return True
-        return (self.best_upper - self.best_lower) <= tol * max(1.0, self.best_lower)
-
-    def estimate(self, converged: bool) -> SpectralEstimate:
-        """The outward-rounded bracket; the point value is its midpoint, or
-        the lower bound while the upper one is infinite."""
-        lo, hi = _outward(self.best_lower, self.best_upper, self.space.dim)
-        if self.dead:
-            lo, hi = 0.0, 0.0
-        return SpectralEstimate(
-            value=0.5 * (lo + hi) if math.isfinite(hi) else lo,
-            cw_lower=lo,
-            cw_upper=hi,
-            iterations=self.iterations,
-            converged=converged,
-            log_norm_trace=list(self.logs),
-            bound_trace=list(self.bounds),
-        )
-
-
 def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
                    max_iter: int = 10000, *, _image: np.ndarray | None = None) -> SpectralEstimate:
-    """Certified Collatz-Wielandt bracket; the point value is its midpoint.
+    """Certified Collatz-Wielandt bracket; the point value is its midpoint,
+    or the lower bound while the upper one is infinite.
 
     Requires a strictly positive start vector so that regularized upper
-    probes exist; they shift along it.  Convergence is declared on bracket
-    width only.  Inside the package a caller that already holds B(u) passes
-    it as _image; the orbit then starts at u itself and evaluates no start
-    image.  ``eigenproblem._certify`` starts it so from the solved
-    eigenvector of the perturbed map, for the radius, functional and
-    two-sex assessment paths; every bound is a certificate whatever the
-    start.
+    probes exist; they shift along u_hat = u / ||u||, where the orbit
+    starts.  Convergence is declared on bracket width only.  Inside the
+    package a caller that already holds B(u) passes it as _image; the orbit
+    then starts at u itself and evaluates no start image.
+    ``eigenproblem._certify`` starts it so from the solved eigenvector of the
+    perturbed map, for the radius, functional and two-sex assessment paths;
+    every bound is a certificate whatever the start.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not np.all(u.entries > 0):
         raise DegenerateBoundError("radius_bracket requires a strictly positive start vector")
-    eng = _BracketEngine(mp, u, _image)
-    for _ in range(max_iter):
-        eng.step()
-        if eng.bracket_closed(tol):
-            return eng.estimate(converged=True)
-    return eng.estimate(converged=False)
+    space = mp.space
+    # a strictly positive u of the space's dimension (>= 1) is nonzero
+    if u.dim != space.dim:
+        raise DegenerateBoundError("start vector dimension mismatch")
+    with np.errstate(over="ignore"):
+        nu = space.norm(u.entries)
+    if not nu < math.inf:
+        raise DegenerateBoundError("the norm of start vector u overflows")
+    u_hat = u.entries / nu
+    if _image is None:
+        y = u_hat.copy()
+        z = mp.raw(y)                   # B(y): the next power step
+    else:
+        y, z = u.entries, _image
+    hist = [y]                          # y_(k-m), ..., y_k
+    logs: list[float] = []
+    bounds: list[tuple[float, float]] = []
+    best_lower, best_upper = 0.0, math.inf
+    iterations, converged = 0, False
+    for iterations in range(1, max_iter + 1):
+        with np.errstate(over="ignore"):
+            nz = space.norm(z)
+        if not nz < math.inf:
+            raise MapContractError(f"{mp.name}: the norm of a power step overflows")
+        if nz == 0.0:
+            # The orbit of u dies: B^k u = 0 certifies a zero radius under
+            # the order-bound hypotheses, so the bracket collapses.
+            return SpectralEstimate(value=0.0, cw_lower=0.0, cw_upper=0.0,
+                                    iterations=iterations, converged=True,
+                                    log_norm_trace=logs, bound_trace=bounds)
+        logs.append(math.log(nz))
+        y = z / nz
+        hist.append(y)
+        if len(hist) > _ORBIT_MEMORY + 1:
+            hist.pop(0)
+
+        # Probes: the support truncations of y (nested masks, so a repeated
+        # size is a repeated probe), then each plus 2^-k u_hat where that
+        # changes it, while the shift is a normal float (a subnormal one makes
+        # ratios overflow and loses the relative precision _outward assumes).
+        mx = y.max()
+        masks = {}
+        for theta in _TRUNCATION_LEVELS:
+            mask = y >= theta * mx
+            masks.setdefault(int(np.count_nonzero(mask)), mask)
+        probes = [np.where(mask, y, 0.0) for mask in masks.values()]
+        shift = 2.0 ** (-iterations) * u_hat
+        if shift.min() >= _TINY:
+            probes += [xr for x in probes if ((xr := x + shift) != x).any()]
+        images = [mp.raw(x) for x in probes]
+
+        # One ratio block: the stored iterates against y, where
+        # y_k = B^m y_(k-m) / exp(d) with d the sum of the last m step logs,
+        # then the probes against their images.
+        old = hist[:-1]
+        lower, upper = _cw_ratios(np.array(old + probes).T,
+                                  np.array([y] * len(old) + images).T)
+        lower, upper = lower.tolist(), upper.tolist()
+        # fsum rounds d once; the difference of two running sums would be off
+        # by about eps times the log of the whole orbit
+        for lo, hi, m in zip(lower, upper, range(len(old), 0, -1)):
+            d = math.fsum(logs[-m:])
+            if lo > 0.0:
+                best_lower = max(best_lower, math.exp((d + math.log(lo)) / m))
+            if hi < math.inf:
+                best_upper = min(best_upper, math.exp((d + math.log(hi)) / m))
+        best_lower = max(best_lower, *lower[len(old):])
+        best_upper = min(best_upper, *upper[len(old):])
+        z = images[0]                   # probe 0 is y itself
+        bounds.append((best_lower, best_upper))
+        if best_upper - best_lower <= tol * max(1.0, best_lower):
+            converged = True
+            break
+    lo, hi = _outward(best_lower, best_upper, space.dim)
+    return SpectralEstimate(value=0.5 * (lo + hi) if math.isfinite(hi) else lo,
+                            cw_lower=lo, cw_upper=hi, iterations=iterations,
+                            converged=converged, log_norm_trace=logs, bound_trace=bounds)
 
 
 @dataclass

@@ -184,11 +184,9 @@ class MigrationKernel:
         """Quadrature mass of each column of the unscaled factor product."""
         return _kron_apply(tuple(fac.T for fac in self.factors), grid.cell_weights)
 
-    def validate_mass(self, grid: SpatialGrid, column_mass: np.ndarray | None = None) -> None:
-        """Raise unless every column carries mass <= 1; ``column_mass`` is
-        this kernel's ``column_mass(grid)`` when it is already known."""
-        if column_mass is None:
-            column_mass = self.column_mass(grid)
+    def validate_mass(self, column_mass: np.ndarray) -> None:
+        """Raise unless every column carries mass <= 1, given this kernel's
+        ``column_mass(grid)``."""
         mass = self.scale * column_mass
         worst = int(np.argmax(mass))
         if mass[worst] > 1.0 + _MASS_TOL:
@@ -275,10 +273,10 @@ class TwoSexModel:
             raise DimensionError("kernel size does not match grid")
         # kernels sharing one factor tuple share its column masses
         mass = self.k_female.column_mass(self.grid)
-        self.k_female.validate_mass(self.grid, mass)
+        self.k_female.validate_mass(mass)
         if self.k_male.factors is not self.k_female.factors:
             mass = self.k_male.column_mass(self.grid)
-        self.k_male.validate_mass(self.grid, mass)
+        self.k_male.validate_mass(mass)
         if self.mating.n_cells != n or self.order_bound.dim != n:
             raise DimensionError("field sizes do not match grid")
         bound = _tight_order_bound(self.mating.psi_field, self.k_female, self.k_male)

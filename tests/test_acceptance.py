@@ -28,7 +28,6 @@ from conerad import (
     solve_subeigenvector_min,
 )
 from conerad.errors import ZeroLimitError
-from conerad.spectral import _BracketEngine
 
 from conftest import (
     gaussian_config,
@@ -122,17 +121,13 @@ def test_c03_collatz_wielandt_sandwich():
     for _ in range(20):
         n = int(rng.integers(2, 41))
         mat = rng.uniform(0.05, 1.0, size=(n, n))  # strictly positive: primitive
-        eng = _BracketEngine(from_matrix(mat), ConeVector(np.ones(n)))
-        closed_at = None
-        for k in range(1, 10001):
-            eng.step()
-            assert eng.best_lower <= eng.best_upper  # exact inequality each iterate
-            if eng.bracket_closed(1e-6):
-                closed_at = k
-                break
-        assert closed_at is not None, "bracket did not close within 10000 iterations"
-        value = 0.5 * (eng.best_lower + eng.best_upper)
-        assert eng.best_upper - eng.best_lower <= 1e-6 * max(1.0, value)
+        est = radius_bracket(from_matrix(mat), ConeVector(np.ones(n)), 1e-6, 10000)
+        assert est.converged, "bracket did not close within 10000 iterations"
+        assert len(est.bound_trace) == est.iterations
+        for lower, upper in est.bound_trace:
+            assert lower <= upper  # exact inequality each iterate
+        lower, upper = est.bound_trace[-1]
+        assert upper - lower <= 1e-6 * max(1.0, 0.5 * (lower + upper))
     _report("C3 Collatz-Wielandt sandwich", True)
 
 

@@ -104,12 +104,20 @@ class TestRadiusCommand:
         last_upper = float(trace[-1].split(",")[3])
         assert last_upper <= first_upper  # bounds tighten along the run
 
-    def test_manifest_lists_all_files(self, tmp_path):
-        path = make_run(tmp_path, "radius", {"matrix": [[1.0]]})
+    @pytest.mark.parametrize("command", ["radius", "eigen", "functional", "validate",
+                                         "twosex-assess", "twosex-simulate"])
+    def test_manifest_lists_all_files(self, tmp_path, command):
+        problem = (gaussian_config(n_cells=8) if command.startswith("twosex-")
+                   else {"matrix": [[1.0]]})
+        path = make_run(tmp_path, command, problem, seed=6)
         main(["--config", str(path), "--quiet"])
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         emitted = {p.name for p in (tmp_path / "out").iterdir()}
         assert set(manifest["files"]) == emitted
+        csv_name = {"radius": "trace.csv", "eigen": "trace.csv",
+                    "twosex-simulate": "trajectory.csv"}.get(command)
+        assert emitted == {"result.json", "manifest.json"} | ({csv_name} - {None})
+        assert json.loads((tmp_path / "out" / "result.json").read_text())["seed"] == 6
         assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         inp = (tmp_path / "input.json").read_bytes()
         assert manifest["input_sha256"] == hashlib.sha256(inp).hexdigest()
@@ -393,7 +401,7 @@ class TestOtherCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert {"result.json", "trace.csv"} <= set(manifest["files"])
 
-    @pytest.mark.parametrize("command", ["twosex-assess", "functional", "radius"])
+    @pytest.mark.parametrize("command", ["twosex-assess", "functional", "radius", "eigen"])
     def test_numerical_error_writes_partial_result(self, tmp_path, capsys, command):
         # Two cells without births leave the order bound u with zero cells:
         # each command stops with a DegenerateBoundError (exit 2).
@@ -547,14 +555,14 @@ class TestOtherCommands:
         matrix = [[1.0, 0.5], [0.4, 1.0]]
         for norm, kind, weights in (("l1", NormKind.L1, None), ("linf", NormKind.LINF, None),
                                     ({"weighted": [0.5, 2]}, NormKind.WEIGHTED, [0.5, 2.0])):
-            kind_name, mp, _ = cli._load_input({"matrix": matrix, "norm": norm})
-            assert kind_name == "linear" and np.array_equal(mp.matrix, matrix)
+            mp, _, model = cli._load_input({"matrix": matrix, "norm": norm})
+            assert model is None and np.array_equal(mp.matrix, matrix)
             assert (mp.space.dim, mp.space.norm_kind) == (2, kind)
             if weights is None:
                 assert mp.space.weights is None
             else:
                 assert np.array_equal(mp.space.weights, weights)
-        assert cli._load_input({"matrix": matrix})[1].space.norm_kind is NormKind.L1
+        assert cli._load_input({"matrix": matrix})[0].space.norm_kind is NormKind.L1
 
     def test_malformed_input_is_validation_error(self, tmp_path, capsys):
         path = make_run(tmp_path, "radius", {"surprise": True})

@@ -208,9 +208,19 @@ class TestRadiusBracket:
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_orbit_death_returns_zero(self):
+        # B(1) = (1, 0) is live; its image B(1, 0) = 0 ends the orbit in the
+        # second iteration, which logs no norm and no bound
         est = radius_bracket(from_matrix([[0.0, 1.0], [0.0, 0.0]]), ONES2)
         assert est.converged and est.value == 0.0
         assert est.cw_lower == 0.0 and est.cw_upper == 0.0
+        assert est.iterations == 2
+        assert len(est.log_norm_trace) == len(est.bound_trace) == 1
+
+    def test_no_iterations_leave_the_vacuous_bracket(self, diag21):
+        est = radius_bracket(diag21, ONES2, max_iter=0)
+        assert (est.cw_lower, est.cw_upper, est.value) == (0.0, math.inf, 0.0)
+        assert est.iterations == 0 and not est.converged
+        assert est.log_norm_trace == [] and est.bound_trace == []
 
     def test_trace_recorded(self, diag21):
         est = radius_bracket(diag21, ONES2, tol=1e-9)

@@ -188,10 +188,10 @@ class TestFactoredKernel:
                                           (1.0 + (1e-9 if above else -1e-9)) / mass.max())
             if above:
                 with pytest.raises(KernelMassError) as exc:
-                    kern.validate_mass(g)
+                    kern.validate_mass(kern.column_mass(g))
                 assert mass[exc.value.cell] == pytest.approx(mass.max(), rel=1e-13)
             else:
-                kern.validate_mass(g)
+                kern.validate_mass(kern.column_mass(g))
         psi = model.mating.psi_field
         want = psi * np.max(dense_kernel(kerns[0]) + dense_kernel(kerns[1]), axis=1)
         assert np.allclose(model.order_bound.entries, want, rtol=1e-14, atol=0.0)
