@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -26,14 +25,15 @@ import scipy
 
 from . import __version__
 from .cone import ConeSpace, ConeVector, NormKind, diamond_norm, psi_hull
-from .errors import ConeRadError, ConfigError, InnerIterationError
+from .errors import (ConeRadError, ConfigError, InnerIterationError, _field, _integer, _reals,
+                     _require_keys)
 from .eigenproblem import _certify, estimate_eigenfunctional, solve_eigenvector_perturbation
 from .homog_map import HomogeneousMap, _trial_blocks, from_matrix, verify_properties
 from .spectral import SpectralEstimate
-from .twosex import TwoSexModel, _integer, assess_persistence, build_model, simulate
+from .twosex import TwoSexModel, assess_persistence, build_model, simulate
 
 _COMMANDS = ("radius", "eigen", "functional", "twosex-assess", "twosex-simulate", "validate")
-_BASE_KEYS = {"command", "input", "output_dir", "tolerances", "max_iter", "seed"}
+_OPTIONAL_KEYS = {"output_dir", "tolerances", "max_iter", "seed"}
 _EXTRA_KEYS = {
     "twosex-simulate": {"years", "f0", "emit_densities"},
     "twosex-assess": {"f0"},
@@ -55,19 +55,10 @@ class RunConfig:
     config_sha256: str | None = None
 
 
-@contextmanager
-def _field(name: str, where: str = "input"):
-    """Report a bad value of one input or config field as a config error naming it."""
-    try:
-        yield
-    except (ConeRadError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} field '{name}' is invalid: {exc}") from exc
-
-
 def _density(value, n: int) -> ConeVector:
-    """An initial density from the run config; raises ValueError if it is not
-    a nonnegative vector with one entry per grid cell."""
-    f = ConeVector(np.asarray(value, dtype=float))
+    """An initial density from the run config; raises TypeError or ValueError
+    unless it is a nonnegative vector of numbers, one entry per grid cell."""
+    f = ConeVector(_reals(value))
     if f.dim != n:
         raise ValueError(f"a density has {f.dim} entries, the grid has {n} cells")
     return f
@@ -131,39 +122,29 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("config must be a JSON object")
 
     command = raw.get("command")
-    if command not in _COMMANDS:
-        raise ConfigError(f"command must be one of {_COMMANDS}, got {command!r}")
-    allowed = _BASE_KEYS | _EXTRA_KEYS.get(command, set())
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    if "input" not in raw:
-        raise ConfigError("config is missing required key 'input'")
+    with _field("command", "config"):
+        if command not in _COMMANDS:
+            raise ValueError(f"must be one of {_COMMANDS}, got {command!r}")
+    _require_keys(raw, ("command", "input"), "config",
+                  optional=_OPTIONAL_KEYS | _EXTRA_KEYS.get(command, set()))
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     given = raw.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise ConfigError("config field 'tolerances' must be a mapping")
+    _require_keys(given, (), "config field 'tolerances'", optional=_DEFAULT_TOLERANCES)
     for name, val in given.items():
-        if name not in _DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance '{name}'")
         with _field(f"tolerances.{name}", "config"):
-            # a bool or a string, which float() would coerce, is no tolerance
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise TypeError(f"expected a number, got {val!r}")
-            val = float(val)
-            if not 0.0 < val < np.inf:
-                raise ValueError(f"must be finite and positive, got {val!r}")
-        tolerances[name] = val
+            tolerances[name] = float(_reals(val, 0))
+            if not 0.0 < tolerances[name] < np.inf:
+                raise ValueError(f"must be finite and positive, got {tolerances[name]!r}")
 
     with _field("max_iter", "config"):
         max_iter = _integer(raw.get("max_iter", 10000))
-    if max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
+        if max_iter < 1:
+            raise ValueError("must be >= 1")
     with _field("years", "config"):
         years = _integer(raw.get("years", 20))
-    if years < 1:
-        raise ConfigError("years must be >= 1")
+        if years < 1:
+            raise ValueError("must be >= 1")
     with _field("seed", "config"):
         seed = _integer(raw.get("seed", 0))
     _check_seed(seed, "config field 'seed'")
@@ -195,42 +176,34 @@ def _load_input(raw):
     """The problem in a parsed input file as (map, u, model): the matrix map
     and its u with model None, or a two-sex model's map, order bound and
     model."""
-    if not isinstance(raw, dict):
-        raise ConfigError("input must be a JSON object")
-
-    if "matrix" in raw:
-        unknown = set(raw) - {"matrix", "norm", "u"}
-        if unknown:
-            raise ConfigError(f"unknown input key(s): {sorted(unknown)}")
-        with _field("matrix"):
-            matrix = np.asarray(raw["matrix"], dtype=float)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError("matrix must be square")
-        n = matrix.shape[0]
-        norm = raw.get("norm", "l1")
-        with _field("norm"):
-            if not isinstance(norm, dict):
-                space = ConeSpace(n, NormKind(norm))
-            elif set(norm) != {"weighted"}:
-                raise ValueError('a weighted norm is {"weighted": [...]}')
-            else:
-                space = ConeSpace(n, NormKind.WEIGHTED, np.asarray(norm["weighted"], dtype=float))
-        with _field("matrix"):
-            mp = from_matrix(matrix, space=space)
-        with _field("u"):
-            u = ConeVector(np.asarray(raw.get("u", np.ones(n)), dtype=float))
-            if u.dim != n:
-                raise ValueError(f"u has {u.dim} entries, the matrix has {n} rows")
-            if not np.all(u.entries > 0):
-                raise ValueError("u must be strictly positive")
-            with np.errstate(over="ignore"):
-                if not space.norm(u.entries) < np.inf:
-                    raise ValueError(f"the {space.norm_kind.value} norm of u overflows")
-        return mp, u, None
-    if "grid" in raw:
+    if isinstance(raw, dict) and "grid" in raw:
         model = build_model(raw)
         return model.as_map(), model.order_bound, model
-    raise ConfigError("input must contain either 'matrix' or a two-sex model config")
+    _require_keys(raw, ("matrix",), "input", optional=("norm", "u"))
+    with _field("matrix", "input"):
+        matrix = _reals(raw["matrix"])
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("matrix must be square")
+    n = matrix.shape[0]
+    norm = raw.get("norm", "l1")
+    with _field("norm", "input"):
+        if not isinstance(norm, dict):
+            space = ConeSpace(n, NormKind(norm))
+        else:
+            _require_keys(norm, ("weighted",), "norm")
+            space = ConeSpace(n, NormKind.WEIGHTED, _reals(norm["weighted"]))
+    with _field("matrix", "input"):
+        mp = from_matrix(matrix, space=space)
+    with _field("u", "input"):
+        u = ConeVector(_reals(raw.get("u", np.ones(n))))
+        if u.dim != n:
+            raise ValueError(f"u has {u.dim} entries, the matrix has {n} rows")
+        if not np.all(u.entries > 0):
+            raise ValueError("u must be strictly positive")
+        with np.errstate(over="ignore"):
+            if not space.norm(u.entries) < np.inf:
+                raise ValueError(f"the {space.norm_kind.value} norm of u overflows")
+    return mp, u, None
 
 
 def _json_bytes(obj) -> bytes:
@@ -328,7 +301,11 @@ def _float_rows(block: np.ndarray) -> list[str]:
 
 
 def _run_simulate(cfg: RunConfig, model: TwoSexModel, f0: ConeVector, emit: _Emitter):
-    traj = simulate(model, f0, years=cfg.years)
+    try:
+        traj = simulate(model, f0, years=cfg.years)
+    except MemoryError:   # years + 1 densities do not fit: re-raised, it names years
+        with _field("years", "config"):
+            raise
     header = ["year", "log_total_mass", "gamma_estimate"]
     if cfg.emit_densities:
         header += [f"cell_{i}" for i in range(model.grid.n_cells)]

@@ -1,10 +1,10 @@
 """Finite-dimensional ordered vector space over the nonnegative orthant.
 
-Provides the cone order, the lattice meet, and the order functionals used
-throughout the package: the positive-part hull ``psi_hull``, the symmetric
-``diamond_norm``, the order norm ``u_norm`` and the lower ratio
-``lower_ratio``.  Only monotone norms (L1, LInf, weighted L1) are supported,
-so every functional has an exact entrywise closed form.
+Provides the positive-part hull ``psi_hull``, the symmetric ``diamond_norm``
+and the order norm ``u_norm``, which the program runs on, and the cone order
+``leq``, the lattice ``meet`` and the lower ratio ``lower_ratio``, which no
+program path calls.  Only monotone norms (L1, LInf, weighted L1) are
+supported, so every functional has an exact entrywise closed form.
 """
 
 from __future__ import annotations

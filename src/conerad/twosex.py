@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -32,11 +30,14 @@ import numpy as np
 
 from .cone import ConeSpace, ConeVector, NormKind, u_norm
 from .errors import (
-    ConfigError,
     DimensionError,
     FieldError,
     KernelMassError,
     ModelContractError,
+    _field,
+    _integer,
+    _reals,
+    _require_keys,
 )
 from .homog_map import HomogeneousMap
 from .spectral import SpectralEstimate
@@ -354,8 +355,6 @@ def _gaussian_kernel(grid: SpatialGrid, sigma: float) -> tuple:
     """Gaussian displacement density sampled at cell centers, one factor per
     grid axis (not renormalized, so mass dispersing outside the habitat is
     lost).  The isotropic Gaussian is the product of its 1D marginals."""
-    if sigma <= 0:
-        raise ConfigError("dispersal sigma must be positive")
     norm = (2.0 * math.pi * sigma * sigma) ** 0.5
     factors = []
     for centers, _ in grid.axes:
@@ -370,52 +369,23 @@ def _local_kernel(grid: SpatialGrid) -> tuple:
     return tuple(np.diag(1.0 / widths) for _, widths in grid.axes)
 
 
-@contextmanager
-def _config_field(name: str):
-    """Report a malformed model-config value as a ConfigError naming its field."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"model config field '{name}' is invalid: {exc}") from exc
-
-
-def _integer(value) -> int:
-    """value as an int when it is an integer; a bool, a float or a string,
-    which int() would coerce or round, raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _number(value, name: str, kind=float):
-    with _config_field(name):
-        return kind(value)
-
-
 def _parse_field(value, n: int, name: str) -> np.ndarray:
-    with _config_field(name):
-        arr = np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=float)
-    if arr.shape != (n,):
-        raise ConfigError(f"field {name} must be a scalar or a length-{n} array")
+    with _field(name, "model config"):
+        arr = _reals(value)
+        arr = np.full(n, float(arr)) if arr.ndim == 0 else arr
+        if arr.shape != (n,):
+            raise ValueError(f"must be a scalar or a length-{n} array")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise FieldError(f"field {name} must be finite and nonnegative")
     return arr
 
 
-def _mapping(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    return obj
-
-
-def _require_keys(obj, keys: set, where: str) -> None:
-    """Check that `obj` is a mapping with exactly the given keys."""
-    unknown = set(_mapping(obj, where)) - keys
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = keys - set(obj)
-    if missing:
-        raise ConfigError(f"{where} is missing required key(s) {sorted(missing)}")
+# the kinds of each model config section, with the keys each takes beside "kind"
+_KINDS = {
+    "grid": {"interval1d": ("a", "b", "n_cells"), "rectangle2d": ("bounds", "nx", "ny")},
+    "dispersal": {"gaussian": ("sigma",), "local": ()},
+    "mating": {"harmonic_mean": ("beta",), "min_rate": ("beta1", "beta2")},
+}
 
 
 def build_model(config: dict) -> TwoSexModel:
@@ -433,62 +403,57 @@ def build_model(config: dict) -> TwoSexModel:
 
     A malformed value raises ConfigError naming its field.
     """
-    _require_keys(config, {"grid", "dispersal", "survival", "sex_ratio", "mating"},
-                  "model config")
+    _require_keys(config, ("grid", "dispersal", "survival", "sex_ratio", "mating"), "model config")
+    for name, kinds in _KINDS.items():
+        section = config[name]
+        _require_keys(section, ("kind",), name, optional=sum(kinds.values(), ()))
+        with _field(f"{name}.kind", "model config"):
+            if section["kind"] not in list(kinds):   # a list: a kind may be unhashable
+                raise ValueError(f"must be one of {list(kinds)}, got {section['kind']!r}")
+        _require_keys(section, ("kind", *kinds[section["kind"]]), name)
+    _require_keys(config["survival"], ("female", "male"), "survival")
+    g, disp, mat = config["grid"], config["dispersal"], config["mating"]
 
-    g = config["grid"]
-    kind = _mapping(g, "grid").get("kind")
-    if kind == "interval1d":
-        _require_keys(g, {"kind", "a", "b", "n_cells"}, "grid")
-        a, b = _number(g["a"], "grid.a"), _number(g["b"], "grid.b")
-        n_cells = _number(g["n_cells"], "grid.n_cells", _integer)
-        with _config_field("grid"):
-            grid = SpatialGrid.interval(a, b, n_cells)
-    elif kind == "rectangle2d":
-        _require_keys(g, {"kind", "bounds", "nx", "ny"}, "grid")
-        with _config_field("grid.bounds"):
-            (ax, bx), (ay, by) = g["bounds"]
-            bounds = ((float(ax), float(bx)), (float(ay), float(by)))
-        nx, ny = _number(g["nx"], "grid.nx", _integer), _number(g["ny"], "grid.ny", _integer)
-        with _config_field("grid"):
-            grid = SpatialGrid.rectangle(bounds, nx, ny)
+    if disp["kind"] == "gaussian":
+        with _field("dispersal.sigma", "model config"):
+            sigma = float(_reals(disp["sigma"], 0))
+            if not sigma > 0:
+                raise ValueError(f"must be positive, got {sigma!r}")
+    if g["kind"] == "interval1d":
+        with _field("grid.a", "model config"):
+            a = float(_reals(g["a"], 0))
+        with _field("grid.b", "model config"):
+            b = float(_reals(g["b"], 0))
+        with _field("grid.n_cells", "model config"):
+            n_cells = _integer(g["n_cells"])
+        make_grid = partial(SpatialGrid.interval, a, b, n_cells)
     else:
-        raise ConfigError("grid.kind must be 'interval1d' or 'rectangle2d'")
+        with _field("grid.bounds", "model config"):
+            (ax, bx), (ay, by) = _reals(g["bounds"]).tolist()
+        with _field("grid.nx", "model config"):
+            nx = _integer(g["nx"])
+        with _field("grid.ny", "model config"):
+            ny = _integer(g["ny"])
+        make_grid = partial(SpatialGrid.rectangle, ((ax, bx), (ay, by)), nx, ny)
+    # a grid too large to allocate fails here, in its cell weights or kernel factors
+    with _field("grid", "model config"):
+        grid = make_grid()
+        factors = (_gaussian_kernel(grid, sigma) if disp["kind"] == "gaussian"
+                   else _local_kernel(grid))
     n = grid.n_cells
 
-    disp = config["dispersal"]
-    kind = _mapping(disp, "dispersal").get("kind")
-    if kind == "gaussian":
-        _require_keys(disp, {"kind", "sigma"}, "dispersal")
-        factors = _gaussian_kernel(grid, _number(disp["sigma"], "dispersal.sigma"))
-    elif kind == "local":
-        _require_keys(disp, {"kind"}, "dispersal")
-        factors = _local_kernel(grid)
-    else:
-        raise ConfigError("dispersal.kind must be 'gaussian' or 'local'")
+    rates = []
+    for name, value in (("survival.female", config["survival"]["female"]),
+                        ("survival.male", config["survival"]["male"]),
+                        ("sex_ratio", config["sex_ratio"])):
+        with _field(name, "model config"):
+            rates.append(float(_reals(value, 0)))
+            if not 0.0 <= rates[-1] <= 1.0:
+                raise ValueError(f"must lie in [0, 1], got {rates[-1]}")
+    s_f, s_m, q = rates
 
-    surv = config["survival"]
-    _require_keys(surv, {"female", "male"}, "survival")
-    s_f = _number(surv["female"], "survival.female")
-    s_m = _number(surv["male"], "survival.male")
-    q = _number(config["sex_ratio"], "sex_ratio")
-    for name, val in (("survival.female", s_f), ("survival.male", s_m), ("sex_ratio", q)):
-        if not (0.0 <= val <= 1.0):
-            raise ConfigError(f"{name} must lie in [0, 1], got {val}")
-
-    mat = config["mating"]
-    kind = _mapping(mat, "mating").get("kind")
-    if kind == "harmonic_mean":
-        _require_keys(mat, {"kind", "beta"}, "mating")
-        mating = MatingFunction(MatingKind.HARMONIC_MEAN,
-                                beta=_parse_field(mat["beta"], n, "mating.beta"))
-    elif kind == "min_rate":
-        _require_keys(mat, {"kind", "beta1", "beta2"}, "mating")
-        mating = MatingFunction(MatingKind.MIN_RATE,
-                                beta1=_parse_field(mat["beta1"], n, "mating.beta1"),
-                                beta2=_parse_field(mat["beta2"], n, "mating.beta2"))
-    else:
-        raise ConfigError("mating.kind must be 'harmonic_mean' or 'min_rate'")
+    mating = MatingFunction(mat["kind"], **{key: _parse_field(mat[key], n, f"mating.{key}")
+                                            for key in _KINDS["mating"][mat["kind"]]})
 
     # both sexes hold the female kernel's (frozen) factor tuple
     k_female = MigrationKernel(factors, KernelRole.FEMALE, s_f * q)

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
 import hashlib
+import io
+import itertools
 import json
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conerad import (
     ConeSpace,
@@ -647,3 +656,212 @@ class TestReadJson:
         assert main(["--config", str(path), "--quiet"]) == 0
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["seed"] == 2 ** 64
+
+
+def edited(cfg: dict, path: tuple, value) -> dict:
+    """A deep copy of cfg with the value at path (a tuple of keys) replaced."""
+    out = copy.deepcopy(cfg)
+    section = out
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return out
+
+
+LINEAR = {"matrix": [[0.5, 0.2], [0.1, 0.3]]}
+TWOSEX = gaussian_config(n_cells=3)
+MIN_RATE = edited(TWOSEX, ("mating",), {"kind": "min_rate", "beta1": 2.0, "beta2": 2.5})
+RECTANGLE = edited(TWOSEX, ("grid",), {"kind": "rectangle2d", "bounds": [[0, 1], [0, 1]],
+                                       "nx": 2, "ny": 2})
+
+
+def _number_field_cases():
+    """(command, field, input, config extras): each input or config holds a
+    bool or a string where a number belongs, which float() and numpy coerce."""
+    yield "radius", "matrix", {"matrix": [[True, 0.2], [0.1, "0.3"]]}, {}
+    yield "radius", "u", {**LINEAR, "u": [1.0, True]}, {}
+    yield "radius", "u", {**LINEAR, "u": ["1", "1"]}, {}
+    for weights in ([True], ["2"]):
+        yield "radius", "norm", {"matrix": [[0.5]], "norm": {"weighted": weights}}, {}
+    yield "twosex-simulate", "f0", TWOSEX, {"f0": [1.0, True, "1"]}
+    yield "twosex-assess", "f0", TWOSEX, {"f0": [[1.0, True, "1"]]}
+    yield "twosex-assess", "grid.a", edited(TWOSEX, ("grid", "a"), "0.5"), {}
+    for path in (("grid", "b"), ("dispersal", "sigma"), ("survival", "female"),
+                 ("sex_ratio",), ("mating", "beta")):
+        for bad in (True, "0.5"):
+            yield "twosex-assess", ".".join(path), edited(TWOSEX, path, bad), {}
+    yield ("twosex-assess", "mating.beta1",
+           edited(MIN_RATE, ("mating", "beta1"), [2.0, True, 2.0]), {})
+    yield "twosex-assess", "mating.beta2", edited(MIN_RATE, ("mating", "beta2"), "2.5"), {}
+    yield ("twosex-assess", "grid.bounds",
+           edited(RECTANGLE, ("grid", "bounds"), [[0, True], [0, "1"]]), {})
+
+
+NUMBER_FIELD_CASES = list(_number_field_cases())
+
+
+@pytest.mark.parametrize("command, name, inp, extra", NUMBER_FIELD_CASES,
+                         ids=[f"{case[1]}-{i}" for i, case in enumerate(NUMBER_FIELD_CASES)])
+def test_bool_or_string_in_number_field_names_it(tmp_path, capsys, command, name, inp, extra):
+    # each of these once ran, reading True as 1.0 and "0.3" as 0.3
+    path = make_run(tmp_path, command, inp, **extra)
+    assert main(["--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("conerad: config error:") and f"'{name}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _huge_allocations_fail() -> bool:
+    """Whether an allocation far beyond the machine's memory fails at once.
+    Linux refuses one unless it is set to overcommit always (mode 1); where
+    it does not, the allocation may succeed and then touch its pages."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() != "1"
+    except OSError:
+        return False
+
+
+needs_failing_allocations = pytest.mark.skipif(
+    not _huge_allocations_fail(), reason="a terabyte allocation might not fail here")
+
+
+@needs_failing_allocations
+@pytest.mark.parametrize("grid, dispersal", [
+    ({"kind": "rectangle2d", "bounds": [[0, 1], [0, 1]], "nx": 10**6, "ny": 10**6},
+     {"kind": "local"}),
+    ({"kind": "interval1d", "a": 0.0, "b": 1.0, "n_cells": 10**6},
+     {"kind": "gaussian", "sigma": 0.1}),
+    ({"kind": "interval1d", "a": 0.0, "b": 1.0, "n_cells": 10**6}, {"kind": "local"}),
+], ids=["rectangle-weights", "interval-gaussian", "interval-local"])
+def test_grid_too_large_to_allocate_names_grid(tmp_path, capsys, grid, dispersal):
+    # 10**12 cell weights, or a 10**6 x 10**6 kernel factor: 7.28 TiB each,
+    # refused before a page is touched
+    cfg = edited(edited(TWOSEX, ("grid",), grid), ("dispersal",), dispersal)
+    path = make_run(tmp_path, "twosex-assess", cfg)
+    assert main(["--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("conerad: config error: model config field 'grid' is invalid: ")
+    assert "allocate" in err
+    assert not (tmp_path / "out").exists()
+
+
+@needs_failing_allocations
+def test_years_too_large_to_allocate_names_years(tmp_path, capsys):
+    # the 10**12 + 1 stored densities of 20 cells are 146 TiB; the failure
+    # comes after the output directory exists, so it writes what a
+    # numerical error writes: the error and the seed, and the manifest
+    path = make_run(tmp_path, "twosex-simulate", gaussian_config(n_cells=20),
+                    years=10**12, seed=2)
+    assert main(["--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("conerad: config error: config field 'years' is invalid: ")
+    out = tmp_path / "out"
+    result = json.loads((out / "result.json").read_text())
+    assert result["error"].startswith("ConfigError: config field 'years' is invalid: ")
+    assert result["seed"] == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["result.json", "manifest.json"]
+
+
+def _fuzz_bases(out: str) -> list:
+    """(input, run config) pairs of valid runs whose mappings hold every key
+    they may hold, so an added key is unknown wherever it goes."""
+    rectangle = edited(RECTANGLE, ("grid", "bounds"), [[0.0, 1.0], [0.0, 2.0]])
+    rectangle["dispersal"] = {"kind": "local"}
+    rectangle["mating"] = {"kind": "min_rate", "beta1": [2.0, 3.0, 2.0, 3.0], "beta2": 2.5}
+    run = {"command": None, "input": "input.json", "output_dir": out,
+           "tolerances": {"tol": 1e-8, "inner_tol": 1e-13, "trunc_tol": 1e-10},
+           "max_iter": 500, "seed": 1}
+    return [
+        ({"matrix": [[0.5, 0.2], [0.1, 0.3]], "norm": {"weighted": [1.0, 2.0]}, "u": [1.0, 2.0]},
+         {**run, "command": "radius"}),
+        ({"matrix": [[0.5]], "norm": "linf", "u": [1.0]}, {**run, "command": "validate"}),
+        (copy.deepcopy(TWOSEX), {**run, "command": "twosex-simulate", "years": 2,
+                                 "f0": [1.0, 2.0, 1.0], "emit_densities": False}),
+        (rectangle, {**run, "command": "twosex-assess", "f0": [[1.0, 2.0, 1.0, 2.0]]}),
+    ]
+
+
+def _run_files(tmp, inp, cfg) -> int:
+    write_json(tmp / "input.json", inp)
+    write_json(tmp / "run.json", cfg)
+    return main(["--config", str(tmp / "run.json"), "--quiet"])
+
+
+@pytest.mark.parametrize("base", range(4))
+def test_fuzz_bases_run(tmp_path, base):
+    inp, cfg = _fuzz_bases(str(tmp_path / "out"))[base]
+    assert _run_files(tmp_path, inp, cfg) == 0
+
+
+def _leaf_paths(obj, path=()):
+    """The path of every JSON scalar in obj."""
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+def _mapping_paths(obj, path=()):
+    """The path of every JSON object in obj (the bases hold none in a list)."""
+    if isinstance(obj, dict):
+        yield path
+        for key, value in obj.items():
+            yield from _mapping_paths(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+_SCALARS = st.one_of(st.booleans(), st.text(max_size=4), st.none(),
+                     st.integers(-3, 3), st.floats(-3.0, 3.0))
+# a replacement of another JSON type than the leaf's; an array of non-numbers,
+# so that no replacement is a valid field (a number field may take an array)
+_OTHER_TYPES = {
+    "bool": st.booleans(),
+    "string": st.text(max_size=4),
+    "null": st.none(),
+    "array": st.lists(st.one_of(st.booleans(), st.text(max_size=3), st.none()), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2),
+    "number": st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0)),
+}
+
+
+def _json_type(leaf) -> str:
+    if isinstance(leaf, bool):
+        return "bool"
+    return "string" if isinstance(leaf, str) else "number"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_one_malformed_field_is_named(data):
+    """One leaf replaced by a value of another JSON type, or one unknown key
+    added, anywhere in a valid input or run config: exit 1 naming it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        inp, cfg = data.draw(st.sampled_from(_fuzz_bases(str(tmp / "out"))))
+        doc = data.draw(st.sampled_from([inp, cfg]))
+        if data.draw(st.booleans()):
+            path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+            kind = _json_type(_at(doc, path))
+            _at(doc, path[:-1])[path[-1]] = data.draw(
+                st.one_of(*(s for name, s in _OTHER_TYPES.items() if name != kind)))
+            keys = ".".join(itertools.takewhile(lambda k: isinstance(k, str), path))
+            # a weighted norm's weights are read as the field 'norm'
+            name = "norm" if keys == "norm.weighted" else keys
+        else:
+            mapping = _at(doc, data.draw(st.sampled_from(list(_mapping_paths(doc)))))
+            # 'matrix' and 'grid' choose what kind of input a file holds
+            name = data.draw(st.text(string.ascii_lowercase, min_size=1, max_size=8).filter(
+                lambda k: k not in mapping and k not in ("matrix", "grid")))
+            mapping[name] = data.draw(_SCALARS)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert _run_files(tmp, inp, cfg) == 1
+        assert err.getvalue().startswith("conerad: config error:")
+        assert f"'{name}'" in err.getvalue()
+        assert sorted(p.name for p in tmp.iterdir()) == ["input.json", "run.json"]

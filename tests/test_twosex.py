@@ -126,6 +126,26 @@ class TestBuildModel:
         with pytest.raises(FieldError):
             build_model(cfg)
 
+    @pytest.mark.parametrize("path, value", [
+        (("mating", "beta"), [np.float64(b) for b in (1.5, 2.0, 2.5, 3.0)]),
+        (("mating", "beta"), np.array([1.5, 2.0, 2.5, 3.0])),
+        (("grid", "n_cells"), np.int64(4)),
+    ], ids=["float64-list", "ndarray", "int64"])
+    def test_numpy_numbers_read_as_plain_ones(self, path, value):
+        # library callers pass numpy numbers; the number rule rejects only
+        # bools and strings
+        plain = gaussian_config(n_cells=4, beta=[1.5, 2.0, 2.5, 3.0])
+        want = build_model(plain)
+        plain[path[0]][path[1]] = value
+        got = build_model(plain)
+        assert np.array_equal(got.grid.cell_weights, want.grid.cell_weights)
+        assert np.array_equal(got.mating.beta, want.mating.beta)
+        assert all(np.array_equal(a, b) for a, b in zip(got.k_female.factors,
+                                                        want.k_female.factors))
+        assert (got.k_female.scale, got.k_male.scale) == (want.k_female.scale,
+                                                          want.k_male.scale)
+        assert np.array_equal(got.order_bound.entries, want.order_bound.entries)
+
     def test_order_bound_is_rowwise_max(self, gaussian_model):
         m = gaussian_model
         psi = m.mating.psi_field
