@@ -177,6 +177,9 @@ def _load_input(raw):
     and its u with model None, or a two-sex model's map, order bound and
     model."""
     if isinstance(raw, dict) and "grid" in raw:
+        if "matrix" in raw:
+            raise ConfigError("input holds both 'matrix' and 'grid'; "
+                              "it must be a matrix input or a two-sex model")
         model = build_model(raw)
         return model.as_map(), model.order_bound, model
     _require_keys(raw, ("matrix",), "input", optional=("norm", "u"))

@@ -14,9 +14,10 @@ kernel is ever formed: a Gaussian or local kernel on an nx x ny rectangle
 holds nx^2 + ny^2 values, and ``build_model`` gives both sexes one shared
 factor tuple with per-sex scales, so an evaluation spreads w * f once.
 A hand-built dense n x n kernel is the one-factor case.
-The model carries an order-bound certificate vector u with
-next_year(f) <= ||f||_1 * u for every f, which both feeds the spectral
-routines and is checked at every evaluation.
+The model derives from its kernels' factors and the mating field an
+order-bound certificate vector u with next_year(f) <= ||f||_1 * u for
+every f, which both feeds the spectral routines and is checked at every
+evaluation.
 """
 
 from __future__ import annotations
@@ -107,11 +108,6 @@ def _per_cell(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     return v if f.ndim == 1 else v[:, None]
 
 
-class KernelRole(enum.Enum):
-    FEMALE = "female"
-    MALE = "male"
-
-
 def _kron_apply(factors: tuple, t: np.ndarray) -> np.ndarray:
     """(F_1 kron ... kron F_d) @ t for t of shape (n,) or (n, k), one matmul
     per factor on its own axis of the rows of t.T, (k, n1, ..., nd).
@@ -151,11 +147,11 @@ class MigrationKernel:
     ``factors`` is a tuple of factors, or one square array: a dense kernel
     is the one-factor case.  Factors that already are read-only float
     arrays are held, not copied, so two kernels can share one tuple.
-    Column quadrature mass must be <= 1.
+    Column quadrature mass must be <= 1.  The kernel's sex is the model
+    slot it fills.
     """
 
     factors: tuple
-    role: KernelRole
     scale: float = 1.0
 
     def __post_init__(self):
@@ -174,8 +170,6 @@ class MigrationKernel:
         if not (given is self.factors and all(a is b for a, b in zip(factors, given))):
             object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "scale", scale)
-        if isinstance(self.role, str):
-            object.__setattr__(self, "role", KernelRole(self.role))
 
     @property
     def n_cells(self) -> int:
@@ -185,27 +179,15 @@ class MigrationKernel:
         """Quadrature mass of each column of the unscaled factor product."""
         return _kron_apply(tuple(fac.T for fac in self.factors), grid.cell_weights)
 
-    def validate_mass(self, column_mass: np.ndarray) -> None:
+    def validate_mass(self, column_mass: np.ndarray, slot: str) -> None:
         """Raise unless every column carries mass <= 1, given this kernel's
-        ``column_mass(grid)``."""
+        ``column_mass(grid)``; slot names the kernel in the error."""
         mass = self.scale * column_mass
         worst = int(np.argmax(mass))
         if mass[worst] > 1.0 + _MASS_TOL:
             raise KernelMassError(
-                f"{self.role.value} kernel column {worst} carries mass "
+                f"{slot} kernel column {worst} carries mass "
                 f"{mass[worst]:.6g} > 1", cell=worst)
-
-
-def _tight_order_bound(psi: np.ndarray, k_female: MigrationKernel,
-                       k_male: MigrationKernel) -> np.ndarray:
-    """psi * rowmax(K_f + K_m): the least u with psi_i (K_f + K_m)_ij <= u_i.
-
-    Kernels sharing one factor tuple need only its row maxima; distinct
-    kernels are summed densely."""
-    if k_female.factors is k_male.factors:
-        return psi * ((k_female.scale + k_male.scale) * _kron_row_max(k_female.factors))
-    dense = [k.scale * reduce(np.kron, k.factors) for k in (k_female, k_male)]
-    return psi * np.max(dense[0] + dense[1], axis=1)
 
 
 class MatingKind(enum.Enum):
@@ -260,30 +242,42 @@ class MatingFunction:
 
 @dataclass(frozen=True)
 class TwoSexModel:
-    """Grid, kernels, mating function, and the order-bound certificate u."""
+    """Grid, kernels and mating function; the order-bound certificate u is
+    derived from them.
+
+    u = psi * (c_f R_f + c_m R_m), with psi the mating function at (1, 1),
+    c the kernel scales and R the row maxima of each kernel's factor
+    product, dominates psi * (K_f + K_m) row by row.  Kernels sharing one
+    factor tuple have R_f = R_m, and u = psi * ((c_f + c_m) R) is then the
+    least such bound.
+    """
 
     grid: SpatialGrid
     k_female: MigrationKernel
     k_male: MigrationKernel
     mating: MatingFunction
-    order_bound: ConeVector
+    order_bound: ConeVector = field(init=False)
 
     def __post_init__(self):
         n = self.grid.n_cells
-        if self.k_female.n_cells != n or self.k_male.n_cells != n:
+        k_f, k_m = self.k_female, self.k_male
+        if k_f.n_cells != n or k_m.n_cells != n:
             raise DimensionError("kernel size does not match grid")
-        # kernels sharing one factor tuple share its column masses
-        mass = self.k_female.column_mass(self.grid)
-        self.k_female.validate_mass(mass)
-        if self.k_male.factors is not self.k_female.factors:
-            mass = self.k_male.column_mass(self.grid)
-        self.k_male.validate_mass(mass)
-        if self.mating.n_cells != n or self.order_bound.dim != n:
+        shared = k_m.factors is k_f.factors
+        # kernels sharing one factor tuple share its column masses and row maxima
+        mass = k_f.column_mass(self.grid)
+        k_f.validate_mass(mass, "female")
+        if not shared:
+            mass = k_m.column_mass(self.grid)
+        k_m.validate_mass(mass, "male")
+        if self.mating.n_cells != n:
             raise DimensionError("field sizes do not match grid")
-        bound = _tight_order_bound(self.mating.psi_field, self.k_female, self.k_male)
-        if float(np.max(bound - self.order_bound.entries)) > 1e-12 * max(
-                1.0, float(np.max(bound))):
-            raise FieldError("order bound does not dominate psi * (k1 + k2)")
+        rows = _kron_row_max(k_f.factors)
+        if shared:
+            rows = (k_f.scale + k_m.scale) * rows
+        else:
+            rows = k_f.scale * rows + k_m.scale * _kron_row_max(k_m.factors)
+        object.__setattr__(self, "order_bound", ConeVector(self.mating.psi_field * rows))
 
     @property
     def space(self) -> ConeSpace:
@@ -456,11 +450,9 @@ def build_model(config: dict) -> TwoSexModel:
                                             for key in _KINDS["mating"][mat["kind"]]})
 
     # both sexes hold the female kernel's (frozen) factor tuple
-    k_female = MigrationKernel(factors, KernelRole.FEMALE, s_f * q)
-    k_male = MigrationKernel(k_female.factors, KernelRole.MALE, s_m * (1.0 - q))
-    u = _tight_order_bound(mating.psi_field, k_female, k_male)
-    return TwoSexModel(grid=grid, k_female=k_female, k_male=k_male,
-                       mating=mating, order_bound=ConeVector(u))
+    k_female = MigrationKernel(factors, s_f * q)
+    k_male = MigrationKernel(k_female.factors, s_m * (1.0 - q))
+    return TwoSexModel(grid=grid, k_female=k_female, k_male=k_male, mating=mating)
 
 
 @dataclass

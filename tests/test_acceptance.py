@@ -294,10 +294,9 @@ def test_c11_support_disjoint_extinction():
     right[n // 2:, :] = 0.5 / (h * (n // 2))
     model = TwoSexModel(
         grid=grid,
-        k_female=MigrationKernel(left, "female"),
-        k_male=MigrationKernel(right, "male"),
+        k_female=MigrationKernel(left),
+        k_male=MigrationKernel(right),
         mating=MatingFunction(MatingKind.HARMONIC_MEAN, beta=np.full(n, 3.0)),
-        order_bound=ConeVector(np.full(n, 1.5 * 0.5 / (h * (n // 2)) * 2)),
     )
     step = model.as_map().raw
     rng = np.random.default_rng(SEED + 8)

@@ -550,6 +550,16 @@ class TestOtherCommands:
         assert err == f"conerad: config error: {command} requires a two-sex model input\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["radius", "twosex-assess"])
+    def test_matrix_and_grid_in_one_input_names_both(self, tmp_path, capsys, command):
+        # either key alone chooses the input format; both at once are neither
+        path = make_run(tmp_path, command, {"matrix": [[0.5]], "grid": 1})
+        assert main(["--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("conerad: config error:")
+        assert "'matrix'" in err and "'grid'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["radius", "eigen", "functional"])
     def test_overflowing_products_exit_2(self, tmp_path, capsys, command):
         # B(u_hat) is finite, but its norm, and with it eps, overflows
@@ -856,9 +866,8 @@ def test_one_malformed_field_is_named(data):
             name = "norm" if keys == "norm.weighted" else keys
         else:
             mapping = _at(doc, data.draw(st.sampled_from(list(_mapping_paths(doc)))))
-            # 'matrix' and 'grid' choose what kind of input a file holds
             name = data.draw(st.text(string.ascii_lowercase, min_size=1, max_size=8).filter(
-                lambda k: k not in mapping and k not in ("matrix", "grid")))
+                lambda k: k not in mapping))
             mapping[name] = data.draw(_SCALARS)
         with contextlib.redirect_stderr(io.StringIO()) as err:
             assert _run_files(tmp, inp, cfg) == 1

@@ -38,7 +38,7 @@ from conerad.eigenproblem import _certify, _psi_normalize
 from conerad.homog_map import unit_cone_probes
 from conerad.oracle import linear_radius_exact
 
-from conftest import counting_map, dense_kernel, gaussian_config
+from conftest import counting_map, gaussian_config
 
 
 def vec(*vals):
@@ -235,11 +235,10 @@ class TestContinuationReference:
             cfg["mating"] = mating
             models.append(build_model(cfg))
         narrow, wide = models
-        k_f = MigrationKernel(narrow.k_female.factors, "female", narrow.k_female.scale)
-        k_m = MigrationKernel(wide.k_male.factors, "male", wide.k_male.scale)
-        u = narrow.mating.psi_field * np.max(dense_kernel(k_f) + dense_kernel(k_m), axis=1)
+        k_f = MigrationKernel(narrow.k_female.factors, narrow.k_female.scale)
+        k_m = MigrationKernel(wide.k_male.factors, wide.k_male.scale)
         model = TwoSexModel(grid=narrow.grid, k_female=k_f, k_male=k_m,
-                            mating=narrow.mating, order_bound=ConeVector(u))
+                            mating=narrow.mating)
         mp = model.as_map()
         f, g = np.ones(n), np.linspace(0.1, 1.0, n)
         additivity = np.abs(mp.raw(f + g) - mp.raw(f) - mp.raw(g)).max()

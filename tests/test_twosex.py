@@ -151,6 +151,11 @@ class TestBuildModel:
         psi = m.mating.psi_field
         want = psi * np.max(dense_kernel(m.k_female) + dense_kernel(m.k_male), axis=1)
         assert np.allclose(m.order_bound.entries, want, rtol=1e-15)
+        # one shared factor tuple: psi * ((c_f + c_m) R), to the bit, with R
+        # the row maxima of the unscaled factor product
+        rows = np.max(dense_kernel(MigrationKernel(m.k_female.factors)), axis=1)
+        assert np.array_equal(m.order_bound.entries,
+                              psi * ((m.k_female.scale + m.k_male.scale) * rows))
 
 
 GRIDS = {
@@ -201,20 +206,43 @@ class TestFactoredKernel:
                 assert got.shape == f.shape
                 assert np.allclose(got, want, rtol=1e-13, atol=0.0)
         # the mass check, with the heaviest column put just above and below 1
-        unit = twosex.MigrationKernel(kerns[0].factors, "female")
+        unit = twosex.MigrationKernel(kerns[0].factors)
         mass = w @ dense_kernel(unit)
         for above in (True, False):
-            kern = twosex.MigrationKernel(unit.factors, "female",
+            kern = twosex.MigrationKernel(unit.factors,
                                           (1.0 + (1e-9 if above else -1e-9)) / mass.max())
             if above:
                 with pytest.raises(KernelMassError) as exc:
-                    kern.validate_mass(kern.column_mass(g))
+                    kern.validate_mass(kern.column_mass(g), "female")
                 assert mass[exc.value.cell] == pytest.approx(mass.max(), rel=1e-13)
             else:
-                kern.validate_mass(kern.column_mass(g))
+                kern.validate_mass(kern.column_mass(g), "female")
         psi = model.mating.psi_field
         want = psi * np.max(dense_kernel(kerns[0]) + dense_kernel(kerns[1]), axis=1)
         assert np.allclose(model.order_bound.entries, want, rtol=1e-14, atol=0.0)
+        rows = np.max(dense_kernel(unit), axis=1)
+        assert np.array_equal(model.order_bound.entries,
+                              psi * ((kerns[0].scale + kerns[1].scale) * rows))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_unshared_order_bound_sums_row_maxima(self, grid):
+        # narrow females, wide males: two factor tuples, whose row maxima
+        # give u without forming either kernel
+        models = []
+        for sigma in (0.2, 0.6):
+            cfg = gaussian_config(s_f=0.6, s_m=0.5, q=0.4, sigma=sigma)
+            cfg["grid"] = GRIDS[grid]
+            models.append(build_model(cfg))
+        narrow, wide = models
+        model = TwoSexModel(narrow.grid, narrow.k_female, wide.k_male, narrow.mating)
+        k_f, k_m = model.k_female, model.k_male
+        assert k_f.factors is not k_m.factors
+        psi = model.mating.psi_field
+        rows_f, rows_m = (np.max(dense_kernel(MigrationKernel(k.factors)), axis=1)
+                          for k in (k_f, k_m))
+        u = model.order_bound.entries
+        assert np.array_equal(u, psi * (k_f.scale * rows_f + k_m.scale * rows_m))
+        assert np.all(u >= psi * np.max(dense_kernel(k_f) + dense_kernel(k_m), axis=1))
 
     def test_one_kernel_application_per_evaluation_when_shared(self, rng, monkeypatch):
         calls = []
@@ -230,9 +258,9 @@ class TestFactoredKernel:
         # the same kernels as dense, separately held matrices
         distinct = TwoSexModel(
             grid=shared.grid,
-            k_female=MigrationKernel(dense_kernel(shared.k_female), "female"),
-            k_male=MigrationKernel(dense_kernel(shared.k_male), "male"),
-            mating=shared.mating, order_bound=shared.order_bound)
+            k_female=MigrationKernel(dense_kernel(shared.k_female)),
+            k_male=MigrationKernel(dense_kernel(shared.k_male)),
+            mating=shared.mating)
         monkeypatch.setattr(twosex, "_kron_apply", counting)
         f = rng.random((15, 3))
         got = shared.as_map().raw(f)
@@ -248,48 +276,58 @@ class TestFactoredKernel:
         real = twosex.MigrationKernel.column_mass
 
         def counting(kern, g):
-            calls.append(kern.role)
+            calls.append(kern)
             return real(kern, g)
 
         monkeypatch.setattr(twosex.MigrationKernel, "column_mass", counting)
         cfg = gaussian_config(s_f=0.6, s_m=0.5)
         cfg["grid"] = GRIDS[grid]
         shared = build_model(cfg)
-        assert calls == [twosex.KernelRole.FEMALE]
+        assert len(calls) == 1 and calls[0] is shared.k_female
         calls.clear()
-        distinct = [MigrationKernel(dense_kernel(k), k.role) for k in
+        distinct = [MigrationKernel(dense_kernel(k)) for k in
                     (shared.k_female, shared.k_male)]
         TwoSexModel(grid=shared.grid, k_female=distinct[0], k_male=distinct[1],
-                    mating=shared.mating, order_bound=shared.order_bound)
-        assert calls == [twosex.KernelRole.FEMALE, twosex.KernelRole.MALE]
-        # the shared mass is still checked at each kernel's own scale
+                    mating=shared.mating)
+        assert len(calls) == 2 and calls[0] is distinct[0] and calls[1] is distinct[1]
+        # the shared mass is still checked at each kernel's own scale, and
+        # the error names the kernel by its slot
         w = shared.grid.cell_weights
-        peak = float(np.max(w @ dense_kernel(MigrationKernel(shared.k_female.factors, "male"))))
-        for role, over in (("female", (2.0, 0.5)), ("male", (0.5, 2.0))):
-            k_f, k_m = (MigrationKernel(shared.k_female.factors, r, c / peak)
-                        for r, c in zip(("female", "male"), over))
+        peak = float(np.max(w @ dense_kernel(MigrationKernel(shared.k_female.factors))))
+        for slot, over in (("female", (2.0, 0.5)), ("male", (0.5, 2.0))):
+            k_f, k_m = (MigrationKernel(shared.k_female.factors, c / peak) for c in over)
             assert k_m.factors is k_f.factors
-            with pytest.raises(KernelMassError, match=f"{role} kernel"):
+            with pytest.raises(KernelMassError, match=f"^{slot} kernel"):
                 TwoSexModel(grid=shared.grid, k_female=k_f, k_male=k_m,
-                            mating=shared.mating,
-                            order_bound=ConeVector(np.full(shared.grid.n_cells, 1e9)))
+                            mating=shared.mating)
 
     def test_build_model_memory_is_per_axis(self):
         # 40 x 40 cells: one dense kernel would take 8 * 1600^2 B = 20.5 MB
-        cfg = gaussian_config()
-        cfg["grid"] = {"kind": "rectangle2d", "bounds": [[0.0, 1.0], [0.0, 1.0]],
-                       "nx": 40, "ny": 40}
-        tracemalloc.start()
-        try:
-            model = build_model(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        def config(sigma):
+            cfg = gaussian_config(sigma=sigma)
+            cfg["grid"] = {"kind": "rectangle2d", "bounds": [[0.0, 1.0], [0.0, 1.0]],
+                           "nx": 40, "ny": 40}
+            return cfg
+
+        def unshared():
+            # narrow females, wide males: two factor tuples and their order bound
+            narrow, wide = build_model(config(0.05)), build_model(config(0.2))
+            k_f = MigrationKernel(narrow.k_female.factors, narrow.k_female.scale)
+            k_m = MigrationKernel(wide.k_male.factors, wide.k_male.scale)
+            return TwoSexModel(narrow.grid, k_f, k_m, narrow.mating)
+
         per_axis = 8 * (40 * 40 + 40 * 40)
-        held = {id(fac): fac.nbytes for kern in (model.k_female, model.k_male)
-                for fac in kern.factors}
-        assert sum(held.values()) == per_axis
-        assert peak < 16 * per_axis
+        for make, tuples in ((lambda: build_model(config(0.1)), 1), (unshared, 2)):
+            tracemalloc.start()
+            try:
+                model = make()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = {id(fac): fac.nbytes for kern in (model.k_female, model.k_male)
+                    for fac in kern.factors}
+            assert sum(held.values()) == tuples * per_axis
+            assert peak < 16 * per_axis
 
     def test_large_habitat_bracket_contains_exact_radius(self):
         # 128 x 128 cells, beyond any dense kernel.  With one scalar beta the
@@ -353,10 +391,9 @@ class TestStepContracts:
         right[n // 2:, :] = 0.4 / (h * (n // 2))
         model = TwoSexModel(
             grid=grid,
-            k_female=MigrationKernel(left, "female"),
-            k_male=MigrationKernel(right, "male"),
+            k_female=MigrationKernel(left),
+            k_male=MigrationKernel(right),
             mating=MatingFunction(MatingKind.HARMONIC_MEAN, beta=np.full(n, 2.0)),
-            order_bound=ConeVector(np.full(n, 2.0 / (h * (n // 2)))),
         )
         step = model.as_map().raw
         rng = np.random.default_rng(3)
@@ -426,11 +463,10 @@ class TestTranspose:
         grid = SpatialGrid.interval(0.0, 1.0, n)
         idx = np.arange(n)
         near = np.exp(-np.abs(idx[:, None] - idx[None, :]))
-        k_f = MigrationKernel(near, "female", 0.5)
-        k_m = MigrationKernel(near.T @ near, "male", 0.2)
+        k_f = MigrationKernel(near, 0.5)
+        k_m = MigrationKernel(near.T @ near, 0.2)
         mating = MatingFunction(MatingKind.HARMONIC_MEAN, beta=np.full(n, 3.0))
-        u = twosex._tight_order_bound(mating.psi_field, k_f, k_m)
-        model = TwoSexModel(grid, k_f, k_m, mating, ConeVector(u))
+        model = TwoSexModel(grid, k_f, k_m, mating)
         assert model.as_map().transposed() is None
         phi = estimate_eigenfunctional(model.as_map(), model.order_bound,
                                        model.order_bound, normalizer_samples=8)
