@@ -247,6 +247,7 @@ def _run_radius(cfg: RunConfig, mp: HomogeneousMap, u: ConeVector, emit: _Emitte
     payload = est.to_json()
     payload["start"] = start
     payload["eigen_steps"] = None if eigen is None else eigen.steps
+    payload["eigen_solves"] = None if eigen is None else eigen.solves
     return (0 if est.converged else 2), payload
 
 

@@ -1,11 +1,17 @@
 """Positive eigenvector and eigenfunctional solvers.
 
-Three constructive schemes:
+Four constructive schemes:
 
-* one shifted stage of normalized fixed-point steps on B_eps + c I, with
-  B_eps = B + eps * psi(.) * u and eps one ulp of B(u_hat), sped up by
-  Anderson mixing of the last few steps after a coarse phase at a larger
-  eps (eigenvectors),
+* Noda's shifted inverse iteration on B_eps = B + eps * psi(.) * u, with eps
+  one ulp of B(u_hat), for a matrix map on an L1 or weighted space of at
+  most _NODA_MAX_DIM cells (eigenvectors): B_eps is then a strictly
+  positive matrix, and each step is one dense solve at a shift above every
+  Collatz-Wielandt bound, so the iterates converge to its Perron vector,
+  reducible B included,
+* one shifted stage of normalized fixed-point steps on B_eps + c I, sped up
+  by Anderson mixing of the last few steps after a coarse phase at a larger
+  eps (eigenvectors of every other map, and the fallback when Noda's first
+  solve fails),
 * the decreasing lattice iteration x_k = min(B x_{k-1}/r + 2^-k u, u)
   producing sub-eigenvectors,
 * truncated-resolvent functionals x -> x* . R_lam(x), normalized by a
@@ -41,6 +47,8 @@ _MONOTONE_SLACK = 1e-12  # relative slack absorbing evaluator roundoff
 _ANDERSON_DEPTH = 6      # residual differences one mixing step combines
 _COARSE_EPS = 1e-4       # eps of the coarse phase, relative to psi(B(u_hat)) / psi(u)
 _COARSE_TOL = 1e-6       # step size at which the coarse phase hands over
+_NODA_MAX_DIM = 128      # largest matrix map that takes Noda's iteration (dense solves)
+_NODA_SHIFT = 1.0 + 2.0 ** -40   # relative lift of each Noda shift above its bound
 
 
 class EigenMode(enum.Enum):
@@ -55,8 +63,8 @@ class EigenResult:
     [cw_lower, cw_upper] is the outward-rounded Collatz-Wielandt bracket of
     the vector itself, a certified enclosure of the radius; it is [0, inf]
     where the solver computes none.  steps counts the map evaluations of the
-    solve.  image is B(vector) where the solver evaluated it; it is not
-    part of the JSON wire format.
+    solve and solves its dense linear solves.  image is B(vector) where the
+    solver evaluated it; it is not part of the JSON wire format.
     """
 
     vector: ConeVector          # normalized so psi(vector) = 1
@@ -67,6 +75,7 @@ class EigenResult:
     cw_lower: float = 0.0
     cw_upper: float = math.inf
     steps: int = 0
+    solves: int = 0
     image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
@@ -78,6 +87,7 @@ class EigenResult:
             "residual": self.residual,
             "mode": self.mode.value,
             "steps": self.steps,
+            "solves": self.solves,
             "trace": [[float(a), float(b)] for a, b in self.trace],
         }
 
@@ -97,27 +107,41 @@ def _psi_normalize(space: ConeSpace, v: np.ndarray) -> np.ndarray:
 def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
                                    inner_tol: float = 1e-13,
                                    max_inner: int = 20000) -> EigenResult:
-    """Eigenvector from one shifted stage on B_eps + c I, B_eps = B + eps * psi(.) * u.
+    """Eigenvector of B_eps = B + eps * psi(.) * u, by Noda's iteration on a
+    small matrix and by a shifted Anderson stage on any other map.
 
     Both constants come from the image B(u_hat) of u_hat = u / psi(u), which
     also checks that B does not annihilate the cone: c = psi(B(u_hat)) and
     eps = 2^-52 * c / psi(u), one ulp of that image in the direction u.  The
-    shift keeps the eigenvectors, moves the radius to r + c and removes any
-    periodicity; the eps term keeps B_eps strictly increasing, so every step
-    lands in the open cone, and moves the eigenvector by rounding level only.
+    eps term makes B_eps strictly increasing, so its Perron vector is unique
+    and strictly positive, and moves the eigenvector by rounding level only.
 
-    The stage is Anderson mixing (Walker & Ni 2011) on the fixed-point step
-    g = normalize(B_eps(v) + c v), from u_hat until a step moves the
-    iterate by less than inner_tol; the first step takes B_eps(u_hat) from
-    B(u_hat) instead of evaluating u_hat again.  Every step keeps the last
-    _ANDERSON_DEPTH + 1 steps g and residuals f = g - v, solves one least
-    squares problem min ||f - dF gamma|| on the residual differences dF, and
-    moves to normalize(g - dG gamma), with dG the matching differences of g.
-    That removes several error modes at once, real or rotating, and needs
-    nothing from B but its values, so nonlinear maps take it too.  Mixing
-    acts on the support only: an entry with g_i < inner_tol * max(g) keeps
-    g_i, every other entry is clipped at 0 (and a mix clipped to zero keeps
-    g).  One step is one evaluation, and max_inner counts steps.
+    A matrix map on an L1 or weighted space of dimension at most
+    _NODA_MAX_DIM has a strictly positive matrix B_eps, and takes Noda's
+    shifted inverse iteration (``_noda_stage``; T. Noda, Numer. Math. 17,
+    1971): each step is one dense solve at a shift above every
+    Collatz-Wielandt bound, whose inverse is a positive operator, so the
+    stage converges to the Perron vector even of a reducible B, quadratically
+    (L. Elsner, Linear Algebra Appl. 15, 1976).  Every solve counts against
+    max_inner.  When its first solve is singular or leaves the open cone,
+    the Anderson stage below runs instead.
+
+    Every other map (two-sex, ``from_callable``, a matrix map on an LInf
+    space, where B_eps holds no matrix, or a larger matrix) takes one
+    shifted stage of Anderson mixing (Walker & Ni 2011) on the fixed-point
+    step g = normalize(B_eps(v) + c v), from u_hat until a step moves the
+    iterate by less than inner_tol; the shift c I keeps the eigenvectors,
+    moves the radius to r + c and removes any periodicity.  The first step
+    takes B_eps(u_hat) from B(u_hat) instead of evaluating u_hat again.
+    Every step keeps the last _ANDERSON_DEPTH + 1 steps g and residuals
+    f = g - v, solves one least squares problem min ||f - dF gamma|| on the
+    residual differences dF, and moves to normalize(g - dG gamma), with dG
+    the matching differences of g.  That removes several error modes at
+    once, real or rotating, and needs nothing from B but its values, so
+    nonlinear maps take it too.  Mixing acts on the support only: an entry
+    with g_i < inner_tol * max(g) keeps g_i, every other entry is clipped at
+    0 (and a mix clipped to zero keeps g).  One step is one evaluation, and
+    max_inner counts steps.
 
     Two safeguards keep the mixing on the Perron vector.  Mixing minimizes
     the residual, so it also converges to the other nonnegative eigenvectors
@@ -130,11 +154,11 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     steps without a new smallest residual takes plain steps until one comes,
     then starts a fresh window.
 
-    The returned lam is the Rayleigh value psi(B(v)) of the unperturbed map
-    at the final iterate, the trace is the one row (eps, lam) of the fine
-    phase, [cw_lower, cw_upper] is the Collatz-Wielandt bracket of (v, B(v)),
-    and steps counts the map evaluations of the solve, B(u_hat) and the
-    final B(v) included.
+    Either way the returned lam is the Rayleigh value psi(B(v)) of the
+    unperturbed map at the final iterate, the trace is the one row
+    (eps, lam), [cw_lower, cw_upper] is the Collatz-Wielandt bracket of
+    (v, B(v)), steps counts the map evaluations of the solve, B(u_hat) and
+    the final B(v) included, and solves counts its dense solves.
     """
     space = mp.space
     if u.dim != space.dim or not np.all(u.entries > 0):
@@ -159,6 +183,81 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     if not eps > 0:
         raise DegenerateBoundError(f"perturbation eps = 2^-52 * {scale!r} underflows to zero")
     pert = perturb(mp, eps, u)
+    noda, solves = None, 0
+    if pert.matrix is not None and space.dim <= _NODA_MAX_DIM:
+        # the first image by perturb's own arithmetic on B(u_hat)
+        noda = _noda_stage(pert, v, bv + u.entries * (eps * space.norm(v)),
+                           inner_tol, max_inner)
+        solves = 1                      # a first solve that fails still counts
+    if noda is None:
+        v, steps = _anderson_stage(pert, u, v, bv, c, eps, scale, inner_tol, max_inner)
+    else:
+        v, steps, solves = noda
+        steps += 1                      # B(u_hat)
+
+    bv = mp.raw(v)
+    lam = psi_hull(space, bv)
+    residual = space.norm(bv - lam * v)
+    mode = EigenMode.EXACT if residual <= 100.0 * inner_tol * max(1.0, lam) else EigenMode.SUB_EIGEN
+    lower, upper = _cw_ratios(v[:, None], bv[:, None])
+    lo, hi = _outward(float(lower[0]), float(upper[0]), space.dim)
+    return EigenResult(vector=ConeVector(v), lam=lam, residual=residual, mode=mode,
+                       trace=[(eps, lam)], cw_lower=lo, cw_upper=hi, steps=steps + 1,
+                       solves=solves, image=bv)
+
+
+def _noda_stage(pert: HomogeneousMap, v: np.ndarray, bv: np.ndarray, inner_tol: float,
+                max_inner: int) -> tuple[np.ndarray, int, int] | None:
+    """Noda's iteration on the strictly positive matrix of pert: (v, evaluations, solves).
+
+    From v = u_hat with bv = B_eps(v), each step solves (s I - B_eps) x = v
+    at s = sigma * _NODA_SHIFT, sigma the largest ratio (B_eps v)_i / v_i,
+    and moves to x / psi(x), whose image from pert.raw gives the next sigma
+    and the spread of its ratios.  s lies above the radius, so the inverse
+    is the positive series sum_k B_eps^k / s^(k+1).  The stage stops when
+    the spread is at most inner_tol * sigma, and when an iterate lowers
+    neither the least sigma nor the least spread so far, or is not strictly
+    positive and finite: then it keeps the iterate before.  sigma alone can
+    reach the radius, to rounding level, steps before the vector does on a
+    reducible B.  It returns None when the first solve gives no strictly
+    positive finite iterate, and raises InnerIterationError after max_inner
+    solves.  evaluations counts the pert.raw calls.
+    """
+    space = pert.space
+    diagonal = np.diag_indices(space.dim)
+    ratios = bv / v
+    sigma = best_sigma = float(ratios.max())
+    best_spread = sigma - float(ratios.min())
+    for solves in range(1, max_inner + 1):
+        a = -pert.matrix
+        a[diagonal] += sigma * _NODA_SHIFT
+        try:
+            x = np.linalg.solve(a, v)
+        except np.linalg.LinAlgError:       # exactly singular
+            x = None
+        if x is not None:
+            with np.errstate(all="ignore"):
+                x = x / space.norm(x)
+        if x is None or not (x.min() > 0.0 and x.max() < math.inf):
+            return None if solves == 1 else (v, solves - 1, solves)
+        with np.errstate(over="ignore"):
+            ratios = pert.raw(x) / x
+        sigma = float(ratios.max())
+        spread = sigma - float(ratios.min())
+        if not (sigma < best_sigma or spread < best_spread):
+            return v, solves, solves
+        v, best_sigma, best_spread = x, min(sigma, best_sigma), min(spread, best_spread)
+        if spread <= inner_tol * sigma:
+            return v, solves, solves
+    raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
+
+
+def _anderson_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.ndarray,
+                    c: float, eps: float, scale: float, inner_tol: float,
+                    max_inner: int) -> tuple[np.ndarray, int]:
+    """The mixed stage of ``solve_eigenvector_perturbation`` on pert = B_eps,
+    from v = u_hat with bv = B(u_hat): (v, evaluations), B(u_hat) included."""
+    space = pert.space
     # the coarse phase runs on B_eps + extra * psi(.) * u, the fine one on B_eps
     extra, tol = _COARSE_EPS * scale - eps, max(_COARSE_TOL, inner_tol)
     # the first image by perturb's own arithmetic on B(u_hat): no second evaluation
@@ -177,7 +276,7 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
         v = g
         if res < tol:
             if not extra:
-                break
+                return v, steps
             # the coarse phase has settled: the fine one starts from it
             extra, tol, fresh = 0.0, inner_tol, True
         else:
@@ -204,18 +303,7 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
         bv_eps = pert.raw(v)
         if extra:
             bv_eps = bv_eps + u.entries * (extra * space.norm(v))
-    else:
-        raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
-
-    bv = mp.raw(v)
-    lam = psi_hull(space, bv)
-    residual = space.norm(bv - lam * v)
-    mode = EigenMode.EXACT if residual <= 100.0 * inner_tol * max(1.0, lam) else EigenMode.SUB_EIGEN
-    lower, upper = _cw_ratios(v[:, None], bv[:, None])
-    lo, hi = _outward(float(lower[0]), float(upper[0]), space.dim)
-    return EigenResult(vector=ConeVector(v), lam=lam, residual=residual, mode=mode,
-                       trace=[(eps, lam)], cw_lower=lo, cw_upper=hi, steps=steps + 1,
-                       image=bv)
+    raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
 
 
 def _certify(mp: HomogeneousMap, u: ConeVector, tol: float, max_iter: int,

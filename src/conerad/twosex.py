@@ -31,6 +31,7 @@ import numpy as np
 
 from .cone import ConeSpace, ConeVector, NormKind, u_norm
 from .errors import (
+    DegenerateBoundError,
     DimensionError,
     FieldError,
     KernelMassError,
@@ -277,7 +278,13 @@ class TwoSexModel:
             rows = (k_f.scale + k_m.scale) * rows
         else:
             rows = k_f.scale * rows + k_m.scale * _kron_row_max(k_m.factors)
-        object.__setattr__(self, "order_bound", ConeVector(self.mating.psi_field * rows))
+        with np.errstate(over="ignore"):
+            bound = self.mating.psi_field * rows
+        if not np.all(bound < math.inf):
+            raise DegenerateBoundError(
+                "the order bound psi * (c_f R_f + c_m R_m) overflows: the mating rates are "
+                "too large for the kernels")
+        object.__setattr__(self, "order_bound", ConeVector(bound))
 
     @property
     def space(self) -> ConeSpace:
@@ -452,7 +459,11 @@ def build_model(config: dict) -> TwoSexModel:
     # both sexes hold the female kernel's (frozen) factor tuple
     k_female = MigrationKernel(factors, s_f * q)
     k_male = MigrationKernel(k_female.factors, s_m * (1.0 - q))
-    return TwoSexModel(grid=grid, k_female=k_female, k_male=k_male, mating=mating)
+    try:
+        return TwoSexModel(grid=grid, k_female=k_female, k_male=k_male, mating=mating)
+    except DegenerateBoundError:    # the order bound, which the mating rates scale, overflowed
+        with _field("mating", "model config"):
+            raise
 
 
 @dataclass
@@ -554,10 +565,13 @@ class PersistenceReport:
     error: str | None = None
 
     def to_json(self) -> dict:
+        eigen = None if self.eigen is None else self.eigen.to_json()
+        if eigen is not None:
+            del eigen["solves"]     # always 0: a two-sex map takes no dense solves
         out = {
             "radius": self.radius.to_json(),
             "verdict": self.verdict,
-            "eigen": None if self.eigen is None else self.eigen.to_json(),
+            "eigen": eigen,
             "gamma_probes": [g.to_json() for g in self.gamma_probes],
         }
         if self.error is not None:

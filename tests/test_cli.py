@@ -173,6 +173,7 @@ class TestRadiusCommand:
         eigen = solve_eigenvector_perturbation(from_matrix(mat), ConeVector(np.ones(n)),
                                                max_inner=2000)
         assert (result["start"], result["eigen_steps"]) == ("eigenvector", eigen.steps)
+        assert result["eigen_solves"] == eigen.solves > 0
 
     def test_annihilated_cone_gives_a_zero_bracket(self, tmp_path):
         path = make_run(tmp_path, "radius", {"matrix": [[0.0, 0.0], [0.0, 0.0]]})
@@ -206,7 +207,8 @@ class TestStalledEigenStage:
         out = tmp_path / "out"
         want = self.from_u(1e-8)
         result = json.loads((out / "result.json").read_text())
-        assert result == {**want.to_json(), "start": "u", "eigen_steps": None, "seed": 0}
+        assert result == {**want.to_json(), "start": "u", "eigen_steps": None,
+                          "eigen_solves": None, "seed": 0}
         rows = [["iter", "log_norm", "cw_lower", "cw_upper"], *cli._radius_trace_rows(want)]
         assert (out / "trace.csv").read_bytes() == "".join(
             ",".join(map(str, row)) + "\r\n" for row in rows).encode()
@@ -558,6 +560,18 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("conerad: config error:")
         assert "'matrix'" in err and "'grid'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["radius", "twosex-assess", "twosex-simulate"])
+    def test_overflowing_order_bound_names_mating(self, tmp_path, capsys, command):
+        # beta = 1e308 times the local kernel's row maxima 1 / width = 100
+        cfg = single_cell_config(beta=1e308)
+        cfg["grid"]["n_cells"] = 100
+        path = make_run(tmp_path, command, cfg)
+        assert main(["--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("conerad: config error: model config field 'mating' is invalid:")
+        assert "order bound" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["radius", "eigen", "functional"])

@@ -34,6 +34,7 @@ from conerad.errors import (
     ZeroLimitError,
 )
 
+from conerad import eigenproblem
 from conerad.eigenproblem import _certify, _psi_normalize
 from conerad.homog_map import unit_cone_probes
 from conerad.oracle import linear_radius_exact
@@ -447,6 +448,98 @@ class TestCertify:
         assert (start, eigen) == ("u", None)
         assert error.startswith("DegenerateBoundError: ")
         assert bracket == radius_bracket(mp, u, 1e-8, 100)
+
+
+def reducible_case(seed):
+    """A sparse nonnegative matrix, upper-triangular for odd seeds, of size
+    5 to 40 with density 0.05 to 0.5, on an L1 (seed % 4 < 2) or weighted
+    space, and a random strictly positive u."""
+    rng = np.random.default_rng([2026, seed])
+    n = int(rng.integers(5, 41))
+    m = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.5))
+    if seed % 2:
+        m = np.triu(m)
+    space = (ConeSpace(n) if seed % 4 < 2
+             else ConeSpace(n, NormKind.WEIGHTED, rng.uniform(0.2, 5.0, n)))
+    return from_matrix(m, space=space), ConeVector(rng.uniform(0.5, 2.0, n))
+
+
+class TestNoda:
+    def test_reducible_corpus_closes(self):
+        # Before the Noda stage, 9 of these 200 brackets (seeds 17, 33, 71,
+        # 89, 91, 113, 115, 187 and 192) stopped at the 2000-iteration cap:
+        # the Anderson stage ended near a non-Perron eigenvector.
+        for seed in range(200):
+            mp, u = reducible_case(seed)
+            bracket, eigen, _, start = _certify(mp, u, tol=1e-8, max_iter=2000)
+            ref = linear_radius_exact(mp.matrix)
+            assert (bracket.converged, start) == (True, "eigenvector"), seed
+            assert eigen.solves > 0
+            assert bracket.cw_lower <= ref.value + ref.accuracy, seed
+            assert ref.value - ref.accuracy <= bracket.cw_upper, seed
+
+    @pytest.mark.parametrize("norm", ["l1", "weighted"])
+    def test_small_l1_type_matrix_takes_noda(self, rng, norm):
+        n = eigenproblem._NODA_MAX_DIM
+        space = (ConeSpace(n) if norm == "l1"
+                 else ConeSpace(n, NormKind.WEIGHTED, rng.uniform(0.5, 2.0, n)))
+        mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)), space=space)
+        res = solve_eigenvector_perturbation(mp, ConeVector(np.ones(n)))
+        assert res.solves > 0
+        assert res.to_json()["solves"] == res.solves
+        # B(u_hat), one evaluation per solve and the final B(v)
+        assert res.steps == res.solves + 2
+        assert res.mode is EigenMode.EXACT
+        ref = linear_radius_exact(mp.matrix)
+        assert res.cw_lower - ref.accuracy <= ref.value <= res.cw_upper + ref.accuracy
+
+    def test_other_maps_take_the_anderson_stage(self, rng):
+        small, large = eigenproblem._NODA_MAX_DIM, eigenproblem._NODA_MAX_DIM + 1
+        m = rng.uniform(0.05, 1.0, size=(small, small))
+        maps = [
+            from_matrix(m, space=ConeSpace(small, NormKind.LINF)),  # B_eps holds no matrix
+            from_matrix(rng.uniform(0.05, 1.0, size=(large, large))),
+            from_callable(ConeSpace(small), lambda x: m @ x),
+        ]
+        for mp in maps:
+            res = solve_eigenvector_perturbation(mp, ConeVector(np.ones(mp.space.dim)))
+            assert res.solves == 0
+            assert res.mode is EigenMode.EXACT
+
+    def test_solves_count_against_the_budget(self, rng):
+        mp = from_matrix(rng.uniform(0.1, 1.0, size=(5, 5)))
+        assert solve_eigenvector_perturbation(mp, ConeVector(np.ones(5))).solves > 1
+        with pytest.raises(InnerIterationError, match="within 1 steps"):
+            solve_eigenvector_perturbation(mp, ConeVector(np.ones(5)), max_inner=1)
+
+    def test_failed_first_solve_falls_back(self, rng, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        mp, u = from_matrix(rng.uniform(0.1, 1.0, size=(6, 6))), ConeVector(np.ones(6))
+        monkeypatch.setattr(eigenproblem, "_NODA_MAX_DIM", 0)
+        anderson = solve_eigenvector_perturbation(mp, u)
+        monkeypatch.setattr(eigenproblem, "_NODA_MAX_DIM", 6)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        res = solve_eigenvector_perturbation(mp, u)
+        assert np.array_equal(res.vector.entries, anderson.vector.entries)
+        assert (res.steps, res.solves) == (anderson.steps, 1)
+
+    def test_reaches_the_perron_pair_of_a_reducible_map(self):
+        # An upper-triangular n = 8 matrix whose diagonal, hence spectrum,
+        # holds 0.8486 (the radius) and 0.8350: the Anderson stage, run on
+        # it, settles on the eigenvector of 0.8350 with mode exact.  Noda's
+        # shifts stay above the radius, so the iterates stay on the Perron
+        # vector.
+        rng = np.random.default_rng([1500, 465])
+        n = int(rng.integers(2, 41))
+        m = np.triu(rng.uniform(0.0, 1.0, (n, n))
+                    * (rng.random((n, n)) < rng.uniform(0.05, 1.0)))
+        res = solve_eigenvector_perturbation(from_matrix(m),
+                                             ConeVector(rng.uniform(0.5, 2.0, n)))
+        assert res.solves > 0
+        assert res.lam == pytest.approx(np.diag(m).max(), rel=1e-11)
+        assert np.diag(m).max() == pytest.approx(0.8486, abs=1e-4)
 
 
 class TestMinIteration:

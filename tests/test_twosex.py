@@ -26,6 +26,7 @@ from conerad import (
 from conerad import eigenproblem, twosex
 from conerad.errors import (
     ConfigError,
+    DegenerateBoundError,
     FieldError,
     InnerIterationError,
     KernelMassError,
@@ -114,6 +115,19 @@ class TestBuildModel:
         with pytest.raises(KernelMassError) as exc:
             build_model(cfg)
         assert exc.value.cell is not None
+
+    def test_overflowing_order_bound_is_degenerate(self):
+        # u = psi * (c_f + c_m) * R with psi = beta, c_f + c_m = 0.5 and the
+        # local kernel's row maxima R = 1 / width = 100
+        cfg = two_patch_config()
+        cfg["grid"]["n_cells"] = 200
+        m = build_model(cfg)
+        mating = MatingFunction("harmonic_mean", beta=np.full(200, 1e308))
+        with pytest.raises(DegenerateBoundError, match="order bound"):
+            TwoSexModel(grid=m.grid, k_female=m.k_female, k_male=m.k_male, mating=mating)
+        cfg["mating"]["beta"] = 1e308
+        with pytest.raises(ConfigError, match="field 'mating' is invalid: the order bound"):
+            build_model(cfg)
 
     def test_strict_config_keys(self):
         cfg = single_cell_config()
