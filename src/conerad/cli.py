@@ -289,8 +289,10 @@ def _float_rows(block: np.ndarray) -> list[str]:
 
     orjson prints the shortest round-trip digits, as repr does, and in the
     same notation for zero and for every finite magnitude in [1e-4, 1e16).
-    A row holding any other value (NaN or inf, which orjson writes as null,
-    or a magnitude where repr switches to an exponent) is joined from repr.
+    Each cell holding any other value (NaN or inf, which orjson writes as
+    null, or a magnitude where repr switches to an exponent) is replaced by
+    its repr in the row's split orjson text, so one such cell costs one
+    repr, not a row of them.
     """
     block = np.ascontiguousarray(block, dtype=float)
     if not len(block):
@@ -298,9 +300,13 @@ def _float_rows(block: np.ndarray) -> list[str]:
     text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
     rows = text[2:-2].split("],[")
     mag = np.abs(block)
-    plain = (mag == 0) | ((mag >= 1e-4) & (mag < 1e16))
-    for i in np.flatnonzero(~plain.all(axis=1)):
-        rows[i] = ",".join(map(repr, block[i].tolist()))
+    other = ~((mag == 0) | ((mag >= 1e-4) & (mag < 1e16)))
+    for i in np.flatnonzero(other.any(axis=1)):
+        cells = rows[i].split(",")
+        cols = np.flatnonzero(other[i])
+        for j, x in zip(cols.tolist(), block[i, cols].tolist()):
+            cells[j] = repr(x)
+        rows[i] = ",".join(cells)
     return rows
 
 

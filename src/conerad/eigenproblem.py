@@ -14,13 +14,16 @@ Four constructive schemes:
   solve fails),
 * the decreasing lattice iteration x_k = min(B x_{k-1}/r + 2^-k u, u)
   producing sub-eigenvectors,
-* truncated-resolvent functionals x -> x* . R_lam(x), normalized by a
-  sampled operator norm (eigenfunctionals).  A map with a transpose (a
-  matrix map, or a two-sex map whose sexes share one kernel factor tuple)
-  takes one series y = R_lam^T(x*) on B^T, and then phi(x) = y . x / N;
-  that series stops on the dual norm (LInf for L1, L1 for LInf) or, on a
-  weighted space, on a norm at least as large, so trunc_tol keeps its
-  meaning at unit probes.  Other maps run one forward series per probe.
+* left-resolvent functionals x -> x* . R_lam(x), normalized by a sampled
+  operator norm (eigenfunctionals).  A map with a transpose (a matrix map,
+  or a two-sex map whose sexes share one kernel factor tuple) takes
+  y = R_lam^T(x*), and then phi(x) = y . x / N.  A matrix map of at most
+  _NODA_MAX_DIM cells gets y exactly, by one dense solve of
+  (lam I - B^T) y = x*, so trunc_tol does not apply there; any other map
+  with a transpose sums one series on B^T, which stops on the dual norm
+  (LInf for L1, L1 for LInf) or, on a weighted space, on a norm at least
+  as large, so trunc_tol keeps its meaning at unit probes.  Other maps run
+  one forward series per probe.
 """
 
 from __future__ import annotations
@@ -206,6 +209,13 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
                        solves=solves, image=bv)
 
 
+def _shifted(s: float, m: np.ndarray) -> np.ndarray:
+    """s I - m as a fresh array, for a square matrix m."""
+    a = -m
+    a[np.diag_indices_from(a)] += s
+    return a
+
+
 def _noda_stage(pert: HomogeneousMap, v: np.ndarray, bv: np.ndarray, inner_tol: float,
                 max_inner: int) -> tuple[np.ndarray, int, int] | None:
     """Noda's iteration on the strictly positive matrix of pert: (v, evaluations, solves).
@@ -224,15 +234,12 @@ def _noda_stage(pert: HomogeneousMap, v: np.ndarray, bv: np.ndarray, inner_tol: 
     solves.  evaluations counts the pert.raw calls.
     """
     space = pert.space
-    diagonal = np.diag_indices(space.dim)
     ratios = bv / v
     sigma = best_sigma = float(ratios.max())
     best_spread = sigma - float(ratios.min())
     for solves in range(1, max_inner + 1):
-        a = -pert.matrix
-        a[diagonal] += sigma * _NODA_SHIFT
         try:
-            x = np.linalg.solve(a, v)
+            x = np.linalg.solve(_shifted(sigma * _NODA_SHIFT, pert.matrix), v)
         except np.linalg.LinAlgError:       # exactly singular
             x = None
         if x is not None:
@@ -382,6 +389,26 @@ def solve_subeigenvector_min(mp: HomogeneousMap, u: ConeVector, r_est: float,
                        mode=EigenMode.SUB_EIGEN, trace=trace, steps=k + 2)
 
 
+def _left_resolvent(mpt: HomogeneousMap, lam: float, xs: np.ndarray,
+                    trunc_tol: float) -> np.ndarray:
+    """y = R_lam^T(x*) on the transposed map mpt, for lam above the radius.
+
+    A matrix of at most _NODA_MAX_DIM cells takes one dense solve of
+    (lam I - B^T) y = x*; a solve that is singular, or whose y is not
+    strictly positive and finite, leaves y to the series on B^T, as does
+    every other map.
+    """
+    if mpt.matrix is not None and mpt.space.dim <= _NODA_MAX_DIM:
+        try:
+            y = np.linalg.solve(_shifted(lam, mpt.matrix), xs)
+        except np.linalg.LinAlgError:       # exactly singular
+            pass
+        else:
+            if y.min() > 0.0 and y.max() < math.inf:
+                return y
+    return resolvent_series(mpt, lam, xs[:, None], trunc_tol).vectors[:, 0]
+
+
 @dataclass
 class EigenfunctionalEstimate:
     """Homogeneous order-preserving functional with phi(B x) ~ r phi(x)."""
@@ -409,7 +436,7 @@ class EigenfunctionalEstimate:
 def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVector,
                              lam: float | None = None, trunc_tol: float = 1e-10,
                              normalizer_samples: int = 256, seed: int = 0) -> EigenfunctionalEstimate:
-    """Eigenfunctional from truncated resolvents: phi(x) = x* . R_lam(x) / N.
+    """Eigenfunctional from the left resolvent: phi(x) = x* . R_lam(x) / N.
 
     The radius estimate is the bracket started from the solved eigenvector
     (``_certify`` at tol 1e-10, with at most 10000 eigen steps and 10000
@@ -421,14 +448,20 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     points.
 
     A map with a transpose (a matrix map, or a two-sex map whose sexes share
-    one kernel factor tuple) takes x* . R_lam(x) = y . x with one series
-    y = R_lam^T(x*) on B^T, so the normalizer, the defect and every call of
-    the returned functional are inner products with y.  That series stops on
-    the dual norm, LInf for the L1 and L1 for the LInf space, or on a norm at
-    least as large for a weighted space (``HomogeneousMap.transposed``), so
-    trunc_tol bounds the truncation error of phi at a unit probe as it does
-    on the forward path.  Any other map runs one forward series per
-    probe, and per call of the functional.
+    one kernel factor tuple) takes x* . R_lam(x) = y . x with
+    y = R_lam^T(x*), so the normalizer and every call of the returned
+    functional are inner products with y, and the defect pass takes
+    phi(B p) = (B^T y) . p / N from one column B^T y.  A matrix map of at
+    most _NODA_MAX_DIM cells, on any space, gets y exactly from one dense
+    solve of (lam I - B^T) y = x*, and trunc_tol does not apply to it; a
+    solve that is singular, or whose y is not strictly positive and finite,
+    leaves y to the series.  Every other map with a transpose sums one
+    series on B^T, which stops on the dual norm, LInf for the L1 and L1 for
+    the LInf space, or on a norm at least as large for a weighted space
+    (``HomogeneousMap.transposed``), so trunc_tol bounds the truncation
+    error of phi at a unit probe as it does on the forward path.  Any other
+    map runs one forward series per probe, per image B(p) of the defect
+    pass, and per call of the functional.
     """
     space = mp.space
     if xstar.dim != space.dim or xstar.is_zero():
@@ -444,11 +477,12 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
             f"lambda {lam} is not above the upper radius estimate {upper}")
     xs = xstar.entries
 
-    # lam > cw_upper >= radius was certified above, so the bare series is
-    # safe; phi maps a probe block (n, k) to its k unnormalized values.
+    # lam > cw_upper >= radius was certified above, so the bare series
+    # converges and lam I - B^T has a positive inverse; phi maps a probe
+    # block (n, k) to its k unnormalized values.
     mpt = mp.transposed()
     if mpt is not None:
-        y = resolvent_series(mpt, lam, xs[:, None], trunc_tol).vectors[:, 0]
+        y = _left_resolvent(mpt, lam, xs, trunc_tol)
 
         def phi(block):
             return y @ block
@@ -468,9 +502,9 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
         return float(phi(x.entries[:, None])[0]) / _n
 
     # The first n + 8 probes reuse their normalizer values; only phi at
-    # their images B(p) is new.
+    # their images B(p) is new, and y . B(p) = (B^T y) . p is one column.
     head = probes[:, : space.dim + 8]
-    fbx = phi(mp.raw(head)) / normalizer
+    fbx = (mpt.raw(y) @ head if mpt is not None else phi(mp.raw(head))) / normalizer
     r = est.value
     defect = float(np.max(np.abs(fbx - r * (values[: head.shape[1]] / normalizer))))
     return EigenfunctionalEstimate(probe_vector=xstar, lambda_used=lam,

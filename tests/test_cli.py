@@ -387,6 +387,19 @@ class TestFloatRows:
         mixed = np.array([values, [1.5] * len(values)])
         assert cli._float_rows(mixed) == _repr_rows(mixed)
 
+    @pytest.mark.parametrize("odd", [1e-80, 5e-324, -3e-5, 2.5e16, -1e300,
+                                     float("inf"), float("-inf"), float("nan")])
+    def test_one_odd_cell_in_every_row(self, odd):
+        # each row holds one cell outside [1e-4, 1e16) at its own column,
+        # first and last included, amid cells that orjson prints as repr does
+        rng = np.random.default_rng(16)
+        block = rng.uniform(1e-4, 1e3, size=(40, 30)) * rng.choice([-1.0, 1.0], size=(40, 30))
+        cols = np.concatenate([[0, 29], rng.integers(0, 30, 38)])
+        block[np.arange(40), cols] = odd
+        assert cli._float_rows(block) == _repr_rows(block)
+        block[::3, 5] = odd                 # and some rows with two of them
+        assert cli._float_rows(block) == _repr_rows(block)
+
 
 class TestOtherCommands:
     def test_eigen_on_matrix(self, tmp_path):

@@ -673,28 +673,91 @@ class TestEigenfunctional:
             with pytest.raises(DimensionError):
                 phi(ConeVector(np.ones(3)))
 
-    def test_one_series_on_the_transpose(self, rng, monkeypatch):
-        # A LINEAR map pays the radius bracket, one series on B^T and the
-        # n + 8 images B(p) of the defect pass; a series per probe would take
-        # tens of thousands of columns.
-        columns = []
-        raw = HomogeneousMap.raw
+    @staticmethod
+    def columns_and_series(monkeypatch, mp, u, **kw):
+        """(estimate, its map columns, its resolvent_series calls, the columns
+        of ``_certify`` alone)."""
+        columns, series = [], []
+        raw, resolvent = HomogeneousMap.raw, eigenproblem.resolvent_series
 
-        def counted(mp, x):
+        def counted(m, x):
             columns.append(x.shape[1] if x.ndim == 2 else 1)
-            return raw(mp, x)
+            return raw(m, x)
+
+        def counted_series(*args, **kwargs):
+            series.append(args[0])
+            return resolvent(*args, **kwargs)
 
         monkeypatch.setattr(HomogeneousMap, "raw", counted)
-        n = 20
-        mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)))
-        u = ConeVector(np.ones(n))
-        est = estimate_eigenfunctional(mp, u, u)
+        monkeypatch.setattr(eigenproblem, "resolvent_series", counted_series)
+        est = estimate_eigenfunctional(mp, u, u, **kw)
         total = sum(columns)
         columns.clear()
-        radius_bracket(mp, u, tol=1e-10, max_iter=10000)
-        bracket = sum(columns)
-        series = resolvent_series(mp.transposed(), est.lambda_used, u.entries[:, None]).terms
-        assert total <= bracket + series + n + 8
+        _certify(mp, u, tol=1e-10, max_iter=10000)
+        return est, total, series, sum(columns)
+
+    def test_one_series_on_the_transpose(self, rng, monkeypatch, gaussian_model):
+        # A matrix above _NODA_MAX_DIM cells and a two-sex map whose sexes
+        # share one kernel pay the certified bracket (eigen stage included),
+        # one series on B^T, and one column B^T y for the defect pass; a
+        # series per probe would take tens of thousands of columns.
+        n = eigenproblem._NODA_MAX_DIM + 2
+        for mp in (from_matrix(rng.uniform(0.05, 1.0, size=(n, n))), gaussian_model.as_map()):
+            u = ConeVector(np.ones(mp.space.dim))
+            est, total, series, bracket = self.columns_and_series(monkeypatch, mp, u)
+            assert len(series) == 1 and series[0].name == f"{mp.name}^T"
+            terms = resolvent_series(mp.transposed(), est.lambda_used, u.entries[:, None]).terms
+            assert total == bracket + (terms - 1) + 1
+
+    def test_small_matrix_solves_instead_of_the_series(self, rng, monkeypatch):
+        # y = (lam I - B^T)^-1 x* by one dense solve: no series, and the
+        # defect pass is the one column B^T y.
+        n = 10
+        mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)))
+        u = ConeVector(np.ones(n))
+        _, total, series, bracket = self.columns_and_series(monkeypatch, mp, u)
+        assert series == [] and total == bracket + 1
+
+    @pytest.mark.parametrize("norm", [NormKind.L1, NormKind.LINF, NormKind.WEIGHTED])
+    def test_direct_solve_matches_the_series(self, rng, norm):
+        # The series on B^T stops on a norm at least as large as the dual
+        # norm, so at unit probes it is within trunc_tol of the exact y.
+        n, trunc_tol = 12, 1e-6
+        weights = rng.uniform(0.2, 3.0, n) if norm is NormKind.WEIGHTED else None
+        space = ConeSpace(n, norm, weights)
+        mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)), space)
+        u, xstar = ConeVector(np.ones(n)), ConeVector(rng.random(n) + 0.1)
+        est = estimate_eigenfunctional(mp, u, xstar, trunc_tol=trunc_tol)
+        series = resolvent_series(mp.transposed(), est.lambda_used, xstar.entries[:, None],
+                                  trunc_tol).vectors[:, 0]
+        y = np.array([est(ConeVector(e)) for e in np.eye(n)]) * est.normalizer
+        exact = np.linalg.solve(est.lambda_used * np.eye(n) - mp.matrix.T, xstar.entries)
+        np.testing.assert_allclose(y, exact, rtol=1e-13)
+        probes = unit_cone_probes(space, 256, np.random.default_rng(0))
+        assert np.abs((y - series) @ probes).max() <= trunc_tol
+
+    @pytest.mark.parametrize("bad", ["singular", "negative", "nan"])
+    def test_failed_solve_falls_back_to_the_series(self, rng, monkeypatch, bad):
+        # Every dense solve fails here, so the eigen stage runs the Anderson
+        # stage and the functional the series, as for a larger matrix.
+        n = 6
+        mat = rng.uniform(0.1, 1.0, size=(n, n))
+        u = ConeVector(np.ones(n))
+        solve = np.linalg.solve
+
+        def failing(a, b):
+            if bad == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            x = solve(a, b)
+            return -x if bad == "negative" else np.where(np.arange(len(x)) == 0, np.nan, x)
+
+        monkeypatch.setattr(eigenproblem, "_NODA_MAX_DIM", 0)
+        want = estimate_eigenfunctional(from_matrix(mat), u, u)
+        monkeypatch.setattr(eigenproblem, "_NODA_MAX_DIM", n)
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        est, _, series, _ = self.columns_and_series(monkeypatch, from_matrix(mat), u)
+        assert len(series) == 1
+        assert est.to_json() == want.to_json()
 
     def test_lam_below_radius_rejected(self, diag21):
         with pytest.raises(SpectralDomainError):

@@ -1,4 +1,4 @@
-"""Map columns of the benchmark's seed-1 linear-mix batch, counted in process.
+"""Map columns of the benchmark's seed-1 batches, counted in process.
 
 The count is the benchmark's ``map_columns``: every ``HomogeneousMap.raw``
 call adds its column count.  It does not depend on the machine, so a solver
@@ -17,9 +17,13 @@ from conftest import perfbench_module
 
 # 1,372 with the Noda stage; 4,984 with the Anderson stage on every matrix
 LINEAR_MIX_COLUMNS = 2000
+# 251 with the exact resolvent of small matrices and the one-column defect
+# pass; 871 with the series on B^T and the n + 8 images B(p)
+FUNCTIONAL_SERIES_COLUMNS = 400
 
 
-def test_linear_mix_batch_columns(tmp_path, monkeypatch):
+def batch_columns(workload, tmp_path, monkeypatch) -> int:
+    """Map columns of the workload's seed-1 batch run through ``cli.main``."""
     columns = 0
     raw = HomogeneousMap.raw
 
@@ -29,11 +33,21 @@ def test_linear_mix_batch_columns(tmp_path, monkeypatch):
         return raw(mp, x)
 
     monkeypatch.setattr(HomogeneousMap, "raw", counting)
-    for i, op in enumerate(perfbench_module("workloads").GENERATORS["linear-mix"](1)):
+    for i, op in enumerate(perfbench_module("workloads").GENERATORS[workload](1)):
         (tmp_path / f"op{i}.input.json").write_text(json.dumps(op["input"]))
         config = tmp_path / f"op{i}.config.json"
         config.write_text(json.dumps({"command": op["command"], "input": f"op{i}.input.json",
                                       "seed": 1, **op["extra"]}))
         assert cli.main(["--config", str(config), "--out", str(tmp_path / f"out{i}"),
                          "--quiet"]) == 0
+    return columns
+
+
+def test_linear_mix_batch_columns(tmp_path, monkeypatch):
+    columns = batch_columns("linear-mix", tmp_path, monkeypatch)
     assert columns <= LINEAR_MIX_COLUMNS, columns
+
+
+def test_functional_series_batch_columns(tmp_path, monkeypatch):
+    columns = batch_columns("functional-series", tmp_path, monkeypatch)
+    assert columns <= FUNCTIONAL_SERIES_COLUMNS, columns
