@@ -25,8 +25,7 @@ import scipy
 
 from . import __version__
 from .cone import ConeSpace, ConeVector, NormKind, diamond_norm, psi_hull
-from .errors import (ConeRadError, ConfigError, InnerIterationError, _field, _integer, _reals,
-                     _require_keys)
+from .errors import ConeRadError, ConfigError, _field, _integer, _reals, _require_keys
 from .eigenproblem import _certify, estimate_eigenfunctional, solve_eigenvector_perturbation
 from .homog_map import HomogeneousMap, _trial_blocks, from_matrix, verify_properties
 from .spectral import SpectralEstimate
@@ -251,22 +250,9 @@ def _run_radius(cfg: RunConfig, mp: HomogeneousMap, u: ConeVector, emit: _Emitte
     return (0 if est.converged else 2), payload
 
 
-def _write_eigen_trace(emit: _Emitter, trace, residual: str) -> None:
-    rows = [[i, repr(eps), repr(lam), ""] for i, (eps, lam) in enumerate(trace)]
-    if rows:
-        rows[-1][3] = residual  # residual is measured at the end of the stage
-    emit.write_csv("trace.csv", ["step", "eps_or_k", "lambda", "residual"], rows)
-
-
 def _run_eigen(cfg: RunConfig, mp: HomogeneousMap, u: ConeVector, emit: _Emitter):
-    try:
-        res = solve_eigenvector_perturbation(mp, u, inner_tol=cfg.tolerances["inner_tol"],
-                                             max_inner=cfg.max_iter)
-    except InnerIterationError as exc:
-        # partial outputs: the one stage did not end, so its trace is empty
-        _write_eigen_trace(emit, [], "")
-        return 2, {"error": str(exc), "trace": []}
-    _write_eigen_trace(emit, res.trace, repr(res.residual))
+    res = solve_eigenvector_perturbation(mp, u, inner_tol=cfg.tolerances["inner_tol"],
+                                         max_inner=cfg.max_iter)
     return 0, res.to_json()
 
 

@@ -17,13 +17,17 @@ Four constructive schemes:
 * left-resolvent functionals x -> x* . R_lam(x), normalized by a sampled
   operator norm (eigenfunctionals).  A map with a transpose (a matrix map,
   or a two-sex map whose sexes share one kernel factor tuple) takes
-  y = R_lam^T(x*), and then phi(x) = y . x / N.  A matrix map of at most
-  _NODA_MAX_DIM cells gets y exactly, by one dense solve of
-  (lam I - B^T) y = x*, so trunc_tol does not apply there; any other map
-  with a transpose sums one series on B^T, which stops on the dual norm
-  (LInf for L1, L1 for LInf) or, on a weighted space, on a norm at least
-  as large, so trunc_tol keeps its meaning at unit probes.  Other maps run
-  one forward series per probe.
+  y = R_lam^T(x*), and then phi(x) = y . x / N.  A matrix map, of any
+  size, gets y exactly, by one dense solve of (lam I - B^T) y = x*, so
+  trunc_tol does not apply there; a two-sex map with a transpose, or a
+  matrix whose solve fails, sums one series on B^T, which stops on the dual
+  norm (LInf for L1, L1 for LInf) or, on a weighted space, on a norm at
+  least as large, so trunc_tol keeps its meaning at unit probes.  Other
+  maps run one forward series per probe.
+
+Every dense solve is ``_positive_solve``: s I - m solved for one right-hand
+side, with None for a singular system or a solution that is not strictly
+positive and finite.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     stage converges to the Perron vector even of a reducible B, quadratically
     (L. Elsner, Linear Algebra Appl. 15, 1976).  Every solve counts against
     max_inner.  When its first solve is singular or leaves the open cone,
-    the Anderson stage below runs instead.
+    the Anderson stage below runs instead, and that solve still counts.
 
     Every other map (two-sex, ``from_callable``, a matrix map on an LInf
     space, where B_eps holds no matrix, or a larger matrix) takes one
@@ -186,17 +190,9 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     if not eps > 0:
         raise DegenerateBoundError(f"perturbation eps = 2^-52 * {scale!r} underflows to zero")
     pert = perturb(mp, eps, u)
-    noda, solves = None, 0
-    if pert.matrix is not None and space.dim <= _NODA_MAX_DIM:
-        # the first image by perturb's own arithmetic on B(u_hat)
-        noda = _noda_stage(pert, v, bv + u.entries * (eps * space.norm(v)),
-                           inner_tol, max_inner)
-        solves = 1                      # a first solve that fails still counts
-    if noda is None:
-        v, steps = _anderson_stage(pert, u, v, bv, c, eps, scale, inner_tol, max_inner)
-    else:
-        v, steps, solves = noda
-        steps += 1                      # B(u_hat)
+    stage = (_noda_stage if pert.matrix is not None and space.dim <= _NODA_MAX_DIM
+             else _anderson_stage)
+    v, steps, solves = stage(pert, u, v, bv, c, eps, scale, inner_tol, max_inner)
 
     bv = mp.raw(v)
     lam = psi_hull(space, bv)
@@ -209,61 +205,70 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
                        solves=solves, image=bv)
 
 
-def _shifted(s: float, m: np.ndarray) -> np.ndarray:
-    """s I - m as a fresh array, for a square matrix m."""
+def _positive_solve(s: float, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x = (s I - m)^-1 b for a square matrix m, or None when s I - m is
+    exactly singular or x is not strictly positive and finite."""
     a = -m
     a[np.diag_indices_from(a)] += s
-    return a
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+    return x if x.min() > 0.0 and x.max() < math.inf else None
 
 
-def _noda_stage(pert: HomogeneousMap, v: np.ndarray, bv: np.ndarray, inner_tol: float,
-                max_inner: int) -> tuple[np.ndarray, int, int] | None:
-    """Noda's iteration on the strictly positive matrix of pert: (v, evaluations, solves).
+def _noda_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.ndarray,
+                c: float, eps: float, scale: float, inner_tol: float,
+                max_inner: int) -> tuple[np.ndarray, int, int]:
+    """Noda's iteration on the strictly positive matrix of pert = B_eps, from
+    v = u_hat with bv = B(u_hat): (v, evaluations, solves), B(u_hat) included.
 
-    From v = u_hat with bv = B_eps(v), each step solves (s I - B_eps) x = v
-    at s = sigma * _NODA_SHIFT, sigma the largest ratio (B_eps v)_i / v_i,
-    and moves to x / psi(x), whose image from pert.raw gives the next sigma
-    and the spread of its ratios.  s lies above the radius, so the inverse
-    is the positive series sum_k B_eps^k / s^(k+1).  The stage stops when
-    the spread is at most inner_tol * sigma, and when an iterate lowers
-    neither the least sigma nor the least spread so far, or is not strictly
-    positive and finite: then it keeps the iterate before.  sigma alone can
-    reach the radius, to rounding level, steps before the vector does on a
-    reducible B.  It returns None when the first solve gives no strictly
-    positive finite iterate, and raises InnerIterationError after max_inner
-    solves.  evaluations counts the pert.raw calls.
+    Each step solves (s I - B_eps) x = v at s = sigma * _NODA_SHIFT, sigma
+    the largest ratio (B_eps v)_i / v_i, the first from B_eps(u_hat) by
+    perturb's own arithmetic on B(u_hat), and moves to x / psi(x), whose
+    image from pert.raw gives the next sigma and the spread of its ratios.
+    s lies above the radius, so the inverse is the positive series
+    sum_k B_eps^k / s^(k+1).  The stage stops when the spread is at most
+    inner_tol * sigma, and when an iterate lowers neither the least sigma
+    nor the least spread so far, or is not strictly positive and finite:
+    then it keeps the iterate before.  sigma alone can reach the radius, to
+    rounding level, steps before the vector does on a reducible B.  When the
+    first solve gives no strictly positive finite iterate, the Anderson
+    stage runs instead, and the failed solve still counts.  It raises
+    InnerIterationError after max_inner solves.
     """
     space = pert.space
-    ratios = bv / v
+    ratios = (bv + u.entries * (eps * space.norm(v))) / v
     sigma = best_sigma = float(ratios.max())
     best_spread = sigma - float(ratios.min())
     for solves in range(1, max_inner + 1):
-        try:
-            x = np.linalg.solve(_shifted(sigma * _NODA_SHIFT, pert.matrix), v)
-        except np.linalg.LinAlgError:       # exactly singular
-            x = None
+        x = _positive_solve(sigma * _NODA_SHIFT, pert.matrix, v)
         if x is not None:
             with np.errstate(all="ignore"):
-                x = x / space.norm(x)
+                x = x / space.norm(x)       # psi(x) may overflow, x / psi(x) underflow
         if x is None or not (x.min() > 0.0 and x.max() < math.inf):
-            return None if solves == 1 else (v, solves - 1, solves)
+            if solves == 1:
+                v, steps, _ = _anderson_stage(pert, u, v, bv, c, eps, scale, inner_tol,
+                                              max_inner)
+                return v, steps, 1
+            return v, solves, solves
         with np.errstate(over="ignore"):
             ratios = pert.raw(x) / x
         sigma = float(ratios.max())
         spread = sigma - float(ratios.min())
         if not (sigma < best_sigma or spread < best_spread):
-            return v, solves, solves
+            return v, solves + 1, solves
         v, best_sigma, best_spread = x, min(sigma, best_sigma), min(spread, best_spread)
         if spread <= inner_tol * sigma:
-            return v, solves, solves
+            return v, solves + 1, solves
     raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
 
 
 def _anderson_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.ndarray,
                     c: float, eps: float, scale: float, inner_tol: float,
-                    max_inner: int) -> tuple[np.ndarray, int]:
+                    max_inner: int) -> tuple[np.ndarray, int, int]:
     """The mixed stage of ``solve_eigenvector_perturbation`` on pert = B_eps,
-    from v = u_hat with bv = B(u_hat): (v, evaluations), B(u_hat) included."""
+    from v = u_hat with bv = B(u_hat): (v, evaluations, 0), B(u_hat) included."""
     space = pert.space
     # the coarse phase runs on B_eps + extra * psi(.) * u, the fine one on B_eps
     extra, tol = _COARSE_EPS * scale - eps, max(_COARSE_TOL, inner_tol)
@@ -283,7 +288,7 @@ def _anderson_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.n
         v = g
         if res < tol:
             if not extra:
-                return v, steps
+                return v, steps, 0
             # the coarse phase has settled: the fine one starts from it
             extra, tol, fresh = 0.0, inner_tol, True
         else:
@@ -393,20 +398,14 @@ def _left_resolvent(mpt: HomogeneousMap, lam: float, xs: np.ndarray,
                     trunc_tol: float) -> np.ndarray:
     """y = R_lam^T(x*) on the transposed map mpt, for lam above the radius.
 
-    A matrix of at most _NODA_MAX_DIM cells takes one dense solve of
-    (lam I - B^T) y = x*; a solve that is singular, or whose y is not
-    strictly positive and finite, leaves y to the series on B^T, as does
-    every other map.
+    A matrix map takes one dense solve of (lam I - B^T) y = x*; a solve that
+    is singular, or whose y is not strictly positive and finite, leaves y to
+    the series on B^T, as does every map without a matrix.
     """
-    if mpt.matrix is not None and mpt.space.dim <= _NODA_MAX_DIM:
-        try:
-            y = np.linalg.solve(_shifted(lam, mpt.matrix), xs)
-        except np.linalg.LinAlgError:       # exactly singular
-            pass
-        else:
-            if y.min() > 0.0 and y.max() < math.inf:
-                return y
-    return resolvent_series(mpt, lam, xs[:, None], trunc_tol).vectors[:, 0]
+    y = None if mpt.matrix is None else _positive_solve(lam, mpt.matrix, xs)
+    if y is None:
+        y = resolvent_series(mpt, lam, xs[:, None], trunc_tol).vectors[:, 0]
+    return y
 
 
 @dataclass
@@ -451,13 +450,13 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     one kernel factor tuple) takes x* . R_lam(x) = y . x with
     y = R_lam^T(x*), so the normalizer and every call of the returned
     functional are inner products with y, and the defect pass takes
-    phi(B p) = (B^T y) . p / N from one column B^T y.  A matrix map of at
-    most _NODA_MAX_DIM cells, on any space, gets y exactly from one dense
-    solve of (lam I - B^T) y = x*, and trunc_tol does not apply to it; a
-    solve that is singular, or whose y is not strictly positive and finite,
-    leaves y to the series.  Every other map with a transpose sums one
-    series on B^T, which stops on the dual norm, LInf for the L1 and L1 for
-    the LInf space, or on a norm at least as large for a weighted space
+    phi(B p) = (B^T y) . p / N from one column B^T y.  A matrix map, of
+    any size and on any space, gets y exactly from one dense solve of
+    (lam I - B^T) y = x*, and trunc_tol does not apply to it; a solve that
+    is singular, or whose y is not strictly positive and finite, leaves y
+    to the series.  Every other map with a transpose sums one series on
+    B^T, which stops on the dual norm, LInf for the L1 and L1 for the LInf
+    space, or on a norm at least as large for a weighted space
     (``HomogeneousMap.transposed``), so trunc_tol bounds the truncation
     error of phi at a unit probe as it does on the forward path.  Any other
     map runs one forward series per probe, per image B(p) of the defect

@@ -27,10 +27,6 @@ class OracleReport:
     certificate: dict = field(default_factory=dict)
     accuracy: float = 0.0       # half-width of the certified uncertainty
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "method": self.method,
-                "accuracy": self.accuracy, "certificate": self.certificate}
-
 
 def _is_above_radius(matrix: np.ndarray, lam: float) -> bool:
     # lam exceeds the Perron root iff lam*I - A is a nonsingular M-matrix,

@@ -123,8 +123,7 @@ class TestRadiusCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         emitted = {p.name for p in (tmp_path / "out").iterdir()}
         assert set(manifest["files"]) == emitted
-        csv_name = {"radius": "trace.csv", "eigen": "trace.csv",
-                    "twosex-simulate": "trajectory.csv"}.get(command)
+        csv_name = {"radius": "trace.csv", "twosex-simulate": "trajectory.csv"}.get(command)
         assert emitted == {"result.json", "manifest.json"} | ({csv_name} - {None})
         assert json.loads((tmp_path / "out" / "result.json").read_text())["seed"] == 6
         assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
@@ -407,23 +406,21 @@ class TestOtherCommands:
         assert main(["--config", str(path), "--quiet"]) == 0
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["lambda"] == pytest.approx(2.0, abs=1e-7)
-        assert (tmp_path / "out" / "trace.csv").exists()
+        # eps, lambda and the residual are in result.json; no trace.csv repeats them
+        assert not (tmp_path / "out" / "trace.csv").exists()
 
     def test_eigen_stall_writes_partial_result(self, tmp_path):
-        # One plain step cannot settle a 2x2 positive matrix started from 1:
-        # the stage stalls before it records its row, so the trace is empty.
+        # One solve cannot settle a 2x2 positive matrix started from 1: the
+        # stall is reported as every other numerical error is.
         matrix = [[2.0, 1.0], [1.0, 3.0]]
         path = make_run(tmp_path, "eigen", {"matrix": matrix}, max_iter=1, seed=4)
         assert main(["--config", str(path), "--quiet"]) == 2
         out = tmp_path / "out"
         result = json.loads((out / "result.json").read_text())
-        assert result["error"] == "inner iteration did not settle within 1 steps"
-        assert result["seed"] == 4
-        assert result["trace"] == []
-        trace = (out / "trace.csv").read_text().splitlines()
-        assert trace == ["step,eps_or_k,lambda,residual"]
+        assert result == {"error": "InnerIterationError: inner iteration did not settle "
+                                   "within 1 steps", "seed": 4}
         manifest = json.loads((out / "manifest.json").read_text())
-        assert {"result.json", "trace.csv"} <= set(manifest["files"])
+        assert manifest["files"] == ["result.json", "manifest.json"]
 
     @pytest.mark.parametrize("command", ["twosex-assess", "functional", "radius", "eigen"])
     def test_numerical_error_writes_partial_result(self, tmp_path, capsys, command):

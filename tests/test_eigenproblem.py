@@ -39,7 +39,7 @@ from conerad.eigenproblem import _certify, _psi_normalize
 from conerad.homog_map import unit_cone_probes
 from conerad.oracle import linear_radius_exact
 
-from conftest import counting_map, gaussian_config
+from conftest import counting_map, gaussian_config, perfbench_module
 
 
 def vec(*vals):
@@ -262,6 +262,21 @@ class TestContinuationReference:
             m = sparse_upper_triangular(rng, int(rng.integers(50, 71)), rng.uniform(0.5, 0.9))
             res = solve_eigenvector_perturbation(from_matrix(m), ConeVector(np.ones(len(m))))
             assert res.lam == pytest.approx(np.diag(m).max(), rel=1e-9)
+
+    def test_coarse_phase_keeps_the_perron_vector(self):
+        # The benchmark's upper-triangular matrices of seeds 1-5, as L1
+        # callables and L-inf matrix maps, both of which take the Anderson
+        # stage.  Without the coarse phase 17 of these 40 settle on a smaller
+        # eigenvalue (lambda 0.306 where r = 0.596, say).
+        linear_matrices = perfbench_module("workloads")._linear_matrices
+        for seed in range(1, 6):
+            for m in (m for cls, m in linear_matrices(seed) if cls == "upper_triangular"):
+                n, ref = len(m), linear_radius_exact(m)
+                for mp in (from_callable(ConeSpace(n), lambda x, m=m: m @ x),
+                           from_matrix(m, ConeSpace(n, NormKind.LINF))):
+                    res = solve_eigenvector_perturbation(mp, ConeVector(np.ones(n)))
+                    assert res.solves == 0
+                    assert abs(res.lam - ref.value) <= ref.accuracy, (seed, n, mp.name)
 
     def test_zero_vector_not_normalized(self):
         with pytest.raises(DegenerateBoundError, match="zero vector"):
@@ -696,27 +711,26 @@ class TestEigenfunctional:
         _certify(mp, u, tol=1e-10, max_iter=10000)
         return est, total, series, sum(columns)
 
-    def test_one_series_on_the_transpose(self, rng, monkeypatch, gaussian_model):
-        # A matrix above _NODA_MAX_DIM cells and a two-sex map whose sexes
-        # share one kernel pay the certified bracket (eigen stage included),
-        # one series on B^T, and one column B^T y for the defect pass; a
-        # series per probe would take tens of thousands of columns.
-        n = eigenproblem._NODA_MAX_DIM + 2
-        for mp in (from_matrix(rng.uniform(0.05, 1.0, size=(n, n))), gaussian_model.as_map()):
-            u = ConeVector(np.ones(mp.space.dim))
-            est, total, series, bracket = self.columns_and_series(monkeypatch, mp, u)
-            assert len(series) == 1 and series[0].name == f"{mp.name}^T"
-            terms = resolvent_series(mp.transposed(), est.lambda_used, u.entries[:, None]).terms
-            assert total == bracket + (terms - 1) + 1
+    def test_one_series_on_the_transpose(self, monkeypatch, gaussian_model):
+        # A two-sex map whose sexes share one kernel pays the certified
+        # bracket (eigen stage included), one series on B^T, and one column
+        # B^T y for the defect pass; a series per probe would take tens of
+        # thousands of columns.
+        mp = gaussian_model.as_map()
+        u = ConeVector(np.ones(mp.space.dim))
+        est, total, series, bracket = self.columns_and_series(monkeypatch, mp, u)
+        assert len(series) == 1 and series[0].name == f"{mp.name}^T"
+        terms = resolvent_series(mp.transposed(), est.lambda_used, u.entries[:, None]).terms
+        assert total == bracket + (terms - 1) + 1
 
-    def test_small_matrix_solves_instead_of_the_series(self, rng, monkeypatch):
-        # y = (lam I - B^T)^-1 x* by one dense solve: no series, and the
-        # defect pass is the one column B^T y.
-        n = 10
-        mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)))
-        u = ConeVector(np.ones(n))
-        _, total, series, bracket = self.columns_and_series(monkeypatch, mp, u)
-        assert series == [] and total == bracket + 1
+    def test_matrix_solves_instead_of_the_series(self, rng, monkeypatch):
+        # y = (lam I - B^T)^-1 x* by one dense solve, above _NODA_MAX_DIM
+        # cells too: no series, and the defect pass is the one column B^T y.
+        for n in (10, eigenproblem._NODA_MAX_DIM + 2):
+            mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)))
+            u = ConeVector(np.ones(n))
+            _, total, series, bracket = self.columns_and_series(monkeypatch, mp, u)
+            assert series == [] and total == bracket + 1, n
 
     @pytest.mark.parametrize("norm", [NormKind.L1, NormKind.LINF, NormKind.WEIGHTED])
     def test_direct_solve_matches_the_series(self, rng, norm):
@@ -739,7 +753,7 @@ class TestEigenfunctional:
     @pytest.mark.parametrize("bad", ["singular", "negative", "nan"])
     def test_failed_solve_falls_back_to_the_series(self, rng, monkeypatch, bad):
         # Every dense solve fails here, so the eigen stage runs the Anderson
-        # stage and the functional the series, as for a larger matrix.
+        # stage and the functional the series, as for a map without a matrix.
         n = 6
         mat = rng.uniform(0.1, 1.0, size=(n, n))
         u = ConeVector(np.ones(n))
@@ -751,9 +765,9 @@ class TestEigenfunctional:
             x = solve(a, b)
             return -x if bad == "negative" else np.where(np.arange(len(x)) == 0, np.nan, x)
 
-        monkeypatch.setattr(eigenproblem, "_NODA_MAX_DIM", 0)
-        want = estimate_eigenfunctional(from_matrix(mat), u, u)
-        monkeypatch.setattr(eigenproblem, "_NODA_MAX_DIM", n)
+        with monkeypatch.context() as patch:
+            patch.setattr(eigenproblem, "_positive_solve", lambda s, m, b: None)
+            want = estimate_eigenfunctional(from_matrix(mat), u, u)
         monkeypatch.setattr(np.linalg, "solve", failing)
         est, _, series, _ = self.columns_and_series(monkeypatch, from_matrix(mat), u)
         assert len(series) == 1

@@ -20,6 +20,9 @@ LINEAR_MIX_COLUMNS = 2000
 # 251 with the exact resolvent of small matrices and the one-column defect
 # pass; 871 with the series on B^T and the n + 8 images B(p)
 FUNCTIONAL_SERIES_COLUMNS = 400
+# 296: 272 in the Anderson stage, 12 in solve_eigenvector_perturbation
+# around it and 12 in the bracket; the benchmark's only Anderson traffic
+TWOSEX_ASSESS_COLUMNS = 400
 
 
 def batch_columns(workload, tmp_path, monkeypatch) -> int:
@@ -51,3 +54,8 @@ def test_linear_mix_batch_columns(tmp_path, monkeypatch):
 def test_functional_series_batch_columns(tmp_path, monkeypatch):
     columns = batch_columns("functional-series", tmp_path, monkeypatch)
     assert columns <= FUNCTIONAL_SERIES_COLUMNS, columns
+
+
+def test_twosex_assess_batch_columns(tmp_path, monkeypatch):
+    columns = batch_columns("twosex-assess", tmp_path, monkeypatch)
+    assert columns <= TWOSEX_ASSESS_COLUMNS, columns
