@@ -1,7 +1,8 @@
 """Digest and compare every CLI output of the benchmark batches.
 
     python3 scripts/output_digests.py --src src --seed 1 [--keep DIR] > digests.json
-    python3 scripts/output_digests.py --compare DIR_A DIR_B --rtol 1e-12 [--atol 1e-14]
+    python3 scripts/output_digests.py --compare DIR_A DIR_B --rtol 1e-12 [--atol 1e-14] \
+        [--ignore steps,eigen_steps]
 
 The first form runs every batch operation and every known-defect probe of
 the four ``perfbench`` workloads once through ``conerad.cli.main``,
@@ -22,12 +23,15 @@ relative difference over its JSON numbers or CSV cells, and it lists the
 warnings of both sides.  Two numbers a, b match when
 |a - b| <= atol + rtol * max(|a|, |b|); both tolerances default to 0, and
 ``--atol`` keeps values near zero that move at rounding level from showing
-as relative differences of order 1.  It exits 1 on an exit-code mismatch, a
-missing file, a difference in anything but numbers, a number out of
-tolerance, or a warning that only ``DIR_B`` raised.  It ends with one line
-per command that counts its operations in three classes: identical (every
-file byte-identical), moved (some numbers differ, all within tolerance) and
-mismatched.
+as relative differences of order 1.  ``--ignore KEY[,KEY...]`` skips the
+JSON keys so named wherever they occur, in either file, so a change that
+moves only a count such as ``steps`` shows every other number at its true
+tolerance; a file that differs only there is reported as such.  It exits 1
+on an exit-code mismatch, a missing file, a difference in anything but
+numbers, a number out of tolerance, or a warning that only ``DIR_B``
+raised.  It ends with one line per command that counts its operations in
+three classes: identical (every file byte-identical), moved (some numbers
+differ, all within tolerance, or only ignored keys differ) and mismatched.
 """
 
 from __future__ import annotations
@@ -152,23 +156,26 @@ def _diff(a: float, b: float) -> tuple[float, float]:
     return abs(a - b), max(abs(a), abs(b))
 
 
-def _json_diff(a, b, where: str = ""):
-    """Yield _diff of each pair of numbers of two JSON values."""
+def _json_diff(a, b, where: str = "", ignore: frozenset = frozenset()):
+    """Yield _diff of each pair of numbers of two JSON values, skipping the
+    object keys in ignore."""
     if isinstance(a, bool) or isinstance(b, bool) or isinstance(a, str) or a is None:
         if a != b or type(a) is not type(b):
             raise _Mismatch(f"{where or 'value'}: {a!r} != {b!r}")
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
         yield _diff(float(a), float(b))
     elif isinstance(a, dict) and isinstance(b, dict):
-        if set(a) != set(b):
-            raise _Mismatch(f"{where or 'object'}: keys {sorted(set(a) ^ set(b))} differ")
+        keys_a, keys_b = set(a) - ignore, set(b) - ignore
+        if keys_a != keys_b:
+            raise _Mismatch(f"{where or 'object'}: keys {sorted(keys_a ^ keys_b)} differ")
         for k in a:
-            yield from _json_diff(a[k], b[k], f"{where}.{k}")
+            if k not in ignore:
+                yield from _json_diff(a[k], b[k], f"{where}.{k}", ignore)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise _Mismatch(f"{where or 'list'}: lengths {len(a)} != {len(b)}")
         for i, (x, y) in enumerate(zip(a, b)):
-            yield from _json_diff(x, y, f"{where}[{i}]")
+            yield from _json_diff(x, y, f"{where}[{i}]", ignore)
     else:
         raise _Mismatch(f"{where or 'value'}: {type(a).__name__} != {type(b).__name__}")
 
@@ -187,16 +194,16 @@ def _csv_diff(a: Path, b: Path):
                       [[_cell(c) for c in r] for r in rows_b], "csv")
 
 
-def _file_diff(a: Path, b: Path) -> list | None:
+def _file_diff(a: Path, b: Path, ignore: frozenset = frozenset()) -> list | None:
     """None when the files are identical, else the _diff of every pair of
-    numbers they hold."""
+    numbers they hold outside the JSON keys in ignore."""
     da, db = a.read_bytes(), b.read_bytes()
     if a.name == "manifest.json":
         da, db = _manifest(da), _manifest(db)
     if da == db:
         return None
     if a.suffix == ".json":
-        return list(_json_diff(json.loads(da), json.loads(db)))
+        return list(_json_diff(json.loads(da), json.loads(db), ignore=ignore))
     if a.suffix == ".csv":
         return list(_csv_diff(a, b))
     raise _Mismatch("bytes differ")
@@ -216,7 +223,8 @@ def _number_report(diffs: list, rtol: float, atol: float) -> tuple[str, int]:
     return text, bad
 
 
-def compare(dir_a: Path, dir_b: Path, rtol: float, atol: float = 0.0) -> int:
+def compare(dir_a: Path, dir_b: Path, rtol: float, atol: float = 0.0,
+            ignore: frozenset = frozenset()) -> int:
     rep_a = json.loads((dir_a / "digests.json").read_text())
     rep_b = json.loads((dir_b / "digests.json").read_text())
     bad = 0
@@ -252,13 +260,16 @@ def compare(dir_a: Path, dir_b: Path, rtol: float, atol: float = 0.0) -> int:
                 op_bad += 1
                 continue
             try:
-                diffs = _file_diff(fa, fb)
+                diffs = _file_diff(fa, fb, ignore)
             except _Mismatch as exc:
                 parts.append(f"{fname} differs beyond numbers ({exc}) MISMATCH")
                 op_bad += 1
                 continue
             if diffs is None:
                 parts.append(f"{fname} identical")
+            elif ignore and not any(d for d, _ in diffs):
+                moved = True
+                parts.append(f"{fname} differs only in ignored keys")
             else:
                 text, out = _number_report(diffs, rtol, atol)
                 op_bad += bool(out)
@@ -267,7 +278,8 @@ def compare(dir_a: Path, dir_b: Path, rtol: float, atol: float = 0.0) -> int:
         print(f"{key}: " + "; ".join(parts))
         bad += op_bad
         counts[2 if op_bad else 1 if moved else 0] += 1
-    print(f"compare: {bad} mismatch(es) at rtol {rtol:g}, atol {atol:g}")
+    print(f"compare: {bad} mismatch(es) at rtol {rtol:g}, atol {atol:g}"
+          + (f", ignoring {sorted(ignore)}" if ignore else ""))
     for command, (same, moved, mismatched) in sorted(tally.items()):
         print(f"command {command}: {same} identical, {moved} moved within tolerance, "
               f"{mismatched} mismatched")
@@ -286,9 +298,12 @@ def main(argv=None) -> int:
     ap.add_argument("--atol", type=float, default=0.0,
                     help="absolute tolerance of --compare: numbers a, b match when "
                          "|a - b| <= atol + rtol * max(|a|, |b|)")
+    ap.add_argument("--ignore", default="", metavar="KEY[,KEY...]",
+                    help="JSON keys that --compare skips wherever they occur")
     args = ap.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, args.rtol, args.atol)
+        ignore = frozenset(k for k in args.ignore.split(",") if k)
+        return compare(*args.compare, args.rtol, args.atol, ignore)
     if args.src is None or args.seed is None:
         ap.error("--src and --seed are required unless --compare is given")
     print(json.dumps(digest(args.src, args.seed, args.keep), indent=1, sort_keys=True))

@@ -7,17 +7,19 @@ Four constructive schemes:
   most _NODA_MAX_DIM cells (eigenvectors): B_eps is then a strictly
   positive matrix, and each step is one dense solve at a shift above every
   Collatz-Wielandt bound, so the iterates converge to its Perron vector,
-  reducible B included,
+  reducible B included; each step reads its ratios from its own solve, so
+  the stage evaluates B only at u_hat and at the final vector,
 * one shifted stage of normalized fixed-point steps on B_eps + c I, sped up
   by Anderson mixing of the last few steps after a coarse phase at a larger
   eps (eigenvectors of every other map, and the fallback when Noda's first
   solve fails),
 * the decreasing lattice iteration x_k = min(B x_{k-1}/r + 2^-k u, u)
   producing sub-eigenvectors,
-* left-resolvent functionals x -> x* . R_lam(x), normalized by a sampled
-  operator norm (eigenfunctionals).  A map with a transpose (a matrix map,
-  or a two-sex map whose sexes share one kernel factor tuple) takes
-  y = R_lam^T(x*), and then phi(x) = y . x / N.  A matrix map, of any
+* left-resolvent functionals x -> x* . R_lam(x), normalized by their sup
+  over the unit cone sphere (eigenfunctionals).  A map with a transpose (a
+  matrix map, or a two-sex map whose sexes share one kernel factor tuple)
+  takes y = R_lam^T(x*), and then phi(x) = y . x / N, with N the dual norm
+  of y in closed form; other maps sample N.  A matrix map, of any
   size, gets y exactly, by one dense solve of (lam I - B^T) y = x*, so
   trunc_tol does not apply there; a two-sex map with a transpose, or a
   matrix whose solve fails, sums one series on B^T, which stops on the dual
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConeSpace, ConeVector, psi_hull, u_norm
+from .cone import ConeSpace, ConeVector, NormKind, psi_hull, u_norm
 from .errors import (
     DegenerateBoundError,
     DimensionError,
@@ -129,9 +131,12 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     1971): each step is one dense solve at a shift above every
     Collatz-Wielandt bound, whose inverse is a positive operator, so the
     stage converges to the Perron vector even of a reducible B, quadratically
-    (L. Elsner, Linear Algebra Appl. 15, 1976).  Every solve counts against
-    max_inner.  When its first solve is singular or leaves the open cone,
-    the Anderson stage below runs instead, and that solve still counts.
+    (L. Elsner, Linear Algebra Appl. 15, 1976).  The solve also gives the
+    step's image, B_eps x = s x - v, so the stage evaluates no map column
+    between B(u_hat) and the final B(v), and steps is 2.  Every solve counts
+    against max_inner.  When its first solve is singular or leaves the open
+    cone, the Anderson stage below runs instead, and that solve still
+    counts.
 
     Every other map (two-sex, ``from_callable``, a matrix map on an LInf
     space, where B_eps holds no matrix, or a larger matrix) takes one
@@ -164,8 +169,9 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     Either way the returned lam is the Rayleigh value psi(B(v)) of the
     unperturbed map at the final iterate, the trace is the one row
     (eps, lam), [cw_lower, cw_upper] is the Collatz-Wielandt bracket of
-    (v, B(v)), steps counts the map evaluations of the solve, B(u_hat) and
-    the final B(v) included, and solves counts its dense solves.
+    (v, B(v)), an evaluated image on both paths, steps counts the map
+    evaluations of the solve, B(u_hat) and the final B(v) included, and
+    solves counts its dense solves.
     """
     space = mp.space
     if u.dim != space.dim or not np.all(u.entries > 0):
@@ -221,46 +227,52 @@ def _noda_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.ndarr
                 c: float, eps: float, scale: float, inner_tol: float,
                 max_inner: int) -> tuple[np.ndarray, int, int]:
     """Noda's iteration on the strictly positive matrix of pert = B_eps, from
-    v = u_hat with bv = B(u_hat): (v, evaluations, solves), B(u_hat) included.
+    v = u_hat with bv = B(u_hat): (v, evaluations, solves), B(u_hat) the one
+    evaluation unless the Anderson stage runs.
 
     Each step solves (s I - B_eps) x = v at s = sigma * _NODA_SHIFT, sigma
     the largest ratio (B_eps v)_i / v_i, the first from B_eps(u_hat) by
-    perturb's own arithmetic on B(u_hat), and moves to x / psi(x), whose
-    image from pert.raw gives the next sigma and the spread of its ratios.
-    s lies above the radius, so the inverse is the positive series
-    sum_k B_eps^k / s^(k+1).  The stage stops when the spread is at most
-    inner_tol * sigma, and when an iterate lowers neither the least sigma
-    nor the least spread so far, or is not strictly positive and finite:
-    then it keeps the iterate before.  sigma alone can reach the radius, to
-    rounding level, steps before the vector does on a reducible B.  When the
-    first solve gives no strictly positive finite iterate, the Anderson
-    stage runs instead, and the failed solve still counts.  It raises
-    InnerIterationError after max_inner solves.
+    perturb's own arithmetic on B(u_hat), and moves to x / psi(x).  The
+    solve gives the image too: B_eps x = s x - v, so the ratios of x are
+    s - v_i / x_i, and the next sigma is s - min(v / x), their spread
+    max(v / x) - min(v / x), with no map evaluation (Noda's own
+    lambda_(k+1) = lambda_k - min(x_k / x_(k+1))).  That sigma is no bound:
+    once the iterate has settled, cancellation on entries near rounding
+    level can put it well below the evaluated ratio, so it steers the shift
+    and the stop rule and is never reported.  s lies above the radius, so
+    the inverse is the positive series sum_k B_eps^k / s^(k+1).  The stage
+    stops when the spread is at most inner_tol * sigma, and when an iterate
+    lowers neither the least sigma nor the least spread so far, or is not
+    strictly positive and finite: then it keeps the iterate before.  sigma
+    alone can reach the radius, to rounding level, steps before the vector
+    does on a reducible B.  When the first solve gives no strictly positive
+    finite iterate, the Anderson stage runs instead, and the failed solve
+    still counts.  It raises InnerIterationError after max_inner solves.
     """
     space = pert.space
     ratios = (bv + u.entries * (eps * space.norm(v))) / v
     sigma = best_sigma = float(ratios.max())
     best_spread = sigma - float(ratios.min())
     for solves in range(1, max_inner + 1):
-        x = _positive_solve(sigma * _NODA_SHIFT, pert.matrix, v)
+        s = sigma * _NODA_SHIFT
+        x = _positive_solve(s, pert.matrix, v)
         if x is not None:
             with np.errstate(all="ignore"):
+                q = v / x                   # a tiny x_i overflows q_i: a vacuous spread
                 x = x / space.norm(x)       # psi(x) may overflow, x / psi(x) underflow
         if x is None or not (x.min() > 0.0 and x.max() < math.inf):
             if solves == 1:
                 v, steps, _ = _anderson_stage(pert, u, v, bv, c, eps, scale, inner_tol,
                                               max_inner)
                 return v, steps, 1
-            return v, solves, solves
-        with np.errstate(over="ignore"):
-            ratios = pert.raw(x) / x
-        sigma = float(ratios.max())
-        spread = sigma - float(ratios.min())
+            return v, 1, solves
+        low = float(q.min())
+        sigma, spread = s - low, float(q.max()) - low
         if not (sigma < best_sigma or spread < best_spread):
-            return v, solves + 1, solves
+            return v, 1, solves
         v, best_sigma, best_spread = x, min(sigma, best_sigma), min(spread, best_spread)
         if spread <= inner_tol * sigma:
-            return v, solves + 1, solves
+            return v, 1, solves
     raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
 
 
@@ -325,7 +337,8 @@ def _certify(mp: HomogeneousMap, u: ConeVector, tol: float, max_iter: int,
     A strictly positive eigenvector v of B_eps has B(v) <= lam_eps v, so its
     Collatz-Wielandt ratios bracket the radius to rounding level.  The
     bracket starts at v with the B(v) the solve already holds (start
-    "eigenvector"), and its regularized probes shift along v, whose
+    "eigenvector"), and ends on those ratios, with no probe, when they
+    close at tol; otherwise its regularized probes shift along v, whose
     near-zero entries on a reducible map come from B_eps, not from u.  It
     starts from u (start "u") when v is not strictly positive, or when the
     stage raises InnerIterationError or DegenerateBoundError (an eps that
@@ -408,6 +421,17 @@ def _left_resolvent(mpt: HomogeneousMap, lam: float, xs: np.ndarray,
     return y
 
 
+def _dual_norm(space: ConeSpace, y: np.ndarray) -> float:
+    """sup of y . x over the unit sphere of the cone, for y >= 0: max y_i on
+    L1, max y_i / w_i on a weighted space (both at a vertex e_i / ||e_i||)
+    and sum y_i on LInf (at x = 1)."""
+    if space.norm_kind is NormKind.LINF:
+        return float(y.sum())
+    if space.norm_kind is NormKind.WEIGHTED:
+        return float((y / space.weights).max())
+    return float(y.max())
+
+
 @dataclass
 class EigenfunctionalEstimate:
     """Homogeneous order-preserving functional with phi(B x) ~ r phi(x)."""
@@ -441,15 +465,18 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
     (``_certify`` at tol 1e-10, with at most 10000 eigen steps and 10000
     bracket iterations), or from u where that vector is not strictly
     positive or the stage fails.  lam must sit above its upper end; it
-    defaults to 1.2 times that, or to 1.2e-6 when it is smaller.  N is a
-    sampled sup of the unnormalized functional over the unit cone sphere,
-    and the reported defect is max |phi(Bx) - r phi(x)| over the sample
-    points.
+    defaults to 1.2 times that, or to 1.2e-6 when it is smaller.  N is the
+    sup of the unnormalized functional over the unit cone sphere, sampled at
+    normalizer_samples random probes and the scaled basis vectors, and the
+    reported defect is max |phi(Bx) - r phi(x)| over the basis vectors and
+    the first 8 random probes.
 
     A map with a transpose (a matrix map, or a two-sex map whose sexes share
     one kernel factor tuple) takes x* . R_lam(x) = y . x with
-    y = R_lam^T(x*), so the normalizer and every call of the returned
-    functional are inner products with y, and the defect pass takes
+    y = R_lam^T(x*), so every call of the returned functional is an inner
+    product with y, N is that sup in closed form, the dual norm of y
+    (``_dual_norm``: no sample reaches it on an LInf space, where it sits at
+    x = 1), and the defect pass takes
     phi(B p) = (B^T y) . p / N from one column B^T y.  A matrix map, of
     any size and on any space, gets y exactly from one dense solve of
     (lam I - B^T) y = x*, and trunc_tol does not apply to it; a solve that
@@ -491,9 +518,9 @@ def estimate_eigenfunctional(mp: HomogeneousMap, u: ConeVector, xstar: ConeVecto
 
     probes = unit_cone_probes(space, normalizer_samples, np.random.default_rng(seed))
     values = phi(probes)
-    normalizer = float(np.max(values))
+    normalizer = _dual_norm(space, y) if mpt is not None else float(np.max(values))
     if normalizer <= 0:
-        raise DegenerateBoundError("sampled normalizer is zero; xstar annihilates the orbit")
+        raise DegenerateBoundError("normalizer is zero; xstar annihilates the orbit")
 
     def evaluator(x: ConeVector, _n=normalizer) -> float:
         if x.dim != space.dim:

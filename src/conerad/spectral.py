@@ -21,7 +21,8 @@ first probe is y itself, so its image B(y) becomes the next power step; a
 regularized probe is formed only while 2^-k u_hat is a normal float and
 changes the truncation.  On strictly positive problems an iteration costs
 two evaluations, B(y) and B(y + 2^-k u_hat), until 2^-k u_hat no longer
-changes y, then one.
+changes y, then one.  A start given with its image, such as an
+eigenvector, costs none when its own ratios close the bracket.
 
 Maps follow the evaluator contract of ``homog_map``: a vector (n,) or a
 column block (n, k) whose columns are evaluated independently.  The
@@ -112,7 +113,9 @@ def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
     probes exist; they shift along u_hat = u / ||u||, where the orbit
     starts.  Convergence is declared on bracket width only.  Inside the
     package a caller that already holds B(u) passes it as _image; the orbit
-    then starts at u itself and evaluates no start image.
+    then starts at u itself and evaluates no start image, and when the
+    ratios of the pair (u, B(u)) already close at tol the first iteration
+    ends on them, rounded outward, before any probe is built or evaluated.
     ``eigenproblem._certify`` starts it so from the solved eigenvector of the
     perturbed map, for the radius, functional and two-sex assessment paths;
     every bound is a certificate whatever the start.
@@ -130,11 +133,14 @@ def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
     if not nu < math.inf:
         raise DegenerateBoundError("the norm of start vector u overflows")
     u_hat = u.entries / nu
+    own = None
     if _image is None:
         y = u_hat.copy()
         z = mp.raw(y)                   # B(y): the next power step
     else:
         y, z = u.entries, _image
+        # the start pair's own bounds, which close at once from an eigenvector
+        own = [float(b[0]) for b in _cw_ratios(y[:, None], z[:, None])]
     hist = [y]                          # y_(k-m), ..., y_k
     logs: list[float] = []
     bounds: list[tuple[float, float]] = []
@@ -152,6 +158,13 @@ def radius_bracket(mp: HomogeneousMap, u: ConeVector, tol: float = 1e-8,
                                     iterations=iterations, converged=True,
                                     log_norm_trace=logs, bound_trace=bounds)
         logs.append(math.log(nz))
+        if own is not None:
+            lo, hi = own
+            own = None
+            if hi - lo <= tol * max(1.0, lo):
+                best_lower, best_upper, converged = lo, hi, True
+                bounds.append((lo, hi))
+                break
         y = z / nz
         hist.append(y)
         if len(hist) > _ORBIT_MEMORY + 1:

@@ -587,8 +587,9 @@ def assess_persistence(model: TwoSexModel, tol: float = 1e-8,
     (``eigenproblem._certify``): the eigenvector v is solved first, from the
     order bound u, and the bracket is started from v with the image B(v)
     the solve has already evaluated.  At an eigenvector the Collatz-Wielandt
-    ratios of B(v)/v all equal the radius, so the bracket closes in about
-    one iteration where a start from u takes tens.  Every bound stays a
+    ratios of B(v)/v all equal the radius, so the bracket usually closes on
+    them in its first iteration with no further map evaluation, where a
+    start from u takes tens of iterations.  Every bound stays a
     certificate whatever the start; ``radius.iterations`` and
     ``log_norm_trace`` describe the iteration from v.  The bracket starts
     from u instead when v is not strictly positive, or when the eigen stage

@@ -25,6 +25,7 @@ from conerad import (
     build_model,
     diamond_norm,
     from_matrix,
+    linear_radius_exact,
     psi_hull,
     radius_bracket,
     simulate,
@@ -690,6 +691,21 @@ class TestReadJson:
         assert main(["--config", str(path), "--quiet"]) == 0
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["seed"] == 2 ** 64
+
+
+def test_linear_mix_eigen_reports_the_perron_root(tmp_path):
+    # perfbench's eigen check recomputes lambda and the residual from the
+    # reported vector, which a non-Perron eigenpair passes as well
+    ops = [op for op in perfbench_module("workloads").GENERATORS["linear-mix"](1)
+           if op["command"] == "eigen"]
+    assert ops
+    for i, op in enumerate(ops):
+        run = tmp_path / f"op{i}"
+        run.mkdir()
+        assert main(["--config", str(make_run(run, "eigen", op["input"])), "--quiet"]) == 0
+        lam = json.loads((run / "out" / "result.json").read_text())["lambda"]
+        ref = linear_radius_exact(op["input"]["matrix"])
+        assert abs(lam - ref.value) <= ref.accuracy + 1e-11 * ref.value, (i, lam, ref)
 
 
 def edited(cfg: dict, path: tuple, value) -> dict:

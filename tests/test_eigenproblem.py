@@ -479,7 +479,55 @@ def reducible_case(seed):
     return from_matrix(m, space=space), ConeVector(rng.uniform(0.5, 2.0, n))
 
 
+def evaluated_noda_stage(pert, u, v, bv, c, eps, scale, inner_tol, max_inner):
+    """``eigenproblem._noda_stage`` with each step's ratios read from an
+    evaluated pert.raw(x) instead of from its solve, and no Anderson
+    fallback: (v, evaluations, solves)."""
+    space = pert.space
+    ratios = (bv + u.entries * (eps * space.norm(v))) / v
+    sigma = best_sigma = float(ratios.max())
+    best_spread = sigma - float(ratios.min())
+    for solves in range(1, max_inner + 1):
+        x = eigenproblem._positive_solve(sigma * eigenproblem._NODA_SHIFT, pert.matrix, v)
+        if x is None:
+            return v, solves, solves
+        x = x / space.norm(x)
+        with np.errstate(over="ignore"):
+            ratios = pert.raw(x) / x
+        sigma = float(ratios.max())
+        spread = sigma - float(ratios.min())
+        if not (sigma < best_sigma or spread < best_spread):
+            return v, solves + 1, solves
+        v, best_sigma, best_spread = x, min(sigma, best_sigma), min(spread, best_spread)
+        if spread <= inner_tol * sigma:
+            return v, solves + 1, solves
+    raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
+
+
 class TestNoda:
+    def test_ratios_from_the_solve_match_evaluated_ratios(self, monkeypatch):
+        # sigma = s - min(v / x) is no bound: on entries near rounding level
+        # it can fall well below the evaluated ratio once the iterate has
+        # settled.  It only steers the shift and the stop rule, so lambda,
+        # convergence and the start match the stage that evaluates B_eps(x).
+        # Where a shift within rounding of the radius makes one stage's last
+        # solve leave the open cone and not the other's (seed 154 here: the
+        # evaluated stage stops 2 solves early, 8e-11 off), lambda may move
+        # by more, but only towards the radius.
+        runs = {}
+        for name, stage in (("solve", eigenproblem._noda_stage),
+                            ("evaluated", evaluated_noda_stage)):
+            monkeypatch.setattr(eigenproblem, "_noda_stage", stage)
+            runs[name] = [_certify(*reducible_case(seed), tol=1e-8, max_iter=2000)
+                          for seed in range(200)]
+        for seed, (new, ref) in enumerate(zip(runs["solve"], runs["evaluated"])):
+            (bracket, eigen, _, start), (ref_bracket, ref_eigen, _, ref_start) = new, ref
+            assert (bracket.converged, start) == (ref_bracket.converged, ref_start), seed
+            if eigen.lam != pytest.approx(ref_eigen.lam, rel=1e-12, abs=0):
+                r = linear_radius_exact(reducible_case(seed)[0].matrix).value
+                assert abs(eigen.lam - r) < abs(ref_eigen.lam - r), seed
+            assert eigen.steps == 2 < ref_eigen.steps, seed
+
     def test_reducible_corpus_closes(self):
         # Before the Noda stage, 9 of these 200 brackets (seeds 17, 33, 71,
         # 89, 91, 113, 115, 187 and 192) stopped at the 2000-iteration cap:
@@ -502,8 +550,8 @@ class TestNoda:
         res = solve_eigenvector_perturbation(mp, ConeVector(np.ones(n)))
         assert res.solves > 0
         assert res.to_json()["solves"] == res.solves
-        # B(u_hat), one evaluation per solve and the final B(v)
-        assert res.steps == res.solves + 2
+        # B(u_hat) and the final B(v): each step's ratios come from its solve
+        assert res.steps == 2
         assert res.mode is EigenMode.EXACT
         ref = linear_radius_exact(mp.matrix)
         assert res.cw_lower - ref.accuracy <= ref.value <= res.cw_upper + ref.accuracy
@@ -653,7 +701,10 @@ class TestEigenfunctional:
         # from_callable feeds a block to its function one column at a time,
         # so a function that only takes (n,) vectors still gets a functional.
         # It takes the forward series per probe, from_matrix the one series
-        # on B^T; both match y = (lam I - B^T)^-1 x* on the same probes.
+        # on B^T; both match y = (lam I - B^T)^-1 x* on the same probes.  The
+        # series samples its normalizer; the transpose takes the sup over the
+        # unit sphere in closed form, which on LInf is sum(y), at x = 1,
+        # beyond every probe.
         mat = rng.uniform(0.1, 1.0, size=(4, 4))
 
         def fn(x):
@@ -671,15 +722,37 @@ class TestEigenfunctional:
             assert mp.transposed() is None and from_matrix(mat, space).transposed() is not None
             probes = unit_cone_probes(space, 256, np.random.default_rng(0))
             head = probes[:, :12]
-            for est in (estimate_eigenfunctional(mp, u, xstar),
-                        estimate_eigenfunctional(from_matrix(mat, space), u, xstar)):
+            for transposed in (False, True):
+                est = estimate_eigenfunctional(from_matrix(mat, space) if transposed else mp,
+                                               u, xstar)
                 y = np.linalg.solve(est.lambda_used * np.eye(4) - mat.T, xstar.entries)
                 values = y @ probes
                 norm = values.max()
+                if transposed and space.norm_kind is NormKind.LINF:
+                    norm = y.sum()
                 defect = np.abs((y @ (mat @ head) - est.radius_used * values[:12]) / norm).max()
                 assert est.normalizer == pytest.approx(norm, rel=1e-9)
                 assert est.defect_max == pytest.approx(defect, rel=1e-9)
                 assert est(u) == pytest.approx(y.sum() / norm, rel=1e-9)
+
+    @pytest.mark.parametrize("norm, n", [("linf", 5), ("linf", 20), ("linf", 70),
+                                         ("l1", 20), ("weighted", 20)])
+    def test_normalizer_is_the_sup_over_the_unit_sphere(self, norm, n):
+        # phi = y . x / N is linear, so its sup over the cone's unit sphere is
+        # at a vertex: e_i / ||e_i|| on L1 and weighted spaces, which are
+        # probes, and 1 on LInf, which no probe reaches (a sampled N gave
+        # phi(1) = 1.12, 1.91 and 2.28 here)
+        rng = np.random.default_rng(n)
+        space = {"l1": ConeSpace(n), "linf": ConeSpace(n, NormKind.LINF),
+                 "weighted": ConeSpace(n, NormKind.WEIGHTED, rng.uniform(0.5, 2.0, n))}[norm]
+        mp = from_matrix(rng.uniform(0.0, 1.0, size=(n, n)), space=space)
+        phi = estimate_eigenfunctional(mp, ConeVector(np.ones(n)), ConeVector(np.ones(n)))
+        if norm == "linf":
+            top = phi(ConeVector(np.ones(n)))
+        else:
+            top = max(phi(ConeVector(e / space.norm(e))) for e in np.eye(n))
+        assert top == pytest.approx(1.0, rel=1e-12)
+        assert top <= 1.0 + 1e-12
 
     def test_evaluator_rejects_wrong_length(self):
         mat = np.array([[1.0, 0.5], [0.4, 0.5]])

@@ -15,14 +15,17 @@ from conerad import HomogeneousMap, cli
 
 from conftest import perfbench_module
 
-# 1,372 with the Noda stage; 4,984 with the Anderson stage on every matrix
-LINEAR_MIX_COLUMNS = 2000
-# 251 with the exact resolvent of small matrices and the one-column defect
-# pass; 871 with the series on B^T and the n + 8 images B(p)
-FUNCTIONAL_SERIES_COLUMNS = 400
-# 296: 272 in the Anderson stage, 12 in solve_eigenvector_perturbation
-# around it and 12 in the bracket; the benchmark's only Anderson traffic
-TWOSEX_ASSESS_COLUMNS = 400
+# 384 with Noda's ratios from its solves and brackets that close on the
+# eigenvector's own ratios; 1,372 with one evaluation per solve and two
+# probe columns per bracket; 4,984 with the Anderson stage on every matrix
+LINEAR_MIX_COLUMNS = 500
+# 230; 251 with two probe columns per bracket; 871 with the series on B^T
+# and the n + 8 images B(p)
+FUNCTIONAL_SERIES_COLUMNS = 240
+# 284: 272 in the Anderson stage and 12 in solve_eigenvector_perturbation
+# around it, the bracket closing on (v, B(v)); the benchmark's only
+# Anderson traffic
+TWOSEX_ASSESS_COLUMNS = 290
 
 
 def batch_columns(workload, tmp_path, monkeypatch) -> int:

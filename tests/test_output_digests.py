@@ -168,3 +168,26 @@ def test_compare_tallies_each_command(digests, tmp_path, capsys):
         "command radius: 1 identical, 0 moved within tolerance, 0 mismatched",
         "command validate: 0 identical, 0 moved within tolerance, 1 mismatched",
     ]
+
+
+@pytest.mark.parametrize("right, ignore, code, shown", [
+    # a count that moves fails the exact default ...
+    ({"lambda": 1.0, "steps": 2, "eigen": {"steps": 2, "solves": 4}}, None, 1, "MISMATCH"),
+    # ... and is skipped wherever the key sits, nested or not
+    ({"lambda": 1.0, "steps": 2, "eigen": {"steps": 2, "solves": 4}}, "steps", 0,
+     "differs only in ignored keys"),
+    # the other numbers keep their tolerance
+    ({"lambda": 1.0 + 1e-13, "steps": 2, "eigen": {"steps": 2, "solves": 4}}, "steps", 1,
+     "MISMATCH"),
+    ({"lambda": 1.0, "steps": 2, "eigen": {"steps": 2, "solves": 5}}, "steps,eigen_steps", 1,
+     "MISMATCH"),
+    # an ignored key may be missing on one side
+    ({"lambda": 1.0, "eigen": {"solves": 4}}, "steps", 0, "differs only in ignored keys"),
+])
+def test_compare_ignores_named_keys(digests, tmp_path, capsys, right, ignore, code, shown):
+    left = _kept_result(tmp_path / "a", {"lambda": 1.0, "steps": 8,
+                                         "eigen": {"steps": 9, "solves": 4}})
+    right = _kept_result(tmp_path / "b", right)
+    argv = ["--compare", str(left), str(right)] + (["--ignore", ignore] if ignore else [])
+    assert digests.main(argv) == code
+    assert shown in capsys.readouterr().out

@@ -244,6 +244,40 @@ class TestRadiusBracket:
         assert est.iterations == 100
         assert est.iterations < len(calls) < 1 + 2 * est.iterations
 
+    def test_eigenvector_start_closes_on_its_own_ratios(self, rng):
+        # (v, B(v)) of a Perron vector closes the bracket at once: one
+        # iteration, one logged norm and bound, and no map evaluation
+        m = rng.uniform(0.05, 1.0, size=(6, 6))
+        vals, vecs = np.linalg.eig(m)
+        v = np.abs(vecs[:, np.argmax(vals.real)].real)
+        mp, calls = counting_map(m)
+        est = radius_bracket(mp, ConeVector(v), tol=1e-10, _image=m @ v)
+        assert calls == []
+        assert est.converged and est.iterations == 1
+        assert len(est.log_norm_trace) == len(est.bound_trace) == 1
+        lower, upper = _cw_ratios(v[:, None], (m @ v)[:, None])
+        assert est.bound_trace == [(lower[0], upper[0])]
+        assert est.cw_lower <= linear_radius_exact(m).value <= est.cw_upper
+
+    def test_start_whose_own_ratios_are_wide_still_probes(self, rng):
+        # an image that does not close at tol changes nothing: the run is
+        # the one started without it, less the start's evaluation
+        m = rng.uniform(0.05, 1.0, size=(8, 8))
+        u = ConeVector(np.full(8, 0.125))           # ||u|| = 1 exactly, so u_hat = u
+        mp, calls = counting_map(m)
+        plain = radius_bracket(mp, u, tol=1e-10)
+        start = len(calls)
+        est = radius_bracket(mp, u, tol=1e-10, _image=from_matrix(m).raw(u.entries))
+        assert est == plain
+        assert est.bound_trace == plain.bound_trace
+        assert len(calls) - start == start - 1 > 0
+
+    def test_annihilated_start_image_collapses_to_zero(self):
+        mp, calls = counting_map(np.zeros((3, 3)))
+        est = radius_bracket(mp, ConeVector(np.ones(3)), _image=np.zeros(3))
+        assert (est.cw_lower, est.cw_upper, est.value) == (0.0, 0.0, 0.0)
+        assert est.converged and est.iterations == 1 and calls == []
+
     def test_requires_strictly_positive_start(self, diag21):
         for start in (vec(1, 0), vec(0, 0)):
             with pytest.raises(DegenerateBoundError):

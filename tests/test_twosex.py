@@ -581,9 +581,8 @@ class TestPersistence:
         assert radius.cw_upper - radius.cw_lower <= 1e-8 * max(1.0, radius.cw_lower)
 
     def test_bracket_from_eigenvector_costs_a_few_columns(self, monkeypatch):
-        # Started from the eigenvector, the bracket closes in one iteration:
-        # B(v) comes from the solve, so only B of the next iterate and of its
-        # one regularized probe are new.
+        # Started from the eigenvector, the bracket closes on the pair
+        # (v, B(v)) the solve already holds, before any probe is evaluated.
         model = build_model(gaussian_config(n_cells=60, sigma=0.05, beta=6.0))
         columns = []
         raw = HomogeneousMap.raw
@@ -598,7 +597,7 @@ class TestPersistence:
         columns.clear()
         report = assess_persistence(model)
         assert report.radius.converged and report.radius.iterations == 1
-        assert sum(columns) == alone + 2
+        assert sum(columns) == alone
 
     @pytest.mark.parametrize("scale, verdict", [(1.0, "extinction"), (2.0, "persistence")])
     def test_local_dispersal_distinct_beta(self, scale, verdict):
