@@ -9,15 +9,19 @@ the four ``perfbench`` workloads once through ``conerad.cli.main``,
 importing the program from ``--src``, and prints one JSON object: per
 operation its command, the exit code, the SHA-256 of each output file and
 the distinct ``RuntimeWarning`` messages the operation raised, plus the map
-columns of each workload's batch (the benchmark's ``map_columns``).
+columns of each workload's batch (the benchmark's ``map_columns``) and its
+map applications (``map_applications``), the columns of the ``raw`` calls
+that made no nested ``raw`` call: a perturbed map's wrapper evaluates the
+user's map inside its own ``raw`` call, and only the user's map counts.
 ``manifest.json`` is digested without its ``threads`` and ``versions.blas``
 fields, which only some trees write.  Two trees produce the same outputs
-when their digest files are equal, apart from ``map_columns``.  With
+when their digest files are equal, apart from the two counts.  With
 ``--keep DIR`` the output files and the digest object are also written to
 ``DIR`` (``DIR/digests.json``, ``DIR/out/<workload>-<op>/``).
 
-The second form compares two kept directories.  For each operation it
-reports whether the exit codes match and, for each output file, whether it
+The second form compares two kept directories.  It prints both counts of
+each workload, then reports for each operation whether the exit codes
+match and, for each output file, whether it
 is byte-identical (manifests without the fields above) or else the largest
 relative difference over its JSON numbers or CSV cells, and it lists the
 warnings of both sides.  Two numbers a, b match when
@@ -72,6 +76,29 @@ def _op_dir(key: str) -> str:
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+def counting(raw, tally: dict):
+    """A stand-in for ``HomogeneousMap.raw`` that calls raw and adds the
+    columns of every call to tally["columns"], and those of every call that
+    made no nested call to tally["applications"]."""
+    open_calls = []     # per call still running: whether it made a nested call
+
+    def counting_raw(mp, x):
+        k = x.shape[1] if x.ndim == 2 else 1
+        tally["columns"] += k
+        if open_calls:
+            open_calls[-1] = True
+        open_calls.append(False)
+        try:
+            out = raw(mp, x)
+        finally:
+            nested = open_calls.pop()
+        if not nested:
+            tally["applications"] += k
+        return out
+
+    return counting_raw
+
+
 def digest(src: str, seed: int, keep: Path | None) -> dict:
     """Run and digest every operation; the BLAS thread variables,
     ``sys.path`` and ``HomogeneousMap.raw`` are restored on return."""
@@ -85,23 +112,17 @@ def digest(src: str, seed: int, keep: Path | None) -> dict:
         from conerad import cli
         from conerad.homog_map import HomogeneousMap
 
-        columns = 0
+        tally = {"columns": 0, "applications": 0}
         orig_raw = HomogeneousMap.raw
-
-        def counting_raw(mp, x):
-            nonlocal columns
-            columns += x.shape[1] if x.ndim == 2 else 1
-            return orig_raw(mp, x)
-
-        HomogeneousMap.raw = counting_raw
-        report: dict = {"seed": seed, "map_columns": {}, "ops": {}}
+        HomogeneousMap.raw = counting(orig_raw, tally)
+        report: dict = {"seed": seed, "map_columns": {}, "map_applications": {}, "ops": {}}
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             for name in workloads.WORKLOADS:
                 batches = (("op", workloads.GENERATORS[name](seed)),
                            ("defect", workloads.known_defects(name, seed)))
                 for tag, ops in batches:
-                    start = columns
+                    start = dict(tally)
                     for i, op in enumerate(ops):
                         key = f"{name}/{tag}{i}"
                         inp = work / f"{name}-{tag}{i}.input.json"
@@ -123,7 +144,9 @@ def digest(src: str, seed: int, keep: Path | None) -> dict:
                                                 if issubclass(w.category, RuntimeWarning)}),
                         }
                     if tag == "op":
-                        report["map_columns"][name] = columns - start
+                        report["map_columns"][name] = tally["columns"] - start["columns"]
+                        report["map_applications"][name] = (tally["applications"]
+                                                            - start["applications"])
             if keep is not None:
                 keep.mkdir(parents=True, exist_ok=True)
                 shutil.copytree(work / "out", keep / "out", dirs_exist_ok=True)
@@ -229,9 +252,12 @@ def compare(dir_a: Path, dir_b: Path, rtol: float, atol: float = 0.0,
     rep_b = json.loads((dir_b / "digests.json").read_text())
     bad = 0
     tally: dict[str, list[int]] = {}   # command -> [identical, moved, mismatched]
-    for name in sorted(set(rep_a["map_columns"]) | set(rep_b["map_columns"])):
-        ca, cb = rep_a["map_columns"].get(name), rep_b["map_columns"].get(name)
-        print(f"map_columns {name}: {ca} -> {cb}" + ("" if ca == cb else "  (differs)"))
+    for count in ("map_columns", "map_applications"):
+        # digests written before map_applications was recorded carry none
+        counts_a, counts_b = rep_a.get(count, {}), rep_b.get(count, {})
+        for name in sorted(set(counts_a) | set(counts_b)):
+            ca, cb = counts_a.get(name), counts_b.get(name)
+            print(f"{count} {name}: {ca} -> {cb}" + ("" if ca == cb else "  (differs)"))
     for key in sorted(set(rep_a["ops"]) | set(rep_b["ops"])):
         op_a, op_b = rep_a["ops"].get(key), rep_b["ops"].get(key)
         command = (op_b or {}).get("command") or (op_a or {}).get("command") or "unrecorded"

@@ -1,6 +1,6 @@
 """Positive eigenvector and eigenfunctional solvers.
 
-Four constructive schemes:
+Five constructive schemes:
 
 * Noda's shifted inverse iteration on B_eps = B + eps * psi(.) * u, with eps
   one ulp of B(u_hat), for a matrix map on an L1 or weighted space of at
@@ -9,10 +9,16 @@ Four constructive schemes:
   Collatz-Wielandt bound, so the iterates converge to its Perron vector,
   reducible B included; each step reads its ratios from its own solve, so
   the stage evaluates B only at u_hat and at the final vector,
+* Arnoldi's process on B_eps for every other map whose B_eps is linear, a
+  larger matrix map or a map with a transpose (a two-sex map whose sexes
+  share one kernel factor tuple) on an L1 or weighted space, and the
+  fallback when Noda's first solve fails (eigenvectors): each signed basis
+  vector costs one cone column, and the stop rule reads the Ritz vector's
+  Collatz-Wielandt spread from the Arnoldi relation,
 * one shifted stage of normalized fixed-point steps on B_eps + c I, sped up
   by Anderson mixing of the last few steps after a coarse phase at a larger
-  eps (eigenvectors of every other map, and the fallback when Noda's first
-  solve fails),
+  eps (eigenvectors of every other map, and the handover of an Arnoldi
+  stage that finds no positive Ritz vector),
 * the decreasing lattice iteration x_k = min(B x_{k-1}/r + 2^-k u, u)
   producing sub-eigenvectors,
 * left-resolvent functionals x -> x* . R_lam(x), normalized by their sup
@@ -58,6 +64,7 @@ _COARSE_EPS = 1e-4       # eps of the coarse phase, relative to psi(B(u_hat)) / 
 _COARSE_TOL = 1e-6       # step size at which the coarse phase hands over
 _NODA_MAX_DIM = 128      # largest matrix map that takes Noda's iteration (dense solves)
 _NODA_SHIFT = 1.0 + 2.0 ** -40   # relative lift of each Noda shift above its bound
+_KRYLOV_MAX_DIM = 40     # basis vectors of the Arnoldi stage before it hands over
 
 
 class EigenMode(enum.Enum):
@@ -117,7 +124,8 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
                                    inner_tol: float = 1e-13,
                                    max_inner: int = 20000) -> EigenResult:
     """Eigenvector of B_eps = B + eps * psi(.) * u, by Noda's iteration on a
-    small matrix and by a shifted Anderson stage on any other map.
+    small matrix, by Arnoldi's process on any other map whose B_eps is
+    linear and by a shifted Anderson stage on every other map.
 
     Both constants come from the image B(u_hat) of u_hat = u / psi(u), which
     also checks that B does not annihilate the cone: c = psi(B(u_hat)) and
@@ -133,17 +141,35 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     stage converges to the Perron vector even of a reducible B, quadratically
     (L. Elsner, Linear Algebra Appl. 15, 1976).  The solve also gives the
     step's image, B_eps x = s x - v, so the stage evaluates no map column
-    between B(u_hat) and the final B(v), and steps is 2.  Every solve counts
+    between B(u_hat) and the final B(v), and steps is 2.  A later solve
+    that leaves the open cone is retried once at the last shift whose solve
+    was strictly positive, which lies above the radius.  Every solve counts
     against max_inner.  When its first solve is singular or leaves the open
-    cone, the Anderson stage below runs instead, and that solve still
-    counts.
+    cone, the Arnoldi stage below runs instead, and that solve still counts.
 
-    Every other map (two-sex, ``from_callable``, a matrix map on an LInf
-    space, where B_eps holds no matrix, or a larger matrix) takes one
-    shifted stage of Anderson mixing (Walker & Ni 2011) on the fixed-point
-    step g = normalize(B_eps(v) + c v), from u_hat until a step moves the
-    iterate by less than inner_tol; the shift c I keeps the eigenvectors,
-    moves the radius to r + c and removes any periodicity.  The first step
+    Every other map whose B_eps is linear, a larger matrix map or a map
+    with a transpose on an L1 or weighted space (psi is then additive on
+    the cone), takes Arnoldi's process (``_arnoldi_stage``; Y. Saad,
+    Numerical Methods for Large Eigenvalue Problems, 2nd ed., SIAM 2011,
+    ch. 6) from u_hat, whose first product is B_eps(u_hat) from B(u_hat).
+    A signed basis vector x costs one cone column:
+    B_eps x = B_eps(x + a u_hat) - a B_eps(u_hat) with x + a u_hat >= 0.
+    The residual of the Ritz vector y of the Ritz value theta of largest
+    real part is known from the Arnoldi relation, so the stage stops,
+    with no further evaluation, when y > 0 and the spread of its
+    Collatz-Wielandt ratios is at most inner_tol * theta, Noda's rule; that
+    spread steers only and is never reported.  With _KRYLOV_MAX_DIM basis
+    vectors, or a basis that spans an invariant subspace, and no such y,
+    the Anderson stage below runs from u_hat on the budget left.  Every
+    evaluation counts against max_inner.
+
+    Every other map (a two-sex map whose sexes disperse differently,
+    ``from_callable``, a matrix map on an LInf space, where B_eps holds no
+    matrix) takes one shifted stage of Anderson mixing (Walker & Ni 2011)
+    on the fixed-point step g = normalize(B_eps(v) + c v), from u_hat until
+    a step moves the iterate by less than inner_tol; the shift c I keeps
+    the eigenvectors, moves the radius to r + c and removes any
+    periodicity.  The first step
     takes B_eps(u_hat) from B(u_hat) instead of evaluating u_hat again.
     Every step keeps the last _ANDERSON_DEPTH + 1 steps g and residuals
     f = g - v, solves one least squares problem min ||f - dF gamma|| on the
@@ -166,10 +192,10 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     steps without a new smallest residual takes plain steps until one comes,
     then starts a fresh window.
 
-    Either way the returned lam is the Rayleigh value psi(B(v)) of the
-    unperturbed map at the final iterate, the trace is the one row
+    Whatever the stage, the returned lam is the Rayleigh value psi(B(v)) of
+    the unperturbed map at the final iterate, the trace is the one row
     (eps, lam), [cw_lower, cw_upper] is the Collatz-Wielandt bracket of
-    (v, B(v)), an evaluated image on both paths, steps counts the map
+    (v, B(v)), an evaluated image on every path, steps counts the map
     evaluations of the solve, B(u_hat) and the final B(v) included, and
     solves counts its dense solves.
     """
@@ -196,8 +222,13 @@ def solve_eigenvector_perturbation(mp: HomogeneousMap, u: ConeVector,
     if not eps > 0:
         raise DegenerateBoundError(f"perturbation eps = 2^-52 * {scale!r} underflows to zero")
     pert = perturb(mp, eps, u)
-    stage = (_noda_stage if pert.matrix is not None and space.dim <= _NODA_MAX_DIM
-             else _anderson_stage)
+    if pert.matrix is not None and space.dim <= _NODA_MAX_DIM:
+        stage = _noda_stage
+    elif pert.matrix is not None or (mp.transpose is not None
+                                     and space.norm_kind is not NormKind.LINF):
+        stage = _arnoldi_stage
+    else:
+        stage = _anderson_stage
     v, steps, solves = stage(pert, u, v, bv, c, eps, scale, inner_tol, max_inner)
 
     bv = mp.raw(v)
@@ -228,7 +259,7 @@ def _noda_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.ndarr
                 max_inner: int) -> tuple[np.ndarray, int, int]:
     """Noda's iteration on the strictly positive matrix of pert = B_eps, from
     v = u_hat with bv = B(u_hat): (v, evaluations, solves), B(u_hat) the one
-    evaluation unless the Anderson stage runs.
+    evaluation unless the Arnoldi stage runs.
 
     Each step solves (s I - B_eps) x = v at s = sigma * _NODA_SHIFT, sigma
     the largest ratio (B_eps v)_i / v_i, the first from B_eps(u_hat) by
@@ -242,19 +273,23 @@ def _noda_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.ndarr
     and the stop rule and is never reported.  s lies above the radius, so
     the inverse is the positive series sum_k B_eps^k / s^(k+1).  The stage
     stops when the spread is at most inner_tol * sigma, and when an iterate
-    lowers neither the least sigma nor the least spread so far, or is not
-    strictly positive and finite: then it keeps the iterate before.  sigma
-    alone can reach the radius, to rounding level, steps before the vector
-    does on a reducible B.  When the first solve gives no strictly positive
-    finite iterate, the Anderson stage runs instead, and the failed solve
+    lowers neither the least sigma nor the least spread so far: then it
+    keeps the iterate before.  sigma alone can reach the radius, to
+    rounding level, steps before the vector does on a reducible B.  A shift
+    within rounding of the radius can give an iterate that is not strictly
+    positive and finite; the solve is then retried once at the last shift
+    whose solve gave a strictly positive x, which lies above the radius
+    (B_eps x = s x - v < s x), and the stage keeps the iterate before when
+    the retry fails too.  When the first solve gives no strictly positive
+    finite iterate, the Arnoldi stage runs instead, and the failed solve
     still counts.  It raises InnerIterationError after max_inner solves.
     """
     space = pert.space
     ratios = (bv + u.entries * (eps * space.norm(v))) / v
     sigma = best_sigma = float(ratios.max())
     best_spread = sigma - float(ratios.min())
+    s, good = sigma * _NODA_SHIFT, None     # good: the last shift whose solve was positive
     for solves in range(1, max_inner + 1):
-        s = sigma * _NODA_SHIFT
         x = _positive_solve(s, pert.matrix, v)
         if x is not None:
             with np.errstate(all="ignore"):
@@ -262,18 +297,96 @@ def _noda_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.ndarr
                 x = x / space.norm(x)       # psi(x) may overflow, x / psi(x) underflow
         if x is None or not (x.min() > 0.0 and x.max() < math.inf):
             if solves == 1:
-                v, steps, _ = _anderson_stage(pert, u, v, bv, c, eps, scale, inner_tol,
-                                              max_inner)
+                v, steps, _ = _arnoldi_stage(pert, u, v, bv, c, eps, scale, inner_tol,
+                                             max_inner)
                 return v, steps, 1
-            return v, 1, solves
-        low = float(q.min())
+            if good is None:                # the retry failed too
+                return v, 1, solves
+            s, good = good, None
+            continue
+        good, low = s, float(q.min())
         sigma, spread = s - low, float(q.max()) - low
         if not (sigma < best_sigma or spread < best_spread):
             return v, 1, solves
         v, best_sigma, best_spread = x, min(sigma, best_sigma), min(spread, best_spread)
         if spread <= inner_tol * sigma:
             return v, 1, solves
+        s = sigma * _NODA_SHIFT
     raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
+
+
+def _arnoldi_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.ndarray,
+                   c: float, eps: float, scale: float, inner_tol: float,
+                   max_inner: int) -> tuple[np.ndarray, int, int]:
+    """Arnoldi's process on pert = B_eps, linear on the cone, from v = u_hat
+    with bv = B(u_hat): (v, evaluations, 0), B(u_hat) included.
+
+    The basis is orthonormal in the Euclidean product, twice
+    orthogonalized.  Its first product B_eps(u_hat) comes from B(u_hat) by
+    perturb's own arithmetic; every later basis vector x is signed, and
+    B_eps x = B_eps(max(x + a u_hat, 0)) - a B_eps(u_hat), a =
+    max(0, max(-x / u_hat)), one cone column, exact up to rounding since
+    B_eps is additive on the cone.  The Ritz vector y = Q z of the Ritz
+    value theta of largest real part has the residual B_eps y - theta y =
+    z_m w, w the last product orthogonalized, so its Collatz-Wielandt
+    spread is max - min of z_m w / y with no evaluation; like Noda's sigma
+    it only steers.  The stage stops when theta is real, y is strictly
+    positive and that spread is at most inner_tol * theta.  At
+    _KRYLOV_MAX_DIM basis vectors, or when the basis spans an invariant
+    subspace or the whole space without such a y, the Anderson stage runs
+    from u_hat on the budget left.
+    """
+    space = pert.space
+    b_hat = bv + u.entries * (eps * space.norm(v))
+    dim = min(_KRYLOV_MAX_DIM, space.dim)
+    q = np.empty((space.dim, dim))
+    h = np.zeros((dim, dim))
+    top = v.max()
+    length = top * np.linalg.norm(v / top)     # no square under- or overflows
+    q[:, 0] = v / length
+    w = b_hat / length
+    evaluations = 1
+    for j in range(dim):
+        if j:
+            if evaluations >= max_inner:
+                raise InnerIterationError(
+                    f"inner iteration did not settle within {max_inner} steps")
+            with np.errstate(over="ignore"):
+                a = max(0.0, float((-q[:, j] / v).max()))
+            if not a < math.inf:
+                break
+            w = pert.raw(np.maximum(q[:, j] + a * v, 0.0)) - a * b_hat
+            evaluations += 1
+        basis = q[:, : j + 1]
+        coef = basis.T @ w
+        w = w - basis @ coef
+        again = basis.T @ w
+        w = w - basis @ again
+        h[: j + 1, j] = coef + again
+        theta, z = np.linalg.eig(h[: j + 1, : j + 1])
+        k = int(np.argmax(theta.real))
+        if theta[k].imag == 0.0:
+            zk = z[:, k].real
+            y = basis @ zk
+            if y.sum() < 0:
+                y, zk = -y, -zk
+            if y.min() > 0.0:
+                with np.errstate(over="ignore"):
+                    ratios = zk[j] * w / y
+                if ratios.max() - ratios.min() <= inner_tol * theta[k].real:
+                    return _psi_normalize(space, y), evaluations, 0
+        beta = np.linalg.norm(w)
+        if j + 1 == dim or not beta > 0.0:
+            break
+        h[j + 1, j] = beta
+        q[:, j + 1] = w / beta
+    try:
+        v, steps, _ = _anderson_stage(pert, u, v, bv, c, eps, scale, inner_tol,
+                                      max_inner - evaluations + 1)
+    except InnerIterationError:
+        raise InnerIterationError(
+            f"inner iteration did not settle within {max_inner} steps") from None
+    return v, evaluations - 1 + steps, 0
 
 
 def _anderson_stage(pert: HomogeneousMap, u: ConeVector, v: np.ndarray, bv: np.ndarray,

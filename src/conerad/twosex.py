@@ -585,8 +585,10 @@ def assess_persistence(model: TwoSexModel, tol: float = 1e-8,
 
     The bracket is the one the ``radius`` command computes
     (``eigenproblem._certify``): the eigenvector v is solved first, from the
-    order bound u, and the bracket is started from v with the image B(v)
-    the solve has already evaluated.  At an eigenvector the Collatz-Wielandt
+    order bound u, by Arnoldi's process when the sexes share one kernel
+    factor tuple, so that the map is linear, and by the Anderson stage
+    otherwise, and the bracket is started from v with the image B(v) the
+    solve has already evaluated.  At an eigenvector the Collatz-Wielandt
     ratios of B(v)/v all equal the radius, so the bracket usually closes on
     them in its first iteration with no further map evaluation, where a
     start from u takes tens of iterations.  Every bound stays a

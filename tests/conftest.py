@@ -12,15 +12,25 @@ import pytest
 
 from conerad import ConeVector, build_model, from_callable, from_matrix
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _module(path: Path):
+    spec = importlib.util.spec_from_file_location(f"_{path.parent.name}_{path.stem}", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def perfbench_module(name: str):
     """A perfbench module, loaded from its file without importing perfbench."""
-    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _module(PERFBENCH / f"{name}.py")
+
+
+def script_module(name: str):
+    """A module of scripts/, loaded from its file."""
+    return _module(ROOT / "scripts" / f"{name}.py")
 
 
 def single_cell_config(beta: float = 2.0, s_f: float = 0.5, s_m: float = 0.5,

@@ -108,6 +108,21 @@ def perron_vector(m):
     return p / p.sum()
 
 
+def unshared_two_sex_model(n, mating):
+    """A 1D two-sex model whose females disperse with sigma 0.05 and males
+    with 0.2: the kernels share no factor tuple, so the map is not additive
+    and supplies no transpose."""
+    models = []
+    for sigma in (0.05, 0.2):
+        cfg = gaussian_config(n_cells=n, sigma=sigma)
+        cfg["mating"] = mating
+        models.append(build_model(cfg))
+    narrow, wide = models
+    k_f = MigrationKernel(narrow.k_female.factors, narrow.k_female.scale)
+    k_m = MigrationKernel(wide.k_male.factors, wide.k_male.scale)
+    return TwoSexModel(grid=narrow.grid, k_female=k_f, k_male=k_m, mating=narrow.mating)
+
+
 def continuation_case(case, rng, gaussian_model):
     if case == "two_sex":
         return gaussian_model.as_map()
@@ -230,16 +245,7 @@ class TestContinuationReference:
         # no factor tuple, so the map is not additive.  Mixing needs only
         # its values, and settles in fewer evaluations than plain steps.
         n = 200
-        models = []
-        for sigma in (0.05, 0.2):
-            cfg = gaussian_config(n_cells=n, sigma=sigma)
-            cfg["mating"] = mating
-            models.append(build_model(cfg))
-        narrow, wide = models
-        k_f = MigrationKernel(narrow.k_female.factors, narrow.k_female.scale)
-        k_m = MigrationKernel(wide.k_male.factors, wide.k_male.scale)
-        model = TwoSexModel(grid=narrow.grid, k_female=k_f, k_male=k_m,
-                            mating=narrow.mating)
+        model = unshared_two_sex_model(n, mating)
         mp = model.as_map()
         f, g = np.ones(n), np.linspace(0.1, 1.0, n)
         additivity = np.abs(mp.raw(f + g) - mp.raw(f) - mp.raw(g)).max()
@@ -504,6 +510,17 @@ def evaluated_noda_stage(pert, u, v, bv, c, eps, scale, inner_tol, max_inner):
     raise InnerIterationError(f"inner iteration did not settle within {max_inner} steps")
 
 
+def stage_spy(monkeypatch) -> list:
+    """The names of the eigen stages run from now on, in order."""
+    ran = []
+    for name in ("_noda_stage", "_arnoldi_stage", "_anderson_stage"):
+        def spy(*args, _stage=getattr(eigenproblem, name), _name=name):
+            ran.append(_name)
+            return _stage(*args)
+        monkeypatch.setattr(eigenproblem, name, spy)
+    return ran
+
+
 class TestNoda:
     def test_ratios_from_the_solve_match_evaluated_ratios(self, monkeypatch):
         # sigma = s - min(v / x) is no bound: on entries near rounding level
@@ -556,16 +573,22 @@ class TestNoda:
         ref = linear_radius_exact(mp.matrix)
         assert res.cw_lower - ref.accuracy <= ref.value <= res.cw_upper + ref.accuracy
 
-    def test_other_maps_take_the_anderson_stage(self, rng):
-        small, large = eigenproblem._NODA_MAX_DIM, eigenproblem._NODA_MAX_DIM + 1
+    def test_other_maps_take_the_anderson_stage(self, rng, monkeypatch):
+        # maps whose B_eps is not known to be linear: a matrix on an LInf
+        # space (B_eps holds no matrix), a callable and a two-sex map whose
+        # sexes disperse differently
+        small = eigenproblem._NODA_MAX_DIM
         m = rng.uniform(0.05, 1.0, size=(small, small))
         maps = [
-            from_matrix(m, space=ConeSpace(small, NormKind.LINF)),  # B_eps holds no matrix
-            from_matrix(rng.uniform(0.05, 1.0, size=(large, large))),
+            from_matrix(m, space=ConeSpace(small, NormKind.LINF)),
             from_callable(ConeSpace(small), lambda x: m @ x),
+            unshared_two_sex_model(60, {"kind": "harmonic_mean", "beta": 6.0}).as_map(),
         ]
+        ran = stage_spy(monkeypatch)
         for mp in maps:
+            ran.clear()
             res = solve_eigenvector_perturbation(mp, ConeVector(np.ones(mp.space.dim)))
+            assert ran == ["_anderson_stage"], mp.name
             assert res.solves == 0
             assert res.mode is EigenMode.EXACT
 
@@ -588,6 +611,21 @@ class TestNoda:
         assert np.array_equal(res.vector.entries, anderson.vector.entries)
         assert (res.steps, res.solves) == (anderson.steps, 1)
 
+    @pytest.mark.parametrize("seed", [840, 1170])
+    def test_retries_a_lost_last_step(self, seed):
+        # The last shift sigma (1 + 2^-40) lies within rounding of the
+        # radius, so the solve that would end the stage leaves the open cone.
+        # Retried at the last shift whose solve was strictly positive, which
+        # lies above the radius, it lands; without the retry the stage stops
+        # one step short in mode sub_eigen, lambda 1.2e-9 (seed 840) and
+        # 1.6e-10 (seed 1170) off.
+        mp, u = reducible_case(seed)
+        res = solve_eigenvector_perturbation(mp, u)
+        assert res.solves > 0
+        assert res.mode is EigenMode.EXACT
+        r = linear_radius_exact(mp.matrix).value
+        assert res.lam == pytest.approx(r, rel=1e-12, abs=0)
+
     def test_reaches_the_perron_pair_of_a_reducible_map(self):
         # An upper-triangular n = 8 matrix whose diagonal, hence spectrum,
         # holds 0.8486 (the radius) and 0.8350: the Anderson stage, run on
@@ -603,6 +641,100 @@ class TestNoda:
         assert res.solves > 0
         assert res.lam == pytest.approx(np.diag(m).max(), rel=1e-11)
         assert np.diag(m).max() == pytest.approx(0.8486, abs=1e-4)
+
+
+def transposed_case(seed):
+    """reducible_case(seed) as a map that evaluates its matrix and supplies
+    its transpose: linear on the cone, but B_eps holds no matrix."""
+    mp, u = reducible_case(seed)
+    m = mp.matrix
+    return HomogeneousMap(space=mp.space, evaluator=m.__matmul__,
+                          transpose=lambda: m.T.__matmul__), u
+
+
+def grid_2d(nx, ny):
+    return {"kind": "rectangle2d", "bounds": [[0.0, 1.0], [0.0, 1.0]], "nx": nx, "ny": ny}
+
+
+class TestArnoldi:
+    def test_reducible_corpus_through_the_transpose(self, monkeypatch):
+        # The Anderson stage, which these maps took before, leaves 11 of the
+        # 300 brackets open at 2000 iterations and spends 49,778 evaluations
+        # on the eigenvectors, 2000 each on the two that never settle (seeds
+        # 211 and 273); Arnoldi leaves 10 open and spends 28,420, and 74 of
+        # its stages hand over.
+        ran = stage_spy(monkeypatch)
+        open_brackets, evaluations = 0, 0
+        for seed in range(300):
+            mp, u = transposed_case(seed)
+            ran.clear()
+            bracket, eigen, _, start = _certify(mp, u, tol=1e-8, max_iter=2000)
+            assert ran[0] == "_arnoldi_stage", seed
+            ref = linear_radius_exact(reducible_case(seed)[0].matrix)
+            assert bracket.cw_lower <= ref.value + ref.accuracy, seed
+            assert ref.value - ref.accuracy <= bracket.cw_upper, seed
+            open_brackets += not bracket.converged
+            evaluations += 2000 if eigen is None else eigen.steps
+        assert open_brackets <= 11
+        assert evaluations <= 32000
+
+    @pytest.mark.parametrize("grid", [
+        {"kind": "interval1d", "a": 0.0, "b": 1.0, "n_cells": 60}, grid_2d(8, 8),
+    ], ids=["interval60", "rectangle8x8"])
+    def test_shared_kernel_two_sex_map_matches_a_dense_reference(self, monkeypatch, grid):
+        cfg = gaussian_config(sigma=0.15, beta=3.0)
+        cfg["grid"] = grid
+        model = build_model(cfg)
+        mp = model.as_map()
+        space = mp.space
+        vals, vecs = np.linalg.eig(mp.raw(np.eye(space.dim)))
+        k = np.argmax(vals.real)
+        ref = np.abs(vecs[:, k].real)
+        ran = stage_spy(monkeypatch)
+        res = solve_eigenvector_perturbation(mp, model.order_bound)
+        assert ran == ["_arnoldi_stage"]
+        assert (res.solves, res.mode) == (0, EigenMode.EXACT)
+        assert res.lam == pytest.approx(vals[k].real, rel=1e-12, abs=0)
+        assert space.norm(res.vector.entries - ref / space.norm(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("weights, scale", [
+        (None, 1.0), ("random", 1.0),
+        # u_hat has entries near 1e-203 or 1e197, whose squares under- or
+        # overflow: the basis must not take its Euclidean length from them
+        (1e200, 1e-200), (1e-200, 1e200),
+    ])
+    def test_large_matrix_takes_arnoldi(self, rng, monkeypatch, weights, scale):
+        n = eigenproblem._NODA_MAX_DIM + 1
+        if weights is None:
+            space = ConeSpace(n)
+        else:
+            w = rng.uniform(0.5, 2.0, n) if weights == "random" else np.full(n, weights)
+            space = ConeSpace(n, NormKind.WEIGHTED, w)
+        mp = from_matrix(rng.uniform(0.05, 1.0, size=(n, n)), space=space)
+        ran = stage_spy(monkeypatch)
+        res = solve_eigenvector_perturbation(mp, ConeVector(np.full(n, scale)))
+        assert ran == ["_arnoldi_stage"]
+        assert (res.solves, res.mode) == (0, EigenMode.EXACT)
+        ref = linear_radius_exact(mp.matrix)
+        assert res.cw_lower - ref.accuracy <= ref.value <= res.cw_upper + ref.accuracy
+
+    @pytest.mark.parametrize("seed, handover", [(0, False), (3, True)])
+    def test_evaluations_count_against_the_budget(self, monkeypatch, seed, handover):
+        # seed 3 (n = 24) spans the whole space with no positive Ritz vector
+        # and hands over to the Anderson stage, whose steps add up
+        mp, u = transposed_case(seed)
+        calls = []
+        counted = HomogeneousMap(space=mp.space, transpose=mp.transpose,
+                                 evaluator=lambda x: calls.append(x) or mp.evaluator(x))
+        ran = stage_spy(monkeypatch)
+        res = solve_eigenvector_perturbation(counted, u)
+        assert ran == ["_arnoldi_stage"] + ["_anderson_stage"] * handover
+        assert res.steps == len(calls)
+        # max_inner caps the stage's evaluations, B(u_hat) included, not the final B(v)
+        again = solve_eigenvector_perturbation(mp, u, max_inner=res.steps - 1)
+        assert np.array_equal(again.vector.entries, res.vector.entries)
+        with pytest.raises(InnerIterationError):
+            solve_eigenvector_perturbation(mp, u, max_inner=res.steps - 2)
 
 
 class TestMinIteration:

@@ -1,25 +1,25 @@
 """scripts/output_digests.py: commands and warnings recorded per operation,
-and --compare's tolerances and per-command tally."""
+map columns and map applications, and --compare's tolerances and
+per-command tally."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import gaussian_config, script_module
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
 
 
 @pytest.fixture(scope="module")
 def digests():
-    spec = importlib.util.spec_from_file_location("output_digests", _PATH)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return script_module("output_digests")
 
 
 def _kept(root: Path, warnings: list[str] | None) -> Path:
@@ -127,6 +127,24 @@ def test_digest_records_each_command(digests, tmp_path, monkeypatch):
     again = digests.digest(src, 1, None)
     assert again["map_columns"] == report["map_columns"]
     assert report["map_columns"]["linear-mix"] > 0
+    # a matrix map's perturbation is a matrix map: no raw call is nested
+    assert report["map_applications"] == report["map_columns"]
+
+
+def test_perturbed_two_sex_map_is_counted_once(digests, monkeypatch):
+    from conerad import build_model, perturb
+    from conerad.homog_map import HomogeneousMap
+
+    model = build_model(gaussian_config(n_cells=10))
+    pert = perturb(model.as_map(), 1e-3, model.order_bound)
+    tally = {"columns": 0, "applications": 0}
+    monkeypatch.setattr(HomogeneousMap, "raw", digests.counting(HomogeneousMap.raw, tally))
+    pert.raw(np.ones(10))
+    pert.raw(np.ones((10, 3)))
+    model.as_map().raw(np.ones(10))
+    # the wrapper's raw call evaluates the two-sex map inside it: columns
+    # count both calls, applications only the two-sex map's
+    assert tally == {"columns": 9, "applications": 5}
 
 
 def _kept_ops(root: Path, ops: dict) -> Path:
